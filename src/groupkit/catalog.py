@@ -128,7 +128,7 @@ class CatalogEntry:
     fingerprint: Fingerprint
 
 
-_catalog_cache: dict[int, list[CatalogEntry]] = {}
+_catalogs: dict[int, list[CatalogEntry]] = {}
 
 
 def builtin_catalog(max_order: int, *, order_cap: int = 512) -> list[CatalogEntry]:
@@ -136,7 +136,7 @@ def builtin_catalog(max_order: int, *, order_cap: int = 512) -> list[CatalogEntr
     larger entries up to max_order; deduplicated by isomorphism testing."""
     if max_order > order_cap:
         raise OrderBound(max_order, order_cap, "catalog max order")
-    cached = _catalog_cache.get(max_order)
+    cached = _catalogs.get(max_order)
     if cached is None:
         cache = IsoCache()
         entries: list[CatalogEntry] = []
@@ -151,7 +151,7 @@ def builtin_catalog(max_order: int, *, order_cap: int = 512) -> list[CatalogEntr
                 continue
             entries.append(CatalogEntry(name, recipe, group, fingerprint(group)))
         cached = entries
-        _catalog_cache[max_order] = cached
+        _catalogs[max_order] = cached
     return list(cached)
 
 

@@ -212,7 +212,8 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    bundle = build_split_counterexample(args.p, lattice_cap=args.lattice_cap)
+    bundle = build_split_counterexample(
+        args.p, lattice_cap=_positive("lattice-cap", args.lattice_cap))
     _write_json(counterexample_json_dict(bundle), args.out)
     skipped = [k for k, v in bundle.checks.items() if v is None]
     if skipped:

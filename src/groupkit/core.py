@@ -7,6 +7,11 @@ Conventions fixed across the whole package:
 - product-style constructions number pairs ``(a, b) -> a * |B| + b``
   (first component major), so the identity lands at 0 automatically;
 - quotient cosets are numbered by ascending minimal member index.
+
+Three kernels live here and nowhere else: subgroup closure
+(``closure_bits``), coset numbering (``coset_table``) and per-group caching
+(``memo``).  Every other module calls them rather than re-implementing
+them, so each concept has one place to reason about.
 """
 
 from __future__ import annotations
@@ -325,17 +330,15 @@ class Group:
     """Immutable finite group over indices 0..n-1 with identity at 0.
 
     Instances compare by identity; compare ``g.table`` directly when table
-    equality is meant.  ``_cache`` holds derived data (subgroup lattice,
-    centre, ...) keyed by the modules that compute it.
+    equality is meant.  Derived data (subgroup lattice, centre, ...) is kept
+    per group through ``memo``.
     """
 
     __slots__ = ("order", "table", "inv", "name", "recipe", "_cache")
 
-    def __init__(self, table, *, name: str | None = None, recipe: Recipe | None = None,
-                 validate: bool = True, assoc_bound: int = DEFAULT_ASSOC_BOUND):
+    def __init__(self, table, *, name: str | None = None, recipe: Recipe | None = None):
         tbl = tuple(tuple(int(x) for x in row) for row in table)
-        if validate:
-            validate_table(tbl, assoc_bound=assoc_bound)
+        validate_table(tbl)
         self.order = len(tbl)
         self.table = tbl
         self.inv = tuple(row.index(0) for row in tbl)
@@ -370,6 +373,76 @@ class Group:
         self._cache = {}
 
 
+def memo(group: Group, key, fn):
+    """``fn()``, computed once per group and key.
+
+    A call that raises stores nothing, so it raises again next time.
+    """
+    cache = group._cache
+    if key not in cache:
+        cache[key] = fn()
+    return cache[key]
+
+
+def bits_of(members) -> int:
+    out = 0
+    for x in members:
+        out |= 1 << x
+    return out
+
+
+def members_of(bits: int) -> list[int]:
+    out = []
+    i = 0
+    while bits:
+        if bits & 1:
+            out.append(i)
+        bits >>= 1
+        i += 1
+    return out
+
+
+def closure_bits(table, gens, bits: int = 1, members=(0,)) -> int:
+    """Bitset of <S ∪ gens>, where S is the subgroup ``bits`` with elements ``members``.
+
+    Walks the left cosets of S: for each element y reached and each
+    generator g, a new z = y·g brings in its whole coset z·S.  The result
+    contains S and is closed under right multiplication by S and by gens;
+    in a finite group x^-1 is a power of x, so it is the generated subgroup.
+    """
+    gens = [g for g in gens if not (bits >> g) & 1]
+    frontier = list(members) if gens else []
+    while frontier:
+        row = table[frontier.pop()]
+        for g in gens:
+            z = row[g]
+            if not (bits >> z) & 1:
+                zrow = table[z]
+                for s in members:
+                    x = zrow[s]
+                    bits |= 1 << x
+                    frontier.append(x)
+    return bits
+
+
+def coset_table(table, members) -> tuple[list[list[int]], list[int]]:
+    """Quotient table by the normal subgroup with elements ``members``.
+
+    Cosets are numbered by their least member; returns the quotient's table
+    and the coset number of every element.
+    """
+    coset_of = [-1] * len(table)
+    reps = []
+    for x in range(len(table)):
+        if coset_of[x] < 0:
+            row = table[x]
+            for z in members:
+                coset_of[row[z]] = len(reps)
+            reps.append(x)
+    qtable = [[coset_of[table[a][b]] for b in reps] for a in reps]
+    return qtable, coset_of
+
+
 def element_order(group: Group, x: int) -> int:
     """Least k >= 1 with x^k = identity."""
     if not 0 <= x < group.order:
@@ -392,16 +465,12 @@ def exponent(group: Group) -> int:
 
 
 def is_abelian(group: Group) -> bool:
-    cached = group._cache.get("abelian")
-    if cached is None:
-        table = group.table
-        cached = all(
-            table[i][j] == table[j][i]
-            for i in range(group.order)
-            for j in range(i + 1, group.order)
-        )
-        group._cache["abelian"] = cached
-    return cached
+    table = group.table
+    return memo(group, "abelian", lambda: all(
+        table[i][j] == table[j][i]
+        for i in range(group.order)
+        for j in range(i + 1, group.order)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -532,51 +601,20 @@ def _semidirect_table(normal: Group, acting: Group,
     return table
 
 
-def _closure(table, gens) -> list[int]:
-    """Members of the subgroup generated by gens (ascending); identity included."""
-    bits = 1
-    frontier = list(gens)
-    while frontier:
-        x = frontier.pop()
-        if (bits >> x) & 1:
-            continue
-        bits |= 1 << x
-        members = [i for i in range(len(table)) if (bits >> i) & 1]
-        for y in members:
-            for z in (table[x][y], table[y][x]):
-                if not (bits >> z) & 1:
-                    frontier.append(z)
-    return [i for i in range(len(table)) if (bits >> i) & 1]
-
-
-def _central_quotient_table(inner: Group, gens: tuple[int, ...]) -> tuple[list[list[int]], str | None]:
+def _central_quotient_table(inner: Group, gens: tuple[int, ...]) -> list[list[int]]:
     n = inner.order
     table = inner.table
     for g in gens:
         if not 0 <= g < n:
             raise InvalidRecipe(f"CentralQuotient generator {g} out of range")
-    members = _closure(table, gens)
+    members = members_of(closure_bits(table, gens))
     for z in members:
         for g in range(n):
             if table[z][g] != table[g][z]:
                 raise NotCentral(
                     f"generated subgroup contains non-central element {z}"
                 )
-    member_bits = 0
-    for z in members:
-        member_bits |= 1 << z
-    coset_of = [-1] * n
-    reps = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for z in members:
-            coset_of[table[x][z]] = idx
-    q = len(reps)
-    out = [[coset_of[table[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    return out, None
+    return coset_table(table, members)[0]
 
 
 def construct(recipe: Recipe, *, name: str | None = None,
@@ -614,7 +652,7 @@ def construct(recipe: Recipe, *, name: str | None = None,
         check(normal.order * acting.order)
         table = _semidirect_table(normal, acting, recipe.action)
     elif isinstance(recipe, CentralQuotient):
-        table, _ = _central_quotient_table(
+        table = _central_quotient_table(
             construct(recipe.inner, order_cap=order_cap), recipe.gens
         )
     else:

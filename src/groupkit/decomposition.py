@@ -6,7 +6,7 @@ import logging
 import random
 from dataclasses import dataclass
 
-from .core import Group, element_order, exponent, is_abelian
+from .core import Group, element_order, exponent, is_abelian, memo
 from .errors import NotASplitting, NotNormal, PreconditionFailed
 from .iso import IsoCache
 from .subgroups import (
@@ -87,36 +87,31 @@ def direct_complements(group: Group, normal: Subgroup, *,
     size and intersection conditions already force an internal direct
     product, so no further checks are needed per candidate.
     """
-    if not is_normal_bits(group, normal.bits):
-        raise NotNormal("complement search requires a normal subgroup")
-    key = ("complements", normal.bits)
-    cached = group._cache.get(key)
-    if cached is None:
-        want = group.order // normal.order if normal.order else 0
-        cached = [
+    def build() -> list[Subgroup]:
+        if not is_normal_bits(group, normal.bits):
+            raise NotNormal("complement search requires a normal subgroup")
+        return [
             k
             for k in normal_subgroups(group, cap=cap)
             if normal.order * k.order == group.order and normal.bits & k.bits == 1
         ]
-        assert all(k.order == want for k in cached)
-        group._cache[key] = cached
-    return list(cached)
+
+    return list(memo(group, ("complements", normal.bits), build))
 
 
 def all_direct_splittings(group: Group, *,
                           cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[Subgroup, Subgroup]]:
     """Every unordered internal direct pair {H, K}, including {1, G}."""
-    cached = group._cache.get("splittings")
-    if cached is None:
+    def build() -> list[tuple[Subgroup, Subgroup]]:
         normals = normal_subgroups(group, cap=cap)
         out = []
         for i, h in enumerate(normals):
             for k in normals[i:]:
                 if h.order * k.order == group.order and h.bits & k.bits == 1:
                     out.append((h, k))
-        cached = out
-        group._cache["splittings"] = cached
-    return list(cached)
+        return out
+
+    return list(memo(group, "splittings", build))
 
 
 def _first_nontrivial_splitting(group: Group, *, cap: int,
@@ -147,11 +142,6 @@ def _first_nontrivial_splitting(group: Group, *, cap: int,
 def remak_decomposition(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                         rng: random.Random | None = None) -> Splitting:
     """Split recursively into indecomposable internal direct factors."""
-    if rng is None:
-        cached = group._cache.get("remak")
-        if cached is not None:
-            return cached
-
     def recurse(g: Group) -> list[Subgroup]:
         pair = _first_nontrivial_splitting(g, cap=cap, rng=rng)
         if pair is None:
@@ -163,11 +153,10 @@ def remak_decomposition(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                 out.append(Subgroup(g, bits_of(members[i] for i in f.members())))
         return out
 
-    factors = sorted(recurse(group), key=Subgroup.sort_key)
-    splitting = Splitting(group, tuple(factors))
-    if rng is None:
-        group._cache["remak"] = splitting
-    return splitting
+    def build() -> Splitting:
+        return Splitting(group, tuple(sorted(recurse(group), key=Subgroup.sort_key)))
+
+    return build() if rng is not None else memo(group, "remak", build)
 
 
 def _nontrivial_factor_groups(group: Group, *, cap: int) -> list[Group]:
@@ -233,17 +222,16 @@ def combine_coprime_factors(group: Group, a: Subgroup, b: Subgroup, *,
 
 def _factor_projection(group: Group, h: Subgroup, k: Subgroup) -> list[int]:
     """Index map g = h·k -> k for a direct splitting {H, K} (cached)."""
-    key = ("proj", h.bits, k.bits)
-    cached = group._cache.get(key)
-    if cached is None:
+    def build() -> list[int]:
         table = group.table
-        cached = [-1] * group.order
+        out = [-1] * group.order
         for x in h.members():
             row = table[x]
             for y in k.members():
-                cached[row[y]] = y
-        group._cache[key] = cached
-    return cached
+                out[row[y]] = y
+        return out
+
+    return memo(group, ("proj", h.bits, k.bits), build)
 
 
 def project_onto_factor(group: Group, splitting: tuple[Subgroup, Subgroup],

@@ -20,12 +20,12 @@ from .errors import NotPrime, OrderBound
 from .iso import Iso, IsoCache, find_isomorphism
 from .subgroups import (
     DEFAULT_LATTICE_CAP,
-    QuotientMap,
     Subgroup,
+    _is_prime,
     all_subgroups,
     center,
     center_of,
-    commutator,
+    derived_of,
     derived_subgroup,
     is_normal_bits,
     is_subgroup_bits,
@@ -47,7 +47,6 @@ from .decomposition import (
     is_internal_direct,
     remak_decomposition,
 )
-from .subgroups import _is_prime
 
 
 @dataclass(frozen=True)
@@ -70,15 +69,6 @@ class TheoremResult:
     @property
     def ok(self) -> bool:
         return self.witness is not None
-
-
-def _quotient_cached(group: Group, normal: Subgroup) -> QuotientMap:
-    key = ("quotient", normal.bits)
-    cached = group._cache.get(key)
-    if cached is None:
-        cached = quotient(group, normal)
-        group._cache[key] = cached
-    return cached
 
 
 def extension_instances(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
@@ -104,7 +94,7 @@ def extension_instances(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                 map_h = cache.iso_map(h0_group, h_group)
                 if map_h is None:
                     continue
-                qm = _quotient_cached(group, h0)
+                qm = quotient(group, h0)
                 map_k = cache.iso_map(qm.target, k_group)
                 if map_k is None:
                     continue
@@ -131,24 +121,6 @@ def check_direct_extension(group: Group, instance: ExtensionInstance, *,
 
 # ---------------------------------------------------------------------------
 # property suites
-
-def _derived_within(group: Group, sub: Subgroup) -> Subgroup:
-    key = ("derived_within", sub.bits)
-    cached = group._cache.get(key)
-    if cached is None:
-        cached = commutator(group, sub, sub)
-        group._cache[key] = cached
-    return cached
-
-
-def _center_within(group: Group, sub: Subgroup) -> Subgroup:
-    key = ("center_within", sub.bits)
-    cached = group._cache.get(key)
-    if cached is None:
-        cached = center_of(group, sub)
-        group._cache[key] = cached
-    return cached
-
 
 def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                    cache: IsoCache | None = None,
@@ -187,8 +159,8 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     # derived group and centre distribute over a splitting
     failures = []
     for h, k in splittings:
-        dbits, _ = set_product(group, _derived_within(group, h), _derived_within(group, k))
-        zbits, _ = set_product(group, _center_within(group, h), _center_within(group, k))
+        dbits, _ = set_product(group, derived_of(group, h), derived_of(group, k))
+        zbits, _ = set_product(group, center_of(group, h), center_of(group, k))
         if dbits != g_derived.bits or zbits != g_center.bits:
             failures.append({"h": h.members(), "k": k.members()})
     record("prop_2_2", failures)
@@ -244,7 +216,7 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
         if acc.bits != d.bits:
             failures.append({"d": d.members(), "kind": "factor product"})
             continue
-        qm = _quotient_cached(group, d)
+        qm = quotient(group, d)
         images = []
         for hi in remak.factors:
             bits, _ = set_product(group, hi, d)
@@ -256,7 +228,7 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     # T normal with T' = T∩G' forces T' directly decomposable
     failures = []
     for t in normals:
-        t_derived = _derived_within(group, t)
+        t_derived = derived_of(group, t)
         if t_derived.bits != t.bits & g_derived.bits:
             continue
         if not is_directly_decomposable(group, t_derived, cap=cap):
@@ -272,7 +244,7 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     zg_pos = {m: i for i, m in enumerate(zg_members)}
     for bits in sorted(h0_list):
         h0 = h0_list[bits]
-        h0_derived = _derived_within(group, h0)
+        h0_derived = derived_of(group, h0)
         if h0_derived.bits != h0.bits & g_derived.bits:
             fail_a.append({"h0": h0.members()})
         found_m = False
@@ -286,13 +258,12 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                 break
         if not found_m:
             fail_b.append({"h0": h0.members()})
-        h0_center = _center_within(group, h0)
+        h0_center = center_of(group, h0)
         if h0_center.bits != h0.bits & g_center.bits:
             fail_c.append({"h0": h0.members()})
         if h0_center.bits & ~g_center.bits:
             fail_d.append({"h0": h0.members(), "reason": "Z(H0) not inside Z(G)"})
         else:
-            inner = Subgroup(zg_group, 0)
             zbits = 0
             for m in h0_center.members():
                 zbits |= 1 << zg_pos[m]
@@ -373,7 +344,7 @@ def build_split_counterexample(p: int, *, order_cap: int = 512,
 
     checks["nonsplit_kernel_central"] = not (n_nonsplit.bits & ~center(group).bits)
 
-    q_nonsplit = _quotient_cached(group, n_nonsplit)
+    q_nonsplit = quotient(group, n_nonsplit)
     checks["nonsplit_quotient_elementary"] = (
         find_isomorphism(q_nonsplit.target, cp2) is not None
     )
@@ -396,7 +367,7 @@ def build_split_counterexample(p: int, *, order_cap: int = 512,
     )
     checks["not_isomorphic_to_elementary"] = find_isomorphism(group, elementary4) is None
 
-    q_split = _quotient_cached(group, n_split)
+    q_split = quotient(group, n_split)
     checks["kernels_quotients_match"] = (
         find_isomorphism(subgroup_as_group(n_split)[0], cp2) is not None
         and find_isomorphism(q_split.target, cp2) is not None
@@ -502,8 +473,9 @@ def verify_catalog(entries: list[CatalogEntry], config: VerifyConfig) -> Report:
         (e.name, e.group, config.lattice_cap)
         for e in sorted(entries, key=lambda e: (e.group.order, e.name))
     ]
-    if config.jobs > 1:
-        with get_context("fork").Pool(config.jobs) as pool:
+    jobs = min(config.jobs, len(payloads))
+    if jobs > 1:
+        with get_context("fork").Pool(jobs) as pool:
             groups = pool.map(_verify_one, payloads, chunksize=1)
     else:
         groups = [_verify_one(p) for p in payloads]

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Group, element_order, exponent, is_abelian
+from .core import Group, element_order, exponent, is_abelian, memo
 from .errors import OrderBound
-from .subgroups import Subgroup, center, commutator, derived_subgroup, whole_subgroup
+from .subgroups import center, derived_of, derived_subgroup, whole_subgroup
 
 DEFAULT_AUTOMORPHISM_CAP = 64
 
@@ -36,8 +36,7 @@ class Iso:
 
 
 def fingerprint(group: Group) -> Fingerprint:
-    cached = group._cache.get("fingerprint")
-    if cached is None:
+    def build() -> Fingerprint:
         histogram: dict[int, int] = {}
         for x in range(group.order):
             k = element_order(group, x)
@@ -45,12 +44,12 @@ def fingerprint(group: Group) -> Fingerprint:
         series_len = 0
         current = whole_subgroup(group)
         while True:
-            nxt = commutator(group, current, current)
+            nxt = derived_of(group, current)
             if nxt.bits == current.bits:
                 break
             series_len += 1
             current = nxt
-        cached = Fingerprint(
+        return Fingerprint(
             order=group.order,
             order_histogram=tuple(sorted(histogram.items())),
             center_order=center(group).order,
@@ -59,8 +58,8 @@ def fingerprint(group: Group) -> Fingerprint:
             abelian=is_abelian(group),
             derived_series_length=series_len,
         )
-        group._cache["fingerprint"] = cached
-    return cached
+
+    return memo(group, "fingerprint", build)
 
 
 def is_isomorphism(source: Group, target: Group, mapping) -> bool:
@@ -77,11 +76,8 @@ def is_isomorphism(source: Group, target: Group, mapping) -> bool:
 
 
 def _element_orders(group: Group) -> list[int]:
-    cached = group._cache.get("element_orders")
-    if cached is None:
-        cached = [element_order(group, x) for x in range(group.order)]
-        group._cache["element_orders"] = cached
-    return cached
+    return memo(group, "element_orders",
+                lambda: [element_order(group, x) for x in range(group.order)])
 
 
 def _search_isomorphisms(source: Group, target: Group, *, find_all: bool) -> list[tuple[int, ...]]:
@@ -194,14 +190,9 @@ def automorphisms(group: Group, *, cap: int = DEFAULT_AUTOMORPHISM_CAP) -> list[
     """All isomorphisms G -> G, ordered by map array."""
     if group.order > cap:
         raise OrderBound(group.order, cap, "automorphism-search order")
-    cached = group._cache.get("automorphisms")
-    if cached is None:
-        cached = [
-            Iso(group, group, m)
-            for m in _search_isomorphisms(group, group, find_all=True)
-        ]
-        group._cache["automorphisms"] = cached
-    return list(cached)
+    return list(memo(group, "automorphisms", lambda: [
+        Iso(group, group, m) for m in _search_isomorphisms(group, group, find_all=True)
+    ]))
 
 
 class IsoCache:
@@ -228,26 +219,3 @@ class IsoCache:
     def isomorphic(self, source: Group, target: Group) -> bool:
         return self.iso_map(source, target) is not None
 
-
-def subgroup_iso_classes(group: Group, subs: list[Subgroup], cache: IsoCache) -> list[int]:
-    """Partition extracted subgroups into isomorphism classes.
-
-    Returns one class id per input subgroup; ids are indices into the list of
-    first representatives, so they are deterministic for a fixed input order.
-    """
-    from .subgroups import subgroup_as_group
-
-    reps: list[Group] = []
-    out = []
-    for sub in subs:
-        extracted, _ = subgroup_as_group(sub)
-        assigned = -1
-        for idx, rep in enumerate(reps):
-            if cache.isomorphic(extracted, rep):
-                assigned = idx
-                break
-        if assigned == -1:
-            reps.append(extracted)
-            assigned = len(reps) - 1
-        out.append(assigned)
-    return out

@@ -10,28 +10,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Group, is_abelian
+from .core import (
+    Group,
+    bits_of,
+    closure_bits,
+    coset_table,
+    element_order,
+    is_abelian,
+    members_of,
+    memo,
+)
 from .errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound
 
 DEFAULT_LATTICE_CAP = 64
-
-
-def bits_of(members) -> int:
-    out = 0
-    for x in members:
-        out |= 1 << x
-    return out
-
-
-def members_of(bits: int) -> list[int]:
-    out = []
-    i = 0
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -77,31 +68,13 @@ def whole_subgroup(group: Group) -> Subgroup:
 
 
 def generate_subgroup(group: Group, gens) -> Subgroup:
-    """Least subgroup containing gens, by worklist closure."""
-    table = group.table
+    """Least subgroup containing gens."""
     n = group.order
     gens = list(gens)
     for g in gens:
         if not 0 <= g < n:
             raise IndexOutOfRange(f"generator {g} out of range [0, {n})")
-    bits = 1
-    members = [0]
-    frontier = gens
-    while frontier:
-        x = frontier.pop()
-        if (bits >> x) & 1:
-            continue
-        bits |= 1 << x
-        for y in members:
-            for z in (table[x][y], table[y][x]):
-                if not (bits >> z) & 1:
-                    frontier.append(z)
-        row = table[x]
-        z = row[x]
-        if not (bits >> z) & 1:
-            frontier.append(z)
-        members.append(x)
-    return Subgroup(group, bits)
+    return Subgroup(group, closure_bits(group.table, gens))
 
 
 def is_subgroup_bits(group: Group, bits: int) -> bool:
@@ -131,37 +104,6 @@ def is_normal_bits(group: Group, bits: int) -> bool:
     return True
 
 
-def _join_with_cyclic(group: Group, bits: int, members: list[int], g: int) -> int:
-    """Bitset of <S ∪ {g}> given S's bits and member list."""
-    table = group.table
-    if is_abelian(group):
-        # every element of the join is s * g^i, so walk cosets of S
-        acc = bits
-        x = g
-        while not (bits >> x) & 1:
-            for s in members:
-                acc |= 1 << table[s][x]
-            x = table[x][g]
-        return acc
-    acc = bits
-    mem = list(members)
-    frontier = [g]
-    while frontier:
-        x = frontier.pop()
-        if (acc >> x) & 1:
-            continue
-        acc |= 1 << x
-        for y in mem:
-            for z in (table[x][y], table[y][x]):
-                if not (acc >> z) & 1:
-                    frontier.append(z)
-        z = table[x][x]
-        if not (acc >> z) & 1:
-            frontier.append(z)
-        mem.append(x)
-    return acc
-
-
 def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
     """Every subgroup exactly once, canonically sorted.
 
@@ -170,17 +112,12 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgr
     """
     if group.order > cap:
         raise OrderBound(group.order, cap, "subgroup lattice order")
-    cached = group._cache.get("all_subgroups")
-    if cached is None:
+
+    def build() -> list[Subgroup]:
         table = group.table
         seeds: dict[int, int] = {}  # cyclic subgroup bits -> generator
         for x in range(1, group.order):
-            bits = 1
-            y = x
-            while y != 0:
-                bits |= 1 << y
-                y = table[y][x]
-            seeds.setdefault(bits, x)
+            seeds.setdefault(closure_bits(table, (x,)), x)
         found: dict[int, list[int]] = {1: [0]}
         queue = deque([1])
         for bits in seeds:
@@ -194,53 +131,38 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgr
             for seed_bits, g in seed_list:
                 if seed_bits & ~bits == 0:
                     continue
-                joined = _join_with_cyclic(group, bits, members, g)
+                joined = closure_bits(table, (g,), bits, members)
                 if joined not in found:
                     found[joined] = members_of(joined)
                     queue.append(joined)
-        cached = sorted(
-            (Subgroup(group, bits) for bits in found),
-            key=Subgroup.sort_key,
-        )
-        group._cache["all_subgroups"] = cached
-    return list(cached)
+        return sorted((Subgroup(group, bits) for bits in found), key=Subgroup.sort_key)
+
+    return list(memo(group, "all_subgroups", build))
 
 
 def normal_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
-    cached = group._cache.get("normal_subgroups")
-    if cached is None:
-        cached = [
-            s for s in all_subgroups(group, cap=cap) if is_normal_bits(group, s.bits)
-        ]
-        group._cache["normal_subgroups"] = cached
-    return list(cached)
+    return list(memo(group, "normal_subgroups", lambda: [
+        s for s in all_subgroups(group, cap=cap) if is_normal_bits(group, s.bits)
+    ]))
 
 
 def center(group: Group) -> Subgroup:
-    cached = group._cache.get("center")
-    if cached is None:
-        table = group.table
-        n = group.order
-        bits = 0
-        for x in range(n):
-            row = table[x]
-            if all(row[y] == table[y][x] for y in range(n)):
-                bits |= 1 << x
-        cached = Subgroup(group, bits)
-        group._cache["center"] = cached
-    return cached
+    return center_of(group, whole_subgroup(group))
 
 
 def center_of(group: Group, sub: Subgroup) -> Subgroup:
     """Center of a subgroup, computed inside it (a subgroup of the parent)."""
-    table = group.table
-    members = sub.members()
-    bits = 0
-    for x in members:
-        row = table[x]
-        if all(row[y] == table[y][x] for y in members):
-            bits |= 1 << x
-    return Subgroup(group, bits)
+    def build() -> Subgroup:
+        table = group.table
+        members = sub.members()
+        bits = 0
+        for x in members:
+            row = table[x]
+            if all(row[y] == table[y][x] for y in members):
+                bits |= 1 << x
+        return Subgroup(group, bits)
+
+    return memo(group, ("center", sub.bits), build)
 
 
 def commutator(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -255,36 +177,24 @@ def commutator(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
     return generate_subgroup(group, sorted(gens))
 
 
+def derived_of(group: Group, sub: Subgroup) -> Subgroup:
+    """Derived subgroup of a subgroup, computed inside it (a subgroup of the parent)."""
+    return memo(group, ("derived", sub.bits), lambda: commutator(group, sub, sub))
+
+
 def derived_subgroup(group: Group) -> Subgroup:
-    cached = group._cache.get("derived")
-    if cached is None:
-        whole = whole_subgroup(group)
-        cached = commutator(group, whole, whole)
-        group._cache["derived"] = cached
-    return cached
+    return derived_of(group, whole_subgroup(group))
 
 
 def quotient(group: Group, normal: Subgroup) -> QuotientMap:
     """Quotient by a normal subgroup; cosets numbered by minimal member."""
-    if not is_normal_bits(group, normal.bits):
-        raise NotNormal("cannot form a quotient by a non-normal subgroup")
-    table = group.table
-    n = group.order
-    members = normal.members()
-    coset_of = [-1] * n
-    reps = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        row = table[x]
-        for z in members:
-            coset_of[row[z]] = idx
-    q = len(reps)
-    qtable = [[coset_of[table[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    target = Group(qtable)
-    return QuotientMap(group, target, tuple(coset_of))
+    def build() -> QuotientMap:
+        if not is_normal_bits(group, normal.bits):
+            raise NotNormal("cannot form a quotient by a non-normal subgroup")
+        qtable, coset_of = coset_table(group.table, normal.members())
+        return QuotientMap(group, Group(qtable), tuple(coset_of))
+
+    return memo(group, ("quotient", normal.bits), build)
 
 
 def project_bits(qmap: QuotientMap, bits: int) -> int:
@@ -338,8 +248,6 @@ def sylow(group: Group, p: int, *, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
     if target == 1:
         return trivial_subgroup(group)
     if is_abelian(group):
-        from .core import element_order
-
         bits = 0
         for x in range(n):
             k = element_order(group, x)
@@ -380,13 +288,12 @@ def subgroup_as_group(sub: Subgroup) -> tuple[Group, tuple[int, ...]]:
     indices (ascending, so the identity stays at 0).  Cached on the parent.
     """
     parent = sub.parent
-    key = ("as_group", sub.bits)
-    cached = parent._cache.get(key)
-    if cached is None:
+
+    def build() -> tuple[Group, tuple[int, ...]]:
         members = sub.members()
         pos = {m: i for i, m in enumerate(members)}
         table = parent.table
         new_table = [[pos[table[x][y]] for y in members] for x in members]
-        cached = (Group(new_table), tuple(members))
-        parent._cache[key] = cached
-    return cached
+        return Group(new_table), tuple(members)
+
+    return memo(parent, ("as_group", sub.bits), build)

@@ -53,6 +53,20 @@ def subgroups_by_subset_filter(group: Group) -> list[int]:
     return sorted(out, key=lambda b: (b.bit_count(), members_of(b)))
 
 
+def closure_by_products(group: Group, bits: int) -> int:
+    """Subgroup generated by a nonempty subset: add products until none is new."""
+    table = group.table
+    while True:
+        members = members_of(bits)
+        grown = bits
+        for x in members:
+            for y in members:
+                grown |= 1 << table[x][y]
+        if grown == bits:
+            return bits
+        bits = grown
+
+
 def order_by_powering(group: Group, x: int) -> int:
     """Element order by explicitly listing powers until the identity repeats."""
     seen = [x]

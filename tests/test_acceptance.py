@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria complete.
 """
 
+import hashlib
 import random
 import time
 
@@ -12,6 +13,7 @@ import pytest
 from groupkit.catalog import (
     GROUP_COUNTS_UP_TO_16,
     abelian_p_group_catalog,
+    builtin_catalog,
 )
 from groupkit.core import element_order, exponent
 from groupkit.decomposition import (
@@ -208,3 +210,20 @@ def test_criterion_7_determinism(catalog16, full_report):
         f"Remak iso-class multisets stable across 10 seeds for all "
         f"{len(catalog16)} groups: {rks_stable}",
     )
+
+
+# sha256 of the `groupkit verify --max-order N --report` bytes, recorded
+# from the first release; any change to the verifier's answers shows here
+REPORT_SHA256 = {
+    16: "908d0dc7e999a28fff88cd81f107133bc21ef014558bef2c7698c3c30619777e",
+    24: "227985d28ba9469243d8e1b8ec480868a432c28d0facbcb9a3aad3fdd5e4c528",
+}
+
+
+def test_report_bytes_pinned_at_16(full_report):
+    assert hashlib.sha256(full_report.json_bytes()).hexdigest() == REPORT_SHA256[16]
+
+
+def test_report_bytes_pinned_at_24():
+    report = verify_catalog(builtin_catalog(24), VerifyConfig(max_order=24))
+    assert hashlib.sha256(report.json_bytes()).hexdigest() == REPORT_SHA256[24]

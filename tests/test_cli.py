@@ -94,6 +94,11 @@ def test_counterexample_rejects_non_prime(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+def test_counterexample_rejects_bad_lattice_cap(capsys):
+    assert main(["counterexample", "--p", "2", "--lattice-cap", "-5"]) == 2
+    assert "lattice-cap must be >= 1" in capsys.readouterr().err
+
+
 def test_counterexample_p3_default_cap(tmp_path, capsys):
     out = tmp_path / "g81.json"
     assert main(["counterexample", "--p", "3", "--out", str(out)]) == 0

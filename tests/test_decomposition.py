@@ -81,8 +81,9 @@ def test_q8_center_has_no_complement():
 def test_direct_complements_requires_normal():
     g = s3()
     ref = generate_subgroup(g, [next(x for x in range(6) if element_order(g, x) == 2)])
-    with pytest.raises(NotNormal):
-        direct_complements(g, ref)
+    for _ in range(2):  # a refused search is not memoized
+        with pytest.raises(NotNormal):
+            direct_complements(g, ref)
 
 
 def test_complements_match_brute_force_oracle(catalog24):

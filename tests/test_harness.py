@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from groupkit.core import (
@@ -8,6 +11,7 @@ from groupkit.core import (
     Symmetric,
     construct,
 )
+from groupkit import harness
 from groupkit.decomposition import is_internal_direct
 from groupkit.errors import NotPrime, OrderBound
 from groupkit.harness import (
@@ -148,6 +152,11 @@ def test_counterexample_p3_raised_cap_runs_scan():
     bundle = build_split_counterexample(3, lattice_cap=81)
     assert bundle.checks["nonsplit_has_no_complement"] is True
     assert bundle.all_pass
+    # the bytes `groupkit counterexample --p 3 --lattice-cap 81` writes
+    text = json.dumps(counterexample_json_dict(bundle), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b6cc74c3da14e1029dfce51ad9a541a4e602c45017d20d7d4f14407727515f15"
+    )
 
 
 def test_counterexample_rejects_bad_p():
@@ -205,3 +214,28 @@ def test_theorem_witnesses_revalidate_sample():
             res = check_direct_extension(g, inst)
             assert res.ok
             assert is_internal_direct(g, [inst.h0, res.witness])
+
+
+def test_verify_pool_never_exceeds_payloads(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(harness, "get_context", lambda method: FakeContext())
+    report = verify_catalog(builtin_catalog(4), VerifyConfig(max_order=4, jobs=10**6))
+    assert sizes == [5]
+    assert report.summary["groups"] == 5

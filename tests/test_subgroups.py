@@ -6,10 +6,12 @@ from groupkit.core import (
     Dihedral,
     Product,
     Symmetric,
+    closure_bits,
     construct,
     element_order,
     exponent,
     is_abelian,
+    recipe_dsl,
 )
 from groupkit.errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound
 from groupkit.iso import automorphisms, find_isomorphism
@@ -32,7 +34,7 @@ from groupkit.subgroups import (
     whole_subgroup,
 )
 
-from conftest import subgroups_by_subset_filter
+from conftest import closure_by_products, subgroups_by_subset_filter
 
 
 def test_generate_empty_is_trivial():
@@ -52,6 +54,19 @@ def test_generate_whole_s3():
     assert generate_subgroup(g, [two_cycle, three_cycle]).order == 6
 
 
+def test_closure_bits_matches_product_oracle():
+    for recipe in (Product(Symmetric(3), Cyclic(2)), Dicyclic(3), Dihedral(4)):
+        g = construct(recipe)
+        for s in all_subgroups(g):
+            for x in range(g.order):
+                got = closure_bits(g.table, [x], s.bits, s.members())
+                assert got == closure_by_products(g, s.bits | 1 << x), (recipe, s, x)
+        for x in range(g.order):
+            for y in range(x, g.order):
+                assert closure_bits(g.table, [x, y]) == closure_by_products(
+                    g, 1 | 1 << x | 1 << y)
+
+
 def test_generate_rejects_bad_index():
     with pytest.raises(IndexOutOfRange):
         generate_subgroup(construct(Cyclic(3)), [5])
@@ -65,11 +80,15 @@ def test_all_subgroups_examples():
     assert len(all_subgroups(d4)) == 10
 
 
-def test_all_subgroups_matches_subset_oracle_on_samples():
-    for recipe in (Dihedral(4), Dicyclic(2), Symmetric(3), Cyclic(12)):
-        g = construct(recipe)
+def test_all_subgroups_matches_subset_oracle_on_samples(catalog16):
+    samples = [(recipe_dsl(r), construct(r))
+               for r in (Dihedral(4), Dicyclic(2), Symmetric(3), Cyclic(12))]
+    nonabelian16 = [(e.name, e.group) for e in catalog16
+                    if e.group.order == 16 and not is_abelian(e.group)]
+    assert len(nonabelian16) == 9
+    for name, g in samples + nonabelian16:
         got = [s.bits for s in all_subgroups(g)]
-        assert got == subgroups_by_subset_filter(g), recipe
+        assert got == subgroups_by_subset_filter(g), name
 
 
 def test_all_subgroups_order_bound():
@@ -132,8 +151,9 @@ def test_quotient_d4_by_center():
 def test_quotient_requires_normal():
     s3 = construct(Symmetric(3))
     reflection = next(x for x in range(6) if element_order(s3, x) == 2)
-    with pytest.raises(NotNormal):
-        quotient(s3, generate_subgroup(s3, [reflection]))
+    for _ in range(2):  # a refused quotient is not memoized
+        with pytest.raises(NotNormal):
+            quotient(s3, generate_subgroup(s3, [reflection]))
 
 
 def test_quotient_is_homomorphism_with_equal_fibers(catalog16):
