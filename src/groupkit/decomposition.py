@@ -14,6 +14,7 @@ from .subgroups import (
     Subgroup,
     all_subgroups,
     bits_of,
+    check_lattice_cap,
     is_normal_bits,
     normal_subgroups,
     set_product,
@@ -87,6 +88,8 @@ def direct_complements(group: Group, normal: Subgroup, *,
     size and intersection conditions already force an internal direct
     product, so no further checks are needed per candidate.
     """
+    check_lattice_cap(group, cap)
+
     def build() -> list[Subgroup]:
         if not is_normal_bits(group, normal.bits):
             raise NotNormal("complement search requires a normal subgroup")
@@ -102,6 +105,8 @@ def direct_complements(group: Group, normal: Subgroup, *,
 def all_direct_splittings(group: Group, *,
                           cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[Subgroup, Subgroup]]:
     """Every unordered internal direct pair {H, K}, including {1, G}."""
+    check_lattice_cap(group, cap)
+
     def build() -> list[tuple[Subgroup, Subgroup]]:
         normals = normal_subgroups(group, cap=cap)
         out = []
@@ -142,6 +147,8 @@ def _first_nontrivial_splitting(group: Group, *, cap: int,
 def remak_decomposition(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                         rng: random.Random | None = None) -> Splitting:
     """Split recursively into indecomposable internal direct factors."""
+    check_lattice_cap(group, cap)
+
     def recurse(g: Group) -> list[Subgroup]:
         pair = _first_nontrivial_splitting(g, cap=cap, rng=rng)
         if pair is None:
@@ -159,12 +166,18 @@ def remak_decomposition(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     return build() if rng is not None else memo(group, "remak", build)
 
 
-def _nontrivial_factor_groups(group: Group, *, cap: int) -> list[Group]:
-    out = []
-    for f in remak_decomposition(group, cap=cap).factors:
-        if f.order > 1:
-            out.append(subgroup_as_group(f)[0])
-    return out
+def factor_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
+                   cache: IsoCache) -> frozenset[int]:
+    """Class ids (within ``cache``) of the nontrivial Remak factors.
+
+    By the Krull–Remak–Schmidt theorem the factors are unique up to
+    isomorphism, so this set depends only on the group's isomorphism class.
+    """
+    return frozenset(
+        cache.class_of(subgroup_as_group(f)[0])
+        for f in remak_decomposition(group, cap=cap).factors
+        if f.order > 1
+    )
 
 
 def is_coprime(group1: Group, group2: Group, *, cap: int = DEFAULT_LATTICE_CAP,
@@ -175,11 +188,8 @@ def is_coprime(group1: Group, group2: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     decomposition this is equivalent to quantifying over all direct factors.
     """
     cache = cache or IsoCache()
-    for f1 in _nontrivial_factor_groups(group1, cap=cap):
-        for f2 in _nontrivial_factor_groups(group2, cap=cap):
-            if cache.isomorphic(f1, f2):
-                return False
-    return True
+    classes = factor_classes(group1, cap=cap, cache=cache)
+    return not classes or classes.isdisjoint(factor_classes(group2, cap=cap, cache=cache))
 
 
 @dataclass(frozen=True)

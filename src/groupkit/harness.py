@@ -5,6 +5,15 @@ G = H·K, a normal H0 with H0 ≅ H, and G/H0 ≅ K.  The headline check asks,
 for every instance over every catalog group, whether H0 has a normal direct
 complement; a violation would be a falsification artifact and is serialized
 in full.
+
+Whether H0 has a complement depends only on H0, so the verifier does not
+build instances one by one.  ``premise_classes`` gives every normal
+subgroup N the key (class of N, class of G/N) from ``IsoCache.class_of``,
+and each oriented splitting (H, K) meets the normals under the key
+(class of H, class of K).  That join yields the instance count and the
+distinct H0s; each H0 is checked once.  ``extension_instances`` walks the
+same join and builds the two ``Iso`` witnesses per instance, which the
+verifier asks for only when some H0 has no complement.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 
 from .catalog import CatalogEntry, group_to_json_dict
-from .core import Cyclic, Group, Product, Semidirect, construct
+from .core import Cyclic, Group, Product, Semidirect, construct, memo
 from .errors import NotPrime, OrderBound
 from .iso import Iso, IsoCache, find_isomorphism
 from .subgroups import (
@@ -25,6 +34,7 @@ from .subgroups import (
     all_subgroups,
     center,
     center_of,
+    check_lattice_cap,
     derived_of,
     derived_subgroup,
     is_normal_bits,
@@ -42,7 +52,7 @@ from .decomposition import (
     all_direct_splittings,
     combine_coprime_factors,
     direct_complements,
-    is_coprime,
+    factor_classes,
     is_directly_decomposable,
     is_internal_direct,
     remak_decomposition,
@@ -71,40 +81,80 @@ class TheoremResult:
         return self.witness is not None
 
 
+@dataclass(frozen=True)
+class Premises:
+    """The premises of one group, joined by isomorphism class.
+
+    ``pairs`` holds each oriented splitting (H, K) that has premises, with
+    its H0s (H0 ≅ H and G/H0 ≅ K) in ``normal_subgroups`` order; ``count``
+    is the number of instances and ``h0s`` the distinct H0s sorted by bits.
+    """
+
+    pairs: tuple[tuple[Subgroup, Subgroup, tuple[Subgroup, ...]], ...]
+    count: int
+    h0s: tuple[Subgroup, ...]
+
+
+def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
+                    cache: IsoCache | None = None) -> Premises:
+    """Every premise of the extension check, counted without witnesses.
+
+    Only normals whose order is that of some splitting side are classified;
+    the others can never be an H0.  ``cache`` supplies the class ids; the
+    result does not depend on it and is memoized per group.
+    """
+    check_lattice_cap(group, cap)
+
+    def build() -> Premises:
+        classes = cache or IsoCache()
+
+        def class_of(sub: Subgroup) -> int:
+            return classes.class_of(subgroup_as_group(sub)[0])
+
+        splittings = all_direct_splittings(group, cap=cap)
+        sides = {s.order for pair in splittings for s in pair}
+        buckets: dict[tuple[int, int], list[Subgroup]] = {}
+        for n in normal_subgroups(group, cap=cap):
+            if n.order in sides:
+                key = (class_of(n), classes.class_of(quotient(group, n).target))
+                buckets.setdefault(key, []).append(n)
+        hits_of = {key: tuple(ns) for key, ns in buckets.items()}
+        seen: set[tuple[int, int]] = set()
+        pairs = []
+        for pair in splittings:
+            for h, k in (pair, pair[::-1]):
+                if (h.bits, k.bits) in seen:
+                    continue
+                seen.add((h.bits, k.bits))
+                hits = hits_of.get((class_of(h), class_of(k)))
+                if hits:
+                    pairs.append((h, k, hits))
+        h0s = {h0.bits: h0 for _, _, hits in pairs for h0 in hits}
+        return Premises(tuple(pairs), sum(len(hits) for _, _, hits in pairs),
+                        tuple(h0s[bits] for bits in sorted(h0s)))
+
+    return memo(group, "premises", build)
+
+
 def extension_instances(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                         cache: IsoCache | None = None) -> list[ExtensionInstance]:
     """Every way the premises hold: both orientations of every splitting
     crossed with every normal subgroup, kept when both witnesses exist."""
     cache = cache or IsoCache()
-    normals = normal_subgroups(group, cap=cap)
-    seen: set[tuple[int, int, int]] = set()
     out = []
-    for pair in all_direct_splittings(group, cap=cap):
-        for h, k in (pair, pair[::-1]):
-            h_group, _ = subgroup_as_group(h)
-            k_group, _ = subgroup_as_group(k)
-            for h0 in normals:
-                if h0.order != h.order:
-                    continue
-                key = (h0.bits, h.bits, k.bits)
-                if key in seen:
-                    continue
-                seen.add(key)
-                h0_group, _ = subgroup_as_group(h0)
-                map_h = cache.iso_map(h0_group, h_group)
-                if map_h is None:
-                    continue
-                qm = quotient(group, h0)
-                map_k = cache.iso_map(qm.target, k_group)
-                if map_k is None:
-                    continue
-                out.append(
-                    ExtensionInstance(
-                        group, h0, h, k,
-                        Iso(h0_group, h_group, map_h),
-                        Iso(qm.target, k_group, map_k),
-                    )
+    for h, k, hits in premise_classes(group, cap=cap, cache=cache).pairs:
+        h_group, _ = subgroup_as_group(h)
+        k_group, _ = subgroup_as_group(k)
+        for h0 in hits:
+            h0_group, _ = subgroup_as_group(h0)
+            q_group = quotient(group, h0).target
+            out.append(
+                ExtensionInstance(
+                    group, h0, h, k,
+                    Iso(h0_group, h_group, cache.iso_map(h0_group, h_group)),
+                    Iso(q_group, k_group, cache.iso_map(q_group, k_group)),
                 )
+            )
     return out
 
 
@@ -128,11 +178,16 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     """Run every decomposition identity and the premise-only lemma identities.
 
     Returns {check name: {"pass": bool, "failures": [witness dicts]}}; the
-    failure lists stay empty unless a statement is falsified.
+    failure lists stay empty unless a statement is falsified.  The premise
+    lemmas run over the H0s of ``instances`` when given, else over those
+    of ``premise_classes``.
     """
     cache = cache or IsoCache()
     if instances is None:
-        instances = extension_instances(group, cap=cap, cache=cache)
+        h0s = premise_classes(group, cap=cap, cache=cache).h0s
+    else:
+        h0s = sorted({inst.h0.bits: inst.h0 for inst in instances}.values(),
+                     key=lambda h0: h0.bits)
     subs = all_subgroups(group, cap=cap)
     normals = normal_subgroups(group, cap=cap)
     splittings = all_direct_splittings(group, cap=cap)
@@ -166,14 +221,20 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     record("prop_2_2", failures)
 
     factors = [n for n in normals if direct_complements(group, n, cap=cap)]
-    factor_groups = {f.bits: subgroup_as_group(f)[0] for f in factors}
+    classes: dict[int, frozenset[int]] = {}
+
+    def coprime(a: Subgroup, b: Subgroup) -> bool:
+        """Disjoint Remak factor classes, each set computed once per subgroup."""
+        for s in (a, b):
+            if s.bits not in classes:
+                classes[s.bits] = factor_classes(subgroup_as_group(s)[0], cap=cap, cache=cache)
+        return classes[a.bits].isdisjoint(classes[b.bits])
 
     # coprime direct factors meet trivially and combine into a direct factor
     failures = []
     for i, a in enumerate(factors):
         for b in factors[i:]:
-            if not is_coprime(factor_groups[a.bits], factor_groups[b.bits],
-                              cap=cap, cache=cache):
+            if not coprime(a, b):
                 continue
             outcome = combine_coprime_factors(group, a, b, cap=cap, cache=cache)
             if isinstance(outcome, CoprimeViolation):
@@ -183,12 +244,12 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
 
     # the projection of a factor coprime to B onto C is again a direct factor
     failures = []
+    image_is_factor: dict[int, bool] = {}
     for pair in splittings:
         for b, c in (pair, pair[::-1]):
             proj = None
             for a in factors:
-                if not is_coprime(factor_groups[a.bits], factor_groups[b.bits],
-                                  cap=cap, cache=cache):
+                if not coprime(a, b):
                     continue
                 if proj is None:
                     proj = _factor_projection(group, b, c)
@@ -196,8 +257,10 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                 for m in a.members():
                     bits |= 1 << proj[m]
                 image = Subgroup(group, bits)
-                if not (is_normal_bits(group, image.bits)
-                        and direct_complements(group, image, cap=cap)):
+                if bits not in image_is_factor:
+                    image_is_factor[bits] = bool(is_normal_bits(group, bits)
+                                                 and direct_complements(group, image, cap=cap))
+                if not image_is_factor[bits]:
                     failures.append({"a": a.members(), "b": b.members(),
                                      "c": c.members(), "image": image.members()})
     record("cor_2_1", failures)
@@ -236,14 +299,10 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     record("prop_2_5", failures)
 
     # premise-only identities, one evaluation per H0 that occurs in an instance
-    h0_list: dict[int, Subgroup] = {}
-    for inst in instances:
-        h0_list.setdefault(inst.h0.bits, inst.h0)
     fail_a, fail_b, fail_c, fail_d = [], [], [], []
     zg_group, zg_members = subgroup_as_group(g_center)
     zg_pos = {m: i for i, m in enumerate(zg_members)}
-    for bits in sorted(h0_list):
-        h0 = h0_list[bits]
+    for h0 in h0s:
         h0_derived = derived_of(group, h0)
         if h0_derived.bits != h0.bits & g_derived.bits:
             fail_a.append({"h0": h0.members()})
@@ -308,10 +367,11 @@ def build_split_counterexample(p: int, *, order_cap: int = 512,
     the central C×D admits no complement at all even though both have the
     same kernel and quotient type.
     """
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    # the bound first: trial division would never finish on a huge prime
     if p ** 4 > order_cap:
         raise OrderBound(p ** 4, order_cap)
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     shear = tuple(b * p + (c + b) % p for b in range(p) for c in range(p))
     inner = Semidirect(Product(Cyclic(p), Cyclic(p)), Cyclic(p), ((1, shear),))
     group = construct(Product(inner, Cyclic(p)), name=f"split-counterexample-p{p}")
@@ -443,15 +503,19 @@ def _verify_one(payload: tuple[str, Group, int]) -> dict:
     out: dict = {"name": name, "order": group.order}
     try:
         cache = IsoCache()
-        instances = extension_instances(group, cap=cap, cache=cache)
-        results = [check_direct_extension(group, inst, cap=cap) for inst in instances]
-        violations = [
-            {"group": group_to_json_dict(group), "instance": _instance_json_dict(r.instance)}
-            for r in results
-            if not r.ok
-        ]
-        props = property_suite(group, cap=cap, cache=cache, instances=instances)
-        out["instances"] = len(instances)
+        premises = premise_classes(group, cap=cap, cache=cache)
+        missing = {h0.bits for h0 in premises.h0s
+                   if not direct_complements(group, h0, cap=cap)}
+        violations = []
+        if missing:
+            # witnesses are built only here, for the instances that failed
+            violations = [
+                {"group": group_to_json_dict(group), "instance": _instance_json_dict(inst)}
+                for inst in extension_instances(group, cap=cap, cache=cache)
+                if inst.h0.bits in missing
+            ]
+        props = property_suite(group, cap=cap, cache=cache)
+        out["instances"] = premises.count
         out["violations"] = violations
         out["properties"] = {k: ("pass" if v["pass"] else "fail") for k, v in props.items()}
         failures = {k: v["failures"] for k, v in props.items() if v["failures"]}

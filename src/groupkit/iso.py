@@ -200,10 +200,20 @@ class IsoCache:
 
     Extracted subgroups and quotients frequently repeat the same table, so
     callers doing bulk premise enumeration share one cache per run.
+
+    ``class_of`` numbers isomorphism classes: two groups get the same id
+    exactly when they are isomorphic.  A group is compared only with the
+    class representatives that share its fingerprint, one ``iso_map`` each,
+    so every search it runs is counted in ``_maps`` like any other lookup.
+    Ids are private to one cache and carry no witness; callers that need
+    the map itself ask ``iso_map`` for it.
     """
 
     def __init__(self):
         self._maps: dict[tuple, tuple[int, ...] | None] = {}
+        self._class_ids: dict[tuple, int] = {}
+        self._reps: dict[Fingerprint, list[tuple[int, Group]]] = {}
+        self._classes = 0
 
     def iso_map(self, source: Group, target: Group) -> tuple[int, ...] | None:
         if source.order != target.order:
@@ -219,3 +229,18 @@ class IsoCache:
     def isomorphic(self, source: Group, target: Group) -> bool:
         return self.iso_map(source, target) is not None
 
+    def class_of(self, group: Group) -> int:
+        """The id of the group's isomorphism class within this cache."""
+        found = self._class_ids.get(group.table)
+        if found is not None:
+            return found
+        reps = self._reps.setdefault(fingerprint(group), [])
+        for class_id, rep in reps:
+            if self.iso_map(group, rep) is not None:
+                break
+        else:
+            class_id = self._classes
+            self._classes += 1
+            reps.append((class_id, group))
+        self._class_ids[group.table] = class_id
+        return class_id

@@ -104,14 +104,23 @@ def is_normal_bits(group: Group, bits: int) -> bool:
     return True
 
 
+def check_lattice_cap(group: Group, cap: int) -> None:
+    """Raise OrderBound for a group too large to scan its subgroup lattice.
+
+    Every function whose result rests on the lattice calls this before its
+    memo lookup, so a filled memo never answers past the cap.
+    """
+    if group.order > cap:
+        raise OrderBound(group.order, cap, "subgroup lattice order")
+
+
 def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
     """Every subgroup exactly once, canonically sorted.
 
     Seeds with all cyclic subgroups, then closes under joins with the seeds;
     every subgroup is reached because it is a join of its cyclic subgroups.
     """
-    if group.order > cap:
-        raise OrderBound(group.order, cap, "subgroup lattice order")
+    check_lattice_cap(group, cap)
 
     def build() -> list[Subgroup]:
         table = group.table
@@ -141,6 +150,7 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgr
 
 
 def normal_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
+    check_lattice_cap(group, cap)
     return list(memo(group, "normal_subgroups", lambda: [
         s for s in all_subgroups(group, cap=cap) if is_normal_bits(group, s.bits)
     ]))

@@ -23,6 +23,7 @@ from groupkit.decomposition import (
     is_internal_direct,
     remak_decomposition,
 )
+from groupkit import harness
 from groupkit.harness import (
     VerifyConfig,
     build_split_counterexample,
@@ -227,3 +228,14 @@ def test_report_bytes_pinned_at_16(full_report):
 def test_report_bytes_pinned_at_24():
     report = verify_catalog(builtin_catalog(24), VerifyConfig(max_order=24))
     assert hashlib.sha256(report.json_bytes()).hexdigest() == REPORT_SHA256[24]
+
+
+def test_verify_builds_no_witnesses_without_violations(catalog16, monkeypatch):
+    # premises are counted by class; instances with witnesses are built only
+    # for a violation, so a passing catalog must never materialize them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("extension_instances called on a passing catalog")
+
+    monkeypatch.setattr(harness, "extension_instances", forbidden)
+    report = verify_catalog(catalog16, VerifyConfig(max_order=16))
+    assert hashlib.sha256(report.json_bytes()).hexdigest() == REPORT_SHA256[16]

@@ -94,6 +94,12 @@ def test_counterexample_rejects_non_prime(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+def test_counterexample_huge_prime_exits_on_order_bound(capsys):
+    # the order bound comes before the trial-division primality test
+    assert main(["counterexample", "--p", str(2**61 - 1)]) == 2
+    assert "exceeds cap 512" in capsys.readouterr().err
+
+
 def test_counterexample_rejects_bad_lattice_cap(capsys):
     assert main(["counterexample", "--p", "2", "--lattice-cap", "-5"]) == 2
     assert "lattice-cap must be >= 1" in capsys.readouterr().err

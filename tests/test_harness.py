@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,13 @@ from groupkit.core import (
     construct,
 )
 from groupkit import harness
-from groupkit.decomposition import is_internal_direct
+from groupkit.core import parse_recipe
+from groupkit.decomposition import (
+    all_direct_splittings,
+    direct_complements,
+    is_internal_direct,
+    remak_decomposition,
+)
 from groupkit.errors import NotPrime, OrderBound
 from groupkit.harness import (
     VerifyConfig,
@@ -20,6 +27,7 @@ from groupkit.harness import (
     check_direct_extension,
     counterexample_json_dict,
     extension_instances,
+    premise_classes,
     property_suite,
     verify_catalog,
 )
@@ -32,7 +40,7 @@ from groupkit.subgroups import (
     normal_subgroups,
     subgroup_as_group,
 )
-from groupkit.catalog import CatalogEntry, builtin_catalog
+from groupkit.catalog import CatalogEntry, builtin_catalog, group_to_json_dict
 from groupkit.iso import fingerprint
 
 
@@ -166,6 +174,12 @@ def test_counterexample_rejects_bad_p():
         build_split_counterexample(7)  # 7^4 = 2401 > 512
 
 
+def test_counterexample_huge_prime_hits_order_bound_first():
+    # 2^61 - 1 is prime; trial division up to its square root never ends
+    with pytest.raises(OrderBound):
+        build_split_counterexample(2**61 - 1)
+
+
 def test_counterexample_json_shape():
     bundle = build_split_counterexample(2)
     data = counterexample_json_dict(bundle)
@@ -239,3 +253,78 @@ def test_verify_pool_never_exceeds_payloads(monkeypatch):
     report = verify_catalog(builtin_catalog(4), VerifyConfig(max_order=4, jobs=10**6))
     assert sizes == [5]
     assert report.summary["groups"] == 5
+
+
+def test_cap_is_checked_before_memo_lookups():
+    g = construct(Cyclic(12))
+    normals = normal_subgroups(g)
+    all_direct_splittings(g)
+    direct_complements(g, normals[1])
+    remak_decomposition(g)
+    premise_classes(g)
+    for call in (
+        lambda: normal_subgroups(g, cap=4),
+        lambda: all_direct_splittings(g, cap=4),
+        lambda: direct_complements(g, normals[1], cap=4),
+        lambda: remak_decomposition(g, cap=4),
+        lambda: premise_classes(g, cap=4),
+    ):
+        with pytest.raises(OrderBound):
+            call()
+
+
+def test_premise_join_matches_instances(catalog16):
+    for entry in catalog16:
+        g = entry.group
+        insts = extension_instances(g)
+        premises = premise_classes(g)
+        assert premises.count == len(insts), entry.name
+        assert [h0.bits for h0 in premises.h0s] == sorted({i.h0.bits for i in insts}), entry.name
+
+
+# the order-32 premise workload of the benchmark, as recipe DSL
+PREMISES32 = {
+    "C4xC2xC2xC2": "P(P(P(C(4),C(2)),C(2)),C(2))",
+    "D4xC2xC2": "P(P(D(4),C(2)),C(2))",
+    "Q8xC2xC2": "P(P(Dic(2),C(2)),C(2))",
+    "C4xC4xC2": "P(P(C(4),C(4)),C(2))",
+}
+
+
+def test_premise_counts_match_benchmark_reference():
+    ref_path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    ops = json.loads(ref_path.read_text(encoding="utf-8"))["workloads"]["premises32"]["ops"]
+    entries = []
+    for name, dsl in PREMISES32.items():
+        recipe = parse_recipe(dsl)
+        group = construct(recipe, name=name)
+        entries.append(CatalogEntry(name, recipe, group, fingerprint(group)))
+    report = verify_catalog(entries, VerifyConfig(max_order=32))
+    counts = {g["name"]: g["instances"] for g in report.groups}
+    assert counts == {name: ops[name]["instances"] for name in PREMISES32}
+    assert sorted(counts.values()) == [2146, 2146, 2434, 29250]
+
+
+def test_violation_serializes_the_instances_of_its_h0(monkeypatch):
+    g = construct(Product(Dihedral(4), Cyclic(2)), name="D4xC2")
+    target = next(h0 for h0 in premise_classes(g).h0s if 1 < h0.order < g.order)
+    real = harness.direct_complements
+
+    def no_complement_for_target(group, normal, **kwargs):
+        if group is g and normal.bits == target.bits:
+            return []
+        return real(group, normal, **kwargs)
+
+    monkeypatch.setattr(harness, "direct_complements", no_complement_for_target)
+    expected = [
+        {"group": group_to_json_dict(g), "instance": harness._instance_json_dict(inst)}
+        for inst in extension_instances(g)
+        if inst.h0.bits == target.bits
+    ]
+    assert expected
+    out = harness._verify_one(("D4xC2", g, 64))
+    assert json.dumps(out["violations"], sort_keys=True) == json.dumps(expected, sort_keys=True)
+    report = verify_catalog([CatalogEntry("D4xC2", g.recipe, g, fingerprint(g))],
+                            VerifyConfig(max_order=16))
+    assert report.status == "FAIL"
+    assert report.summary["violations"] == len(expected)

@@ -12,7 +12,9 @@ from groupkit.core import (
     construct,
 )
 from groupkit.errors import OrderBound
+from groupkit.subgroups import normal_subgroups, quotient, subgroup_as_group
 from groupkit.iso import (
+    IsoCache,
     automorphisms,
     find_isomorphism,
     fingerprint,
@@ -147,3 +149,23 @@ def test_automorphisms_order_bound():
 
 def test_different_orders_short_circuit():
     assert find_isomorphism(construct(Cyclic(4)), construct(Cyclic(8))) is None
+
+
+def test_class_of_matches_pairwise_isomorphism():
+    # normals and quotients of a few groups repeat many classes under
+    # different tables; ids must agree exactly with isomorphism
+    groups = []
+    for recipe in (Product(Dihedral(4), Cyclic(2)), Product(Symmetric(3), Cyclic(2)),
+                   Product(Cyclic(4), Cyclic(2)), Dicyclic(2)):
+        g = construct(recipe)
+        for n in normal_subgroups(g):
+            groups.append(subgroup_as_group(n)[0])
+            groups.append(quotient(g, n).target)
+    cache = IsoCache()
+    ids = [cache.class_of(g) for g in groups]
+    assert len(set(ids)) > 5
+    for i, a in enumerate(groups):
+        assert cache.class_of(a) == ids[i]  # memoized, stable
+        for j in range(i + 1, len(groups)):
+            b = groups[j]
+            assert (ids[i] == ids[j]) == (find_isomorphism(a, b) is not None)
