@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
+    DEFAULT_ORDER_CAP,
     CentralQuotient,
     Cyclic,
     Dicyclic,
@@ -139,16 +140,16 @@ def builtin_catalog(max_order: int, *, order_cap: int = 512) -> list[CatalogEntr
     cached = _catalogs.get(max_order)
     if cached is None:
         cache = IsoCache()
+        classes: set[int] = set()
         entries: list[CatalogEntry] = []
         for name, recipe in _BUILTIN + _EXTRAS:
             group = construct(recipe, name=name)
             if group.order > max_order:
                 continue
-            if any(
-                e.group.order == group.order and cache.isomorphic(e.group, group)
-                for e in entries
-            ):
+            class_id = cache.class_of(group)
+            if class_id in classes:
                 continue
+            classes.add(class_id)
             entries.append(CatalogEntry(name, recipe, group, fingerprint(group)))
         cached = entries
         _catalogs[max_order] = cached
@@ -205,6 +206,8 @@ def group_from_json_dict(data: dict) -> Group:
     table = data["table"]
     if not isinstance(table, list) or len(table) != data["order"]:
         raise MalformedTable("'order' does not match the table size")
+    if len(table) > DEFAULT_ORDER_CAP:
+        raise OrderBound(len(table), DEFAULT_ORDER_CAP, "imported group order")
     recipe = parse_recipe(data["recipe"]) if "recipe" in data else None
     return Group(table, name=data.get("name"), recipe=recipe)
 

@@ -160,19 +160,13 @@ def _cmd_decompose(args) -> int:
         return 2
     splitting = remak_decomposition(group, cap=_positive("lattice-cap", args.lattice_cap))
     cache = IsoCache()
-    catalog = builtin_catalog(16)
+    names = {cache.class_of(entry.group): entry.name for entry in builtin_catalog(16)}
     factors = []
     for f in splitting.factors:
-        extracted, _ = subgroup_as_group(f)
-        iso_class = None
-        for entry in catalog:
-            if entry.group.order == extracted.order and cache.isomorphic(extracted, entry.group):
-                iso_class = entry.name
-                break
         factors.append({
             "order": f.order,
             "members": f.members(),
-            "iso_class": iso_class,
+            "iso_class": names.get(cache.class_of(subgroup_as_group(f)[0])),
         })
     out = {"order": group.order, "factors": factors}
     if group.name is not None:

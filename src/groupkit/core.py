@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 512
-DEFAULT_ASSOC_BOUND = 512
 
 
 # ---------------------------------------------------------------------------
@@ -273,54 +272,72 @@ def parse_recipe(text: str) -> Recipe:
 # ---------------------------------------------------------------------------
 # table validation
 
-def validate_table(table, *, assoc_bound: int = DEFAULT_ASSOC_BOUND) -> None:
-    """Check all group axioms on a square index table; raise on the first failure.
+def validate_table(table) -> np.ndarray:
+    """Check every group axiom on a square index table; return it as int64.
 
-    Checks run in the order: shape/range, identity-at-0, Latin square,
-    two-sided inverses, associativity.  Associativity (the O(n^3) part) is
-    skipped for n > assoc_bound.
+    Raises on the first failure, checked in the order: shape, integer
+    entries, range, identity at 0, Latin rows then columns, two-sided
+    inverses, associativity.  Every check is a whole-array operation and
+    runs at every order.
+
+    Associativity uses Light's test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, §1.2): the g with (x·g)·y = x·(g·y) for all x, y
+    include 0 and are closed under the product, so checking a set of
+    generators checks every element.  The generators are picked greedily by
+    ``closure_bits``, which only ever adds products of elements it has
+    already reached and a generator.
     """
-    n = len(table)
-    if n == 0:
+    try:
+        t = np.asarray(table)
+    except ValueError:  # ragged rows
+        raise MalformedTable("table rows differ in length") from None
+    if t.size == 0:
         raise MalformedTable("table is empty")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
-                raise MalformedTable(f"row {i} contains non-integer entry {x!r}")
-            if not 0 <= x < n:
-                raise MalformedTable(f"row {i} entry {x} out of range [0, {n})")
+    n = len(t)
+    if t.shape != (n, n):
+        raise MalformedTable(f"table has shape {t.shape}, expected ({n}, {n})")
+    # numpy turns Python rows that mix ints and bools into int64, so only an
+    # ndarray's dtype answers the type check on its own
+    if t.dtype.kind not in "iu" or (
+        not isinstance(table, np.ndarray)
+        and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(table)))
+    ):
+        raise MalformedTable(f"table entries must be integers in [0, {n})")
+    bad = np.argwhere((t < 0) | (t >= n))
+    if len(bad):
+        i, j = bad[0]
+        raise MalformedTable(f"row {i} entry {t[i, j]} out of range [0, {n})")
+    t = t.astype(np.int64, copy=False)
 
-    t = np.asarray(table, dtype=np.int64)
     ident = np.arange(n)
     if not (np.array_equal(t[0], ident) and np.array_equal(t[:, 0], ident)):
         raise NoIdentity("index 0 is not a two-sided identity")
 
-    for i in range(n):
-        row = np.sort(t[i])
-        if not np.array_equal(row, ident):
-            dup = int(row[np.flatnonzero(np.diff(row) == 0)[0]])
-            raise NotLatin("row", i, dup)
-    for j in range(n):
-        col = np.sort(t[:, j])
-        if not np.array_equal(col, ident):
-            dup = int(col[np.flatnonzero(np.diff(col) == 0)[0]])
-            raise NotLatin("column", j, dup)
+    for axis, lines in (("row", t), ("column", t.T)):
+        ordered = np.sort(lines, axis=1)
+        bad = np.flatnonzero((ordered != ident).any(axis=1))
+        if len(bad):
+            line = ordered[bad[0]]
+            dup = line[np.flatnonzero(np.diff(line) == 0)[0]]
+            raise NotLatin(axis, int(bad[0]), int(dup))
 
-    # Latin property gives exactly one 0 per row; invertibility needs it two-sided.
-    right_inv = np.argmin(t != 0, axis=1)
-    for i in range(n):
-        if t[right_inv[i], i] != 0:
-            raise NotInvertible(i)
+    # each row now holds exactly one 0; invertibility needs it two-sided
+    bad = np.flatnonzero(t[np.argmin(t, axis=1), ident] != 0)
+    if len(bad):
+        raise NotInvertible(int(bad[0]))
 
-    if n <= assoc_bound:
-        for i in range(n):
-            left = t[t[i]]          # (i*j)*k
-            right = t[i][t]         # i*(j*k)
-            if not np.array_equal(left, right):
-                j, k = np.argwhere(left != right)[0]
-                raise NotAssociative(i, int(j), int(k))
+    rows = t.tolist()  # Python ints: closure_bits shifts by entries
+    bits, gens = 1, []
+    for x in range(1, n):
+        if not (bits >> x) & 1:
+            gens.append(x)
+            bits = closure_bits(rows, [x], bits, members_of(bits))
+    for g in gens:
+        bad = np.argwhere(t[t[:, g]] != t[:, t[g]])  # (x·g)·y against x·(g·y)
+        if len(bad):
+            x, y = bad[0]
+            raise NotAssociative(int(x), g, int(y))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +354,10 @@ class Group:
     __slots__ = ("order", "table", "inv", "name", "recipe", "_cache")
 
     def __init__(self, table, *, name: str | None = None, recipe: Recipe | None = None):
-        tbl = tuple(tuple(int(x) for x in row) for row in table)
-        validate_table(tbl)
-        self.order = len(tbl)
-        self.table = tbl
-        self.inv = tuple(row.index(0) for row in tbl)
+        t = validate_table(table)
+        self.order = len(t)
+        self.table = tuple(map(tuple, t.tolist()))
+        self.inv = tuple(np.argmin(t, axis=1).tolist())
         self.name = name
         self.recipe = recipe
         self._cache = {}
@@ -520,20 +536,22 @@ def _symmetric_table(m: int) -> list[list[int]]:
     return table
 
 
-def _product_table(a: Group, b: Group) -> list[list[int]]:
-    nb = b.order
-    n = a.order * nb
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(a.order):
-        for b1 in range(nb):
-            row = table[a1 * nb + b1]
-            ra = a.table[a1]
-            rb = b.table[b1]
-            for a2 in range(a.order):
-                base = ra[a2] * nb
-                for b2 in range(nb):
-                    row[a2 * nb + b2] = base + rb[b2]
-    return table
+def _product_table(a: Group, b: Group) -> np.ndarray:
+    # entry [(a1, b1), (a2, b2)] = (a1·a2, b1·b2), pair (x, y) -> x*|B| + y
+    ta, tb = np.asarray(a.table), np.asarray(b.table)
+    n = a.order * b.order
+    return (ta[:, None, :, None] * b.order + tb[None, :, None, :]).reshape(n, n)
+
+
+def hom_defect(source, target, mapping) -> tuple[int, int] | None:
+    """First (x, y) in row-major order with map[x·y] != map[x]·map[y], or None.
+
+    ``source`` and ``target`` are multiplication tables; ``mapping`` sends
+    source indices to target indices.
+    """
+    m = np.asarray(mapping, dtype=np.int64)
+    bad = np.argwhere(m[np.asarray(source)] != np.asarray(target)[np.ix_(m, m)])
+    return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
 
 
 def _resolve_action(normal: Group, acting: Group,
@@ -546,19 +564,17 @@ def _resolve_action(normal: Group, acting: Group,
     the listed elements fail to generate the acting group.
     """
     nn = normal.order
-    ntab = normal.table
     for q, perm in action:
         if not 0 <= q < acting.order:
             raise InvalidAction(f"acting element {q} out of range")
         if len(perm) != nn or sorted(perm) != list(range(nn)):
             raise InvalidAction(f"image for acting element {q} is not a permutation")
-        for i in range(nn):
-            for j in range(nn):
-                if perm[ntab[i][j]] != ntab[perm[i]][perm[j]]:
-                    raise InvalidAction(
-                        f"image for acting element {q} is not an automorphism "
-                        f"(fails at ({i},{j}))"
-                    )
+        defect = hom_defect(normal.table, normal.table, perm)
+        if defect is not None:
+            raise InvalidAction(
+                f"image for acting element {q} is not an automorphism "
+                f"(fails at {defect})"
+            )
 
     phi: dict[int, tuple[int, ...]] = {0: tuple(range(nn))}
     frontier = [0]
@@ -582,23 +598,13 @@ def _resolve_action(normal: Group, acting: Group,
 
 
 def _semidirect_table(normal: Group, acting: Group,
-                      action: tuple[tuple[int, tuple[int, ...]], ...]) -> list[list[int]]:
+                      action: tuple[tuple[int, tuple[int, ...]], ...]) -> np.ndarray:
     # (q1,n1)(q2,n2) = (q1 q2, phi(q2^-1)(n1) * n2); pair (q,n) -> q*|N| + n
-    phi = _resolve_action(normal, acting, action)
-    nn = normal.order
-    n = acting.order * nn
-    table = [[0] * n for _ in range(n)]
-    for q1 in range(acting.order):
-        for n1 in range(nn):
-            row = table[q1 * nn + n1]
-            for q2 in range(acting.order):
-                base = acting.table[q1][q2] * nn
-                twist = phi[acting.inv[q2]]
-                t1 = twist[n1]
-                nrow = normal.table[t1]
-                for n2 in range(nn):
-                    row[q2 * nn + n2] = base + nrow[n2]
-    return table
+    phi = np.asarray(_resolve_action(normal, acting, action))
+    twist = phi[list(acting.inv)]  # [q2, n1] -> phi(q2^-1)(n1)
+    right = np.asarray(normal.table)[twist].transpose(1, 0, 2)  # [n1, q2, n2]
+    n = acting.order * normal.order
+    return (np.asarray(acting.table)[:, None, :, None] * normal.order + right).reshape(n, n)
 
 
 def _central_quotient_table(inner: Group, gens: tuple[int, ...]) -> list[list[int]]:

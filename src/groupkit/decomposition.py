@@ -259,14 +259,15 @@ def project_onto_factor(group: Group, splitting: tuple[Subgroup, Subgroup],
 
 def is_directly_decomposable(group: Group, d: Subgroup, *,
                              cap: int = DEFAULT_LATTICE_CAP) -> bool:
-    """True iff D = (H∩D)·(K∩D) for every direct splitting G = H·K."""
-    for h, k in all_direct_splittings(group, cap=cap):
-        hd = Subgroup(group, h.bits & d.bits)
-        kd = Subgroup(group, k.bits & d.bits)
-        bits, _ = set_product(group, hd, kd)
-        if bits != d.bits:
-            return False
-    return True
+    """True iff D = (H∩D)·(K∩D) for every direct splitting G = H·K.
+
+    Both factors lie in D and meet trivially, so their product set fills D
+    exactly when |H∩D|·|K∩D| = |D|.
+    """
+    return all(
+        (h.bits & d.bits).bit_count() * (k.bits & d.bits).bit_count() == d.order
+        for h, k in all_direct_splittings(group, cap=cap)
+    )
 
 
 def _is_cyclic_subgroup(group: Group, sub: Subgroup) -> bool:

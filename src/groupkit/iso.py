@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import Group, element_order, exponent, is_abelian, memo
+from .core import Group, element_order, exponent, hom_defect, is_abelian, memo
 from .errors import OrderBound
 from .subgroups import center, derived_of, derived_subgroup, whole_subgroup
 
@@ -67,12 +65,9 @@ def is_isomorphism(source: Group, target: Group, mapping) -> bool:
     n = source.order
     if target.order != n or len(mapping) != n:
         return False
-    m = np.asarray(mapping, dtype=np.int64)
-    if m[0] != 0 or len(np.unique(m)) != n:
+    if mapping[0] != 0 or len(set(mapping)) != n:
         return False
-    src = np.asarray(source.table, dtype=np.int64)
-    tgt = np.asarray(target.table, dtype=np.int64)
-    return bool(np.array_equal(m[src], tgt[np.ix_(m, m)]))
+    return hom_defect(source.table, target.table, mapping) is None
 
 
 def _element_orders(group: Group) -> list[int]:

@@ -92,3 +92,53 @@ def complements_by_scan(group: Group, n_bits: int) -> list[int]:
         ):
             out.append(s.bits)
     return out
+
+
+def is_associative_by_triples(table) -> bool:
+    """Associativity checked on every triple (x, y, z)."""
+    n = len(table)
+    return all(
+        table[table[x][y]][z] == table[x][table[y][z]]
+        for x in range(n) for y in range(n) for z in range(n)
+    )
+
+
+def reduced_latin_squares(n: int):
+    """Every n×n Latin square whose first row and column are 0..n-1 in order."""
+    square = [[c if r == 0 else (r if c == 0 else -1) for c in range(n)] for r in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k: int):
+        if k == len(cells):
+            yield [row[:] for row in square]
+            return
+        r, c = cells[k]
+        for v in range(n):
+            if v not in square[r] and all(square[i][c] != v for i in range(n)):
+                square[r][c] = v
+                yield from fill(k + 1)
+                square[r][c] = -1
+
+    yield from fill(0)
+
+
+def product_table_by_entries(a: Group, b: Group) -> list[list[int]]:
+    """Direct product table, one entry at a time: (x, y) -> x*|B| + y."""
+    nb = b.order
+    pairs = [(x, y) for x in range(a.order) for y in range(nb)]
+    return [[a.table[x1][x2] * nb + b.table[y1][y2] for x2, y2 in pairs]
+            for x1, y1 in pairs]
+
+
+def semidirect_table_by_entries(normal: Group, acting: Group, phi) -> list[list[int]]:
+    """(q1, n1)(q2, n2) = (q1·q2, phi(q2⁻¹)(n1)·n2), one entry at a time."""
+    nn = normal.order
+    pairs = [(q, x) for q in range(acting.order) for x in range(nn)]
+    out = []
+    for q1, n1 in pairs:
+        row = []
+        for q2, n2 in pairs:
+            q2_inv = next(q for q in range(acting.order) if acting.table[q2][q] == 0)
+            row.append(acting.table[q1][q2] * nn + normal.table[phi[q2_inv][n1]][n2])
+        out.append(row)
+    return out

@@ -74,6 +74,14 @@ def test_decompose_malformed_input(tmp_path, capsys):
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, 1]]}))
     assert main(["decompose", str(corrupt)]) == 2
+    # entries an int() cast would have accepted, and an order above the import cap
+    for entry in (1.7, True, "1"):
+        corrupt.write_text(json.dumps({"order": 2, "table": [[0, entry], [entry, 0]]}))
+        assert main(["decompose", str(corrupt)]) == 2
+    big = [[(i + j) % 513 for j in range(513)] for i in range(513)]
+    corrupt.write_text(json.dumps({"order": 513, "table": big}))
+    assert main(["decompose", str(corrupt)]) == 2
+    assert "exceeds cap 512" in capsys.readouterr().err
 
 
 def test_counterexample_p2_exit_and_decompose_pipeline(tmp_path, capsys):

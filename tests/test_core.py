@@ -1,7 +1,10 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
+from groupkit.catalog import _BUILTIN, _EXTRAS, group_from_json_dict, import_group
 from groupkit.core import (
     CentralQuotient,
     Cyclic,
@@ -11,6 +14,9 @@ from groupkit.core import (
     Product,
     Semidirect,
     Symmetric,
+    _product_table,
+    _resolve_action,
+    _semidirect_table,
     construct,
     element_order,
     exponent,
@@ -25,6 +31,7 @@ from groupkit.errors import (
     NoIdentity,
     NotAssociative,
     NotCentral,
+    NotInvertible,
     NotLatin,
     MalformedTable,
     OrderBound,
@@ -32,7 +39,13 @@ from groupkit.errors import (
 )
 from groupkit.iso import find_isomorphism
 
-from conftest import order_by_powering
+from conftest import (
+    is_associative_by_triples,
+    order_by_powering,
+    product_table_by_entries,
+    reduced_latin_squares,
+    semidirect_table_by_entries,
+)
 
 
 def test_trivial_group():
@@ -211,3 +224,114 @@ def test_dicyclic2_is_quaternion():
 def test_all_catalog_groups_validate(catalog16):
     for entry in catalog16:
         validate_table([list(r) for r in entry.group.table])
+
+
+def _passes_validation(table) -> bool:
+    """validate_table's verdict on a Latin square with identity at 0."""
+    try:
+        validate_table(table)
+    except NotAssociative as err:
+        x, y, z = err.witness
+        assert table[table[x][y]][z] != table[x][table[y][z]]
+        return False
+    except NotInvertible:
+        return False
+    return True
+
+
+def _intercalate_swaps(table):
+    """Copies of the table with one 2×2 Latin sub-square swapped.
+
+    Only sub-squares off row and column 0 whose entries are nonzero are
+    used, so identity, Latin property and inverses survive the swap and
+    associativity is the axiom left to fail.
+    """
+    n = len(table)
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                a, b = table[r1][c1], table[r2][c1]
+                c2 = table[r2].index(a)
+                if c2 > c1 and a and b and table[r1][c2] == b:
+                    out = [list(row) for row in table]
+                    out[r1][c1], out[r1][c2], out[r2][c1], out[r2][c2] = b, a, a, b
+                    yield out
+
+
+def _cyclic_with_intercalate(n: int) -> list[list[int]]:
+    """C_n (n even) with the intercalate on rows and columns 1 and 1 + n/2 swapped."""
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    h = 1 + n // 2
+    table[1][1], table[1][h] = table[1][h], table[1][1]
+    table[h][1], table[h][h] = table[h][h], table[h][1]
+    return table
+
+
+def test_light_test_matches_triple_oracle_on_reduced_latin_squares():
+    rejected = 0
+    for n in range(1, 6):
+        for square in reduced_latin_squares(n):
+            verdict = _passes_validation(square)
+            assert verdict == is_associative_by_triples(square), square
+            rejected += not verdict
+    assert rejected > 0
+
+
+def test_light_test_matches_triple_oracle_on_perturbed_catalog(catalog16):
+    checked = 0
+    for entry in catalog16:
+        for _, table in zip(range(3), _intercalate_swaps(entry.group.table)):
+            assert _passes_validation(table) == is_associative_by_triples(table), entry.name
+            checked += 1
+    assert checked > 50
+
+
+def test_every_order_is_checked_for_associativity(tmp_path):
+    with pytest.raises(NotAssociative):
+        Group(_cyclic_with_intercalate(514))
+    path = tmp_path / "g.json"
+    # the import refuses orders above its cap before it reads any entry
+    path.write_text(json.dumps({"order": 514, "table": _cyclic_with_intercalate(514)}))
+    with pytest.raises(OrderBound):
+        import_group(path)
+    path.write_text(json.dumps({"order": 512, "table": _cyclic_with_intercalate(512)}))
+    with pytest.raises(NotAssociative):
+        import_group(path)
+
+
+@pytest.mark.parametrize("entry", [1.7, 1.0, True, "1", None])
+def test_non_integer_entries_are_malformed(entry):
+    table = [[0, entry], [entry, 0]]
+    with pytest.raises(MalformedTable):
+        validate_table(table)
+    with pytest.raises(MalformedTable):
+        Group(table)
+    with pytest.raises(MalformedTable):
+        group_from_json_dict({"order": 2, "table": table})
+
+
+def test_array_dtype_answers_the_type_check():
+    assert validate_table(np.array([[0, 1], [1, 0]], dtype=np.uint8)).dtype == np.int64
+    for dtype in (bool, float):
+        with pytest.raises(MalformedTable):
+            validate_table(np.array([[0, 1], [1, 0]], dtype=dtype))
+    with pytest.raises(MalformedTable):
+        validate_table(np.zeros((2, 2, 2), dtype=np.int64))
+
+
+def test_product_and_semidirect_tables_match_entrywise_builders(catalog16):
+    small = [e.group for e in catalog16 if e.group.order <= 8]
+    for a in small:
+        for b in small:
+            assert _product_table(a, b).tolist() == product_table_by_entries(a, b)
+    semidirects = [r for _, r in _BUILTIN + _EXTRAS if isinstance(r, Semidirect)]
+    assert len(semidirects) >= 6
+    for recipe in semidirects:
+        normal, acting = construct(recipe.normal), construct(recipe.acting)
+        phi = _resolve_action(normal, acting, recipe.action)
+        for q1 in range(acting.order):
+            for q2 in range(acting.order):
+                composed = tuple(phi[q1][phi[q2][x]] for x in range(normal.order))
+                assert phi[acting.table[q1][q2]] == composed
+        assert (_semidirect_table(normal, acting, recipe.action).tolist()
+                == semidirect_table_by_entries(normal, acting, phi))

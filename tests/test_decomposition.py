@@ -31,6 +31,7 @@ from groupkit.subgroups import (
     center,
     generate_subgroup,
     normal_subgroups,
+    set_product,
     subgroup_as_group,
     trivial_subgroup,
     whole_subgroup,
@@ -224,6 +225,33 @@ def test_directly_decomposable_examples():
     assert is_directly_decomposable(g, trivial_subgroup(g))
     assert is_directly_decomposable(g, whole_subgroup(g))
     assert not is_directly_decomposable(g, generate_subgroup(g, [3]))
+
+
+def test_order_tests_match_product_sets(catalog16):
+    # is_directly_decomposable and prop_2_1 compare orders where they once
+    # built product sets; both sides lie in one subgroup and meet trivially
+    verdicts = set()
+    for entry in catalog16:
+        g = entry.group
+        subs = all_subgroups(g)
+        splittings = all_direct_splittings(g)
+        for d in subs:
+            by_products = all(
+                set_product(g, Subgroup(g, h.bits & d.bits), Subgroup(g, k.bits & d.bits))[0]
+                == d.bits
+                for h, k in splittings
+            )
+            assert is_directly_decomposable(g, d) == by_products, (entry.name, d.members())
+            verdicts.add(by_products)
+        for pair in splittings:
+            for h, k in (pair, pair[::-1]):
+                for l in subs:
+                    if h.bits & ~l.bits:
+                        continue
+                    lk = Subgroup(g, l.bits & k.bits)
+                    assert ((set_product(g, h, lk)[0] == l.bits)
+                            == (h.order * lk.order == l.order))
+    assert verdicts == {True, False}
 
 
 def test_cyclic_max_complement_whole():
