@@ -208,7 +208,11 @@ def group_from_json_dict(data: dict) -> Group:
         raise MalformedTable("'order' does not match the table size")
     if len(table) > DEFAULT_ORDER_CAP:
         raise OrderBound(len(table), DEFAULT_ORDER_CAP, "imported group order")
-    recipe = parse_recipe(data["recipe"]) if "recipe" in data else None
+    recipe = None
+    if "recipe" in data:
+        if not isinstance(data["recipe"], str):
+            raise MalformedTable("'recipe' must be a recipe DSL string")
+        recipe = parse_recipe(data["recipe"])
     return Group(table, name=data.get("name"), recipe=recipe)
 
 

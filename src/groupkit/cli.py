@@ -125,13 +125,17 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    config = VerifyConfig(
+def _verify_config(args) -> VerifyConfig:
+    return VerifyConfig(
         max_order=_positive("max-order", args.max_order),
         lattice_cap=_positive("lattice-cap", args.lattice_cap),
         jobs=_positive("jobs", args.jobs),
         seed=args.seed,
     )
+
+
+def _cmd_verify(args) -> int:
+    config = _verify_config(args)
     start = time.perf_counter()
     entries = builtin_catalog(config.max_order)
     report = verify_catalog(entries, config)
@@ -176,12 +180,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_props(args) -> int:
-    config = VerifyConfig(
-        max_order=_positive("max-order", args.max_order),
-        lattice_cap=_positive("lattice-cap", args.lattice_cap),
-        jobs=_positive("jobs", args.jobs),
-        seed=args.seed,
-    )
+    config = _verify_config(args)
     entries = builtin_catalog(config.max_order)
     report = verify_catalog(entries, config)
     groups = []

@@ -119,63 +119,59 @@ def all_direct_splittings(group: Group, *,
     return list(memo(group, "splittings", build))
 
 
-def _first_nontrivial_splitting(group: Group, *, cap: int,
-                                rng: random.Random | None) -> tuple[Subgroup, Subgroup] | None:
-    """First pair of all_direct_splittings with both sides nontrivial.
+def _remak_factors(group: Group, f: Subgroup, *, cap: int,
+                   rng: random.Random | None = None) -> tuple[Subgroup, ...]:
+    """Indecomposable direct factors of a direct factor F of G, canonically sorted.
 
-    Scans normals lazily instead of materializing every splitting; with an
-    rng the scan order (and hence which Remak decomposition is found) is
-    shuffled, which must not change factor isomorphism classes.
+    The other factor of G centralises F, so the normal subgroups of F are
+    exactly the normals of G inside F, and every factor stays in G's
+    indices.  The first pair A, B of them with A∩B = 1 and |A|·|B| = |F|
+    splits F, and each side splits again.  With an rng the scan order (and
+    hence which decomposition is found) is shuffled, which must not change
+    the factors' isomorphism classes; only the unshuffled result is memoized.
     """
-    normals = normal_subgroups(group, cap=cap)
-    candidates = [n for n in normals if 1 < n.order < group.order]
-    if rng is not None:
-        candidates = list(candidates)
-        rng.shuffle(candidates)
-    for n in candidates:
-        comps = [
-            k for k in candidates
-            if n.order * k.order == group.order and n.bits & k.bits == 1
-        ]
-        if comps:
-            if rng is not None:
-                return n, rng.choice(comps)
-            return n, comps[0]
-    return None
+    check_lattice_cap(group, cap)
+
+    def build() -> tuple[Subgroup, ...]:
+        candidates = [n for n in normal_subgroups(group, cap=cap)
+                      if 1 < n.order < f.order and not n.bits & ~f.bits]
+        if rng is not None:
+            rng.shuffle(candidates)
+        for a in candidates:
+            comps = [b for b in candidates
+                     if a.order * b.order == f.order and a.bits & b.bits == 1]
+            if comps:
+                b = rng.choice(comps) if rng is not None else comps[0]
+                parts = (_remak_factors(group, a, cap=cap, rng=rng)
+                         + _remak_factors(group, b, cap=cap, rng=rng))
+                return tuple(sorted(parts, key=Subgroup.sort_key))
+        return (f,)
+
+    return build() if rng is not None else memo(group, ("remak", f.bits), build)
 
 
 def remak_decomposition(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                         rng: random.Random | None = None) -> Splitting:
-    """Split recursively into indecomposable internal direct factors."""
-    check_lattice_cap(group, cap)
+    """Split recursively into indecomposable internal direct factors.
 
-    def recurse(g: Group) -> list[Subgroup]:
-        pair = _first_nontrivial_splitting(g, cap=cap, rng=rng)
-        if pair is None:
-            return [whole_subgroup(g)]
-        out = []
-        for part in pair:
-            part_group, members = subgroup_as_group(part)
-            for f in recurse(part_group):
-                out.append(Subgroup(g, bits_of(members[i] for i in f.members())))
-        return out
-
-    def build() -> Splitting:
-        return Splitting(group, tuple(sorted(recurse(group), key=Subgroup.sort_key)))
-
-    return build() if rng is not None else memo(group, "remak", build)
+    Every step scans the group's own normal subgroups, so one subgroup
+    lattice serves the whole recursion.
+    """
+    return Splitting(group, _remak_factors(group, whole_subgroup(group), cap=cap, rng=rng))
 
 
-def factor_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
+def factor_classes(factor: Subgroup, *, cap: int = DEFAULT_LATTICE_CAP,
                    cache: IsoCache) -> frozenset[int]:
-    """Class ids (within ``cache``) of the nontrivial Remak factors.
+    """Class ids (within ``cache``) of the nontrivial Remak factors of a direct factor.
 
-    By the Krull–Remak–Schmidt theorem the factors are unique up to
-    isomorphism, so this set depends only on the group's isomorphism class.
+    ``factor`` must be a direct factor of its parent (the whole group is
+    one), so that its Remak factors come from the parent's lattice.  By the
+    Krull–Remak–Schmidt theorem the factors are unique up to isomorphism,
+    so this set depends only on the factor's isomorphism class.
     """
     return frozenset(
         cache.class_of(subgroup_as_group(f)[0])
-        for f in remak_decomposition(group, cap=cap).factors
+        for f in _remak_factors(factor.parent, factor, cap=cap)
         if f.order > 1
     )
 
@@ -188,8 +184,8 @@ def is_coprime(group1: Group, group2: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     decomposition this is equivalent to quantifying over all direct factors.
     """
     cache = cache or IsoCache()
-    classes = factor_classes(group1, cap=cap, cache=cache)
-    return not classes or classes.isdisjoint(factor_classes(group2, cap=cap, cache=cache))
+    return factor_classes(whole_subgroup(group1), cap=cap, cache=cache).isdisjoint(
+        factor_classes(whole_subgroup(group2), cap=cap, cache=cache))
 
 
 @dataclass(frozen=True)
@@ -216,8 +212,9 @@ def combine_coprime_factors(group: Group, a: Subgroup, b: Subgroup, *,
                 raise PreconditionFailed(f"{name} is not a direct factor")
         except NotNormal:
             raise PreconditionFailed(f"{name} is not normal, hence not a direct factor")
-    if not is_coprime(subgroup_as_group(a)[0], subgroup_as_group(b)[0],
-                      cap=cap, cache=cache):
+    cache = cache or IsoCache()
+    if not factor_classes(a, cap=cap, cache=cache).isdisjoint(
+            factor_classes(b, cap=cap, cache=cache)):
         raise PreconditionFailed("A and B are not coprime")
     if a.bits & b.bits != 1:
         return CoprimeViolation(group, a, b, "A∩B is nontrivial")
@@ -274,38 +271,37 @@ def _is_cyclic_subgroup(group: Group, sub: Subgroup) -> bool:
     return any(element_order(group, x) == sub.order for x in sub.members())
 
 
-def _complement_constructive(group: Group, d: Subgroup, *, cap: int) -> Subgroup | None:
-    """Inductive complement of a maximal-order cyclic D in an abelian p-group.
+def _complement_constructive(group: Group, f: Subgroup, d: Subgroup, *,
+                             cap: int) -> Subgroup | None:
+    """Inductive complement of a maximal-order cyclic D in a direct factor F.
 
-    Splits off an indecomposable factor B with complement C; if C∩D is
+    G is an abelian p-group and every step stays in its indices.  Splits
+    off F's first indecomposable factor B with complement C; if C∩D is
     trivial C itself works, otherwise B∩D must be trivial (subgroups of a
     cyclic p-group are totally ordered), D projects injectively into C, and
-    the complement lifts as B · (complement inside C).  Returns None if the
-    trivial-intersection dichotomy fails, which triggers the caller's
-    brute-force fallback.
+    the complement is B · (complement of the projection inside C).  Returns
+    None if the trivial-intersection dichotomy fails, which triggers the
+    caller's brute-force fallback.
     """
-    if d.order == group.order:
+    if d.order == f.order:
         return trivial_subgroup(group)
-    factors = remak_decomposition(group, cap=cap).factors
+    factors = _remak_factors(group, f, cap=cap)
     b = factors[0]
     c = _join_normals(group, factors[1:])
     if c.bits & d.bits == 1:
         return c
     if b.bits & d.bits != 1:
         log.warning(
-            "trivial-intersection dichotomy failed: |G|=%d, D=%s, B=%s, C=%s",
-            group.order, d.members(), b.members(), c.members(),
+            "trivial-intersection dichotomy failed: |F|=%d, D=%s, B=%s, C=%s",
+            f.order, d.members(), b.members(), c.members(),
         )
         return None
-    qd = project_onto_factor(group, (b, c), d)
-    c_group, members = subgroup_as_group(c)
-    pos = {m: i for i, m in enumerate(members)}
-    qd_inner = Subgroup(c_group, bits_of(pos[m] for m in qd.members()))
-    inner = _complement_constructive(c_group, qd_inner, cap=cap)
+    proj = _factor_projection(group, b, c)
+    qd = Subgroup(group, bits_of(proj[m] for m in d.members()))
+    inner = _complement_constructive(group, c, qd, cap=cap)
     if inner is None:
         return None
-    lifted = Subgroup(group, bits_of(members[i] for i in inner.members()))
-    bits, _ = set_product(group, b, lifted)
+    bits, _ = set_product(group, b, inner)
     return Subgroup(group, bits)
 
 
@@ -333,7 +329,7 @@ def cyclic_max_complement(group: Group, d: Subgroup, *,
         raise PreconditionFailed(
             f"D has order {d.order}, but the maximal element order is {exponent(group)}"
         )
-    result = _complement_constructive(group, d, cap=cap)
+    result = _complement_constructive(group, whole_subgroup(group), d, cap=cap)
     if result is not None and is_internal_direct(group, [d, result]):
         return result
     log.warning("constructive complement failed; brute-forcing (|G|=%d)", n)

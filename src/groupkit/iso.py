@@ -65,7 +65,7 @@ def is_isomorphism(source: Group, target: Group, mapping) -> bool:
     n = source.order
     if target.order != n or len(mapping) != n:
         return False
-    if mapping[0] != 0 or len(set(mapping)) != n:
+    if mapping[0] != 0 or set(mapping) != set(range(n)):
         return False
     return hom_defect(source.table, target.table, mapping) is None
 

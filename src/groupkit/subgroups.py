@@ -296,6 +296,8 @@ def subgroup_as_group(sub: Subgroup) -> tuple[Group, tuple[int, ...]]:
 
     Returns the new group and the member list mapping new indices to parent
     indices (ascending, so the identity stays at 0).  Cached on the parent.
+    It serves isomorphism-class lookups and witnesses; lattice work on a
+    subgroup stays in the parent's indices.
     """
     parent = sub.parent
 

@@ -10,6 +10,15 @@ from groupkit.iso import IsoCache
 from groupkit.subgroups import members_of
 
 
+# the order-32 premise workload of the benchmark, as recipe DSL
+PREMISES32 = {
+    "C4xC2xC2xC2": "P(P(P(C(4),C(2)),C(2)),C(2))",
+    "D4xC2xC2": "P(P(D(4),C(2)),C(2))",
+    "Q8xC2xC2": "P(P(Dic(2),C(2)),C(2))",
+    "C4xC4xC2": "P(P(C(4),C(4)),C(2))",
+}
+
+
 @pytest.fixture(scope="session")
 def catalog16():
     return builtin_catalog(16)

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 from groupkit.catalog import export_group
 from groupkit.cli import main
-from groupkit.core import Cyclic, Dicyclic, construct
+from groupkit.core import Cyclic, Dicyclic, construct, parse_recipe
 
 
 def test_verify_max_order_1(tmp_path, capsys):
@@ -78,10 +79,40 @@ def test_decompose_malformed_input(tmp_path, capsys):
     for entry in (1.7, True, "1"):
         corrupt.write_text(json.dumps({"order": 2, "table": [[0, entry], [entry, 0]]}))
         assert main(["decompose", str(corrupt)]) == 2
+    # a recipe that is not a DSL string
+    for recipe in (5, None, ["C(1)"]):
+        corrupt.write_text(json.dumps({"order": 1, "table": [[0]], "recipe": recipe}))
+        assert main(["decompose", str(corrupt)]) == 2
     big = [[(i + j) % 513 for j in range(513)] for i in range(513)]
     corrupt.write_text(json.dumps({"order": 513, "table": big}))
     assert main(["decompose", str(corrupt)]) == 2
     assert "exceeds cap 512" in capsys.readouterr().err
+
+
+# groups with many Remak decompositions: (recipe, sha256 of the decompose output)
+DECOMPOSE_PINS = {
+    "D4xC2xC2": (
+        "P(P(D(4),C(2)),C(2))",
+        "9fbf4a2b7ca3cbda3220efe91a3435209b13d05e8f31b2e92c99076a12668767",
+    ),
+    "C4xC2xC2xC2": (
+        "P(P(P(C(4),C(2)),C(2)),C(2))",
+        "2fee3a727ce7d2ac4e983c8c0fc054033dbfe4f9d57ad4b571564a627804c715",
+    ),
+    "C2xC2xC2xC2": (
+        "P(P(P(C(2),C(2)),C(2)),C(2))",
+        "307677ec31a19fe5a0272b336f9c29070300ea085f0fb18bb2b304724ca68f9b",
+    ),
+}
+
+
+def test_decompose_picks_pinned_factors(tmp_path, capsys):
+    for name, (dsl, digest) in DECOMPOSE_PINS.items():
+        path = tmp_path / f"{name}.json"
+        export_group(construct(parse_recipe(dsl), name=name), path)
+        assert main(["decompose", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_counterexample_p2_exit_and_decompose_pipeline(tmp_path, capsys):

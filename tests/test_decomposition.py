@@ -10,6 +10,7 @@ from groupkit.core import (
     Symmetric,
     construct,
     element_order,
+    parse_recipe,
 )
 from groupkit.decomposition import (
     CYCLIC_COMPLEMENT_FALLBACKS,
@@ -17,6 +18,7 @@ from groupkit.decomposition import (
     combine_coprime_factors,
     cyclic_max_complement,
     direct_complements,
+    factor_classes,
     is_coprime,
     is_directly_decomposable,
     is_internal_direct,
@@ -28,6 +30,7 @@ from groupkit.iso import IsoCache, find_isomorphism
 from groupkit.subgroups import (
     Subgroup,
     all_subgroups,
+    bits_of,
     center,
     generate_subgroup,
     normal_subgroups,
@@ -37,7 +40,7 @@ from groupkit.subgroups import (
     whole_subgroup,
 )
 
-from conftest import complements_by_scan
+from conftest import PREMISES32, complements_by_scan
 
 
 def s3():
@@ -134,6 +137,25 @@ def test_remak_factors_are_indecomposable_internal_direct(catalog16):
             fg, _ = subgroup_as_group(f)
             nontrivial = [p for p in all_direct_splittings(fg) if p[0].order > 1 and p[1].order > 1]
             assert not nontrivial, entry.name
+
+
+def test_direct_factor_lattice_comes_from_parent(catalog24):
+    # the other factor centralises a direct factor F, so F's normal
+    # subgroups are the parent's normals inside F, and so are its Remak factors
+    cache = IsoCache()
+    groups = [e.group for e in catalog24]
+    groups += [construct(parse_recipe(dsl), name=name) for name, dsl in PREMISES32.items()]
+    for g in groups:
+        normals = normal_subgroups(g)
+        for s in normals:
+            if not direct_complements(g, s):
+                continue
+            fg, members = subgroup_as_group(s)
+            lifted = [bits_of(members[i] for i in n.members()) for n in normal_subgroups(fg)]
+            assert lifted == [n.bits for n in normals if not n.bits & ~s.bits], g.name
+            extracted = {cache.class_of(subgroup_as_group(f)[0])
+                         for f in remak_decomposition(fg).factors if f.order > 1}
+            assert factor_classes(s, cache=cache) == extracted, (g.name, s.members())
 
 
 def test_is_coprime_examples():

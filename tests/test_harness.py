@@ -33,6 +33,8 @@ from groupkit.harness import (
 )
 from groupkit.iso import find_isomorphism, is_isomorphism
 from groupkit.subgroups import (
+    all_subgroups,
+    bits_of,
     center,
     commutator,
     derived_subgroup,
@@ -42,6 +44,8 @@ from groupkit.subgroups import (
 )
 from groupkit.catalog import CatalogEntry, builtin_catalog, group_to_json_dict
 from groupkit.iso import fingerprint
+
+from conftest import PREMISES32
 
 
 def test_trivial_group_has_one_instance():
@@ -282,15 +286,6 @@ def test_premise_join_matches_instances(catalog16):
         assert [h0.bits for h0 in premises.h0s] == sorted({i.h0.bits for i in insts}), entry.name
 
 
-# the order-32 premise workload of the benchmark, as recipe DSL
-PREMISES32 = {
-    "C4xC2xC2xC2": "P(P(P(C(4),C(2)),C(2)),C(2))",
-    "D4xC2xC2": "P(P(D(4),C(2)),C(2))",
-    "Q8xC2xC2": "P(P(Dic(2),C(2)),C(2))",
-    "C4xC4xC2": "P(P(C(4),C(4)),C(2))",
-}
-
-
 def test_premise_counts_match_benchmark_reference():
     ref_path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
     ops = json.loads(ref_path.read_text(encoding="utf-8"))["workloads"]["premises32"]["ops"]
@@ -328,3 +323,34 @@ def test_violation_serializes_the_instances_of_its_h0(monkeypatch):
                             VerifyConfig(max_order=16))
     assert report.status == "FAIL"
     assert report.summary["violations"] == len(expected)
+
+
+def test_central_complements_match_extracted_center(catalog24):
+    # lemma_4_2b looks for a complement of Z(H0) among the normals of G
+    # inside Z(G); the reference is direct_complements in the extracted Z(G)
+    for entry in catalog24:
+        g = entry.group
+        z = center(g)
+        zg, members = subgroup_as_group(z)
+        central = [m for m in normal_subgroups(g) if not m.bits & ~z.bits]
+        assert len(central) == len(all_subgroups(zg)), entry.name
+        for n in all_subgroups(zg):
+            n_bits = bits_of(members[i] for i in n.members())
+            in_parent = any(m.order * n.order == z.order and m.bits & n_bits == 1
+                            for m in central)
+            assert in_parent == bool(direct_complements(zg, n)), (entry.name, n.members())
+
+
+def test_verify_builds_one_lattice_per_group():
+    # fresh groups: no other test has filled their memos
+    entries = []
+    for e in builtin_catalog(24):
+        group = construct(e.recipe, name=e.name)
+        entries.append(CatalogEntry(e.name, e.recipe, group, fingerprint(group)))
+    verify_catalog(entries, VerifyConfig(max_order=24, jobs=1))
+    for e in entries:
+        assert "all_subgroups" in e.group._cache, e.name
+        for key, value in e.group._cache.items():
+            if isinstance(key, tuple) and key[0] in ("as_group", "quotient"):
+                held = value[0] if key[0] == "as_group" else value.target
+                assert "all_subgroups" not in held._cache, (e.name, key)

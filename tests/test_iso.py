@@ -58,6 +58,13 @@ def test_c2xc3_isomorphic_to_c6():
     assert is_isomorphism(iso.source, iso.target, iso.map)
 
 
+def test_is_isomorphism_rejects_out_of_range_images():
+    c3 = construct(Cyclic(3))
+    assert is_isomorphism(c3, c3, (0, 2, 1))
+    for mapping in ((0, 2, 5), (0, 3, 1), (0, -2, -1), (0, 1, 1)):
+        assert not is_isomorphism(c3, c3, mapping)
+
+
 def test_d4_not_isomorphic_to_q8():
     assert find_isomorphism(construct(Dihedral(4)), construct(Dicyclic(2))) is None
 
