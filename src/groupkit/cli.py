@@ -159,7 +159,8 @@ def _cmd_decompose(args) -> int:
         if isinstance(data, dict) and isinstance(data.get("group"), dict):
             data = data["group"]  # counterexample bundles embed their group
         group = group_from_json_dict(data)
-    except (OSError, json.JSONDecodeError, GroupKitError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, GroupKitError) as exc:
+        # RecursionError: JSON or a recipe nested deeper than the parsers recurse
         print(f"cannot load group: {exc}", file=sys.stderr)
         return 2
     splitting = remak_decomposition(group, cap=_positive("lattice-cap", args.lattice_cap))

@@ -272,6 +272,18 @@ def parse_recipe(text: str) -> Recipe:
 # ---------------------------------------------------------------------------
 # table validation
 
+def exact_ints(rows, t: np.ndarray) -> bool:
+    """Whether ``t = np.asarray(rows)`` holds exact integers, bools excluded.
+
+    numpy turns Python rows that mix ints and bools into int64, so only an
+    ndarray's dtype answers the type check on its own.
+    """
+    return t.dtype.kind in "iu" and (
+        isinstance(rows, np.ndarray)
+        or {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(rows)))
+    )
+
+
 def validate_table(table) -> np.ndarray:
     """Check every group axiom on a square index table; return it as int64.
 
@@ -296,12 +308,7 @@ def validate_table(table) -> np.ndarray:
     n = len(t)
     if t.shape != (n, n):
         raise MalformedTable(f"table has shape {t.shape}, expected ({n}, {n})")
-    # numpy turns Python rows that mix ints and bools into int64, so only an
-    # ndarray's dtype answers the type check on its own
-    if t.dtype.kind not in "iu" or (
-        not isinstance(table, np.ndarray)
-        and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(table)))
-    ):
+    if not exact_ints(table, t):
         raise MalformedTable(f"table entries must be integers in [0, {n})")
     bad = np.argwhere((t < 0) | (t >= n))
     if len(bad):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
+from math import prod
 from multiprocessing import get_context
 
 from .catalog import CatalogEntry, group_to_json_dict
@@ -32,6 +33,7 @@ from .subgroups import (
     Subgroup,
     _is_prime,
     all_subgroups,
+    bits_of,
     center,
     center_of,
     check_lattice_cap,
@@ -40,21 +42,17 @@ from .subgroups import (
     is_normal_bits,
     is_subgroup_bits,
     normal_subgroups,
-    project_bits,
     quotient,
-    set_product,
     subgroup_as_group,
 )
 from .decomposition import (
     CoprimeViolation,
     _factor_projection,
-    _join_normals,
     all_direct_splittings,
     combine_coprime_factors,
     direct_complements,
     factor_classes,
     is_directly_decomposable,
-    is_internal_direct,
     remak_decomposition,
 )
 
@@ -95,6 +93,14 @@ class Premises:
     h0s: tuple[Subgroup, ...]
 
 
+def _oriented(splittings):
+    """Each splitting {H, K} as (H, K) and then (K, H); {1, 1} only once."""
+    for h, k in splittings:
+        yield h, k
+        if h.bits != k.bits:
+            yield k, h
+
+
 def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                     cache: IsoCache | None = None) -> Premises:
     """Every premise of the extension check, counted without witnesses.
@@ -107,31 +113,27 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
 
     def build() -> Premises:
         classes = cache or IsoCache()
-
-        def class_of(sub: Subgroup) -> int:
-            return classes.class_of(subgroup_as_group(sub)[0])
-
         splittings = all_direct_splittings(group, cap=cap)
         sides = {s.order for pair in splittings for s in pair}
+        # every splitting side is such a normal, so ids holds the class of each
+        ids: dict[int, int] = {}
         buckets: dict[tuple[int, int], list[Subgroup]] = {}
         for n in normal_subgroups(group, cap=cap):
             if n.order in sides:
-                key = (class_of(n), classes.class_of(quotient(group, n).target))
+                ids[n.bits] = classes.class_of(subgroup_as_group(n)[0])
+                key = (ids[n.bits], classes.class_of(quotient(group, n).target))
                 buckets.setdefault(key, []).append(n)
         hits_of = {key: tuple(ns) for key, ns in buckets.items()}
-        seen: set[tuple[int, int]] = set()
         pairs = []
-        for pair in splittings:
-            for h, k in (pair, pair[::-1]):
-                if (h.bits, k.bits) in seen:
-                    continue
-                seen.add((h.bits, k.bits))
-                hits = hits_of.get((class_of(h), class_of(k)))
-                if hits:
-                    pairs.append((h, k, hits))
-        h0s = {h0.bits: h0 for _, _, hits in pairs for h0 in hits}
-        return Premises(tuple(pairs), sum(len(hits) for _, _, hits in pairs),
-                        tuple(h0s[bits] for bits in sorted(h0s)))
+        used: set[tuple[int, int]] = set()
+        for h, k in _oriented(splittings):
+            key = (ids[h.bits], ids[k.bits])
+            if key in hits_of:
+                pairs.append((h, k, hits_of[key]))
+                used.add(key)
+        # distinct keys hold disjoint buckets, so no H0 is listed twice
+        h0s = sorted((h0 for key in used for h0 in hits_of[key]), key=lambda h0: h0.bits)
+        return Premises(tuple(pairs), sum(len(hits) for _, _, hits in pairs), tuple(h0s))
 
     return memo(group, "premises", build)
 
@@ -201,21 +203,22 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     # subgroups of an internal product split along it: L ⊇ H gives L = H·(L∩K);
     # H and L∩K lie in L and meet trivially, so |H|·|L∩K| = |L| says it
     failures = []
-    for pair in splittings:
-        for h, k in (pair, pair[::-1]):
-            for l in subs:
-                if h.bits & ~l.bits:
-                    continue
-                if h.order * (l.bits & k.bits).bit_count() != l.order:
-                    failures.append({"h": h.members(), "k": k.members(), "l": l.members()})
+    for h, k in _oriented(splittings):
+        for l in subs:
+            if h.bits & ~l.bits:
+                continue
+            if h.order * (l.bits & k.bits).bit_count() != l.order:
+                failures.append({"h": h.members(), "k": k.members(), "l": l.members()})
     record("prop_2_1", failures)
 
-    # derived group and centre distribute over a splitting
+    # derived group and centre distribute over a splitting: D(H), D(K) lie in
+    # G′ and Z(H), Z(K) in Z(G) (the other factor centralises each), and each
+    # pair meets trivially, so the products are the whole exactly when the
+    # orders multiply to it
     failures = []
     for h, k in splittings:
-        dbits, _ = set_product(group, derived_of(group, h), derived_of(group, k))
-        zbits, _ = set_product(group, center_of(group, h), center_of(group, k))
-        if dbits != g_derived.bits or zbits != g_center.bits:
+        if (derived_of(group, h).order * derived_of(group, k).order != g_derived.order
+                or center_of(group, h).order * center_of(group, k).order != g_center.order):
             failures.append({"h": h.members(), "k": k.members()})
     record("prop_2_2", failures)
 
@@ -244,44 +247,37 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     # the projection of a factor coprime to B onto C is again a direct factor
     failures = []
     image_is_factor: dict[int, bool] = {}
-    for pair in splittings:
-        for b, c in (pair, pair[::-1]):
-            proj = None
-            for a in factors:
-                if not coprime(a, b):
-                    continue
-                if proj is None:
-                    proj = _factor_projection(group, b, c)
-                bits = 0
-                for m in a.members():
-                    bits |= 1 << proj[m]
-                image = Subgroup(group, bits)
-                if bits not in image_is_factor:
-                    image_is_factor[bits] = bool(is_normal_bits(group, bits)
-                                                 and direct_complements(group, image, cap=cap))
-                if not image_is_factor[bits]:
-                    failures.append({"a": a.members(), "b": b.members(),
-                                     "c": c.members(), "image": image.members()})
+    for b, c in _oriented(splittings):
+        proj = None
+        for a in factors:
+            if not coprime(a, b):
+                continue
+            if proj is None:
+                proj = _factor_projection(group, b, c)
+            bits = bits_of(proj[m] for m in a.members())
+            image = Subgroup(group, bits)
+            if bits not in image_is_factor:
+                image_is_factor[bits] = bool(is_normal_bits(group, bits)
+                                             and direct_complements(group, image, cap=cap))
+            if not image_is_factor[bits]:
+                failures.append({"a": a.members(), "b": b.members(),
+                                 "c": c.members(), "image": image.members()})
     record("cor_2_1", failures)
 
     # directly decomposable normal subgroups distribute over the
-    # indecomposable factors, and the quotient splits along their images
+    # indecomposable factors, and the quotient splits along their images.
+    # The Hᵢ∩D lie in independent factors, so their join has order ∏|Hᵢ∩D|
+    # and is D exactly when that product is |D|.  Then the images HᵢD/D are
+    # normal and generate G/D, and their orders |Hᵢ|/|Hᵢ∩D| multiply to
+    # |G|/|D|, so they form a direct product: the quotient cannot fail to
+    # split once the order test passes.
     failures = []
     remak = remak_decomposition(group, cap=cap)
     for d in normals:
         if not is_directly_decomposable(group, d, cap=cap):
             continue
-        acc = _join_normals(group, [Subgroup(group, hi.bits & d.bits) for hi in remak.factors])
-        if acc.bits != d.bits:
+        if prod((hi.bits & d.bits).bit_count() for hi in remak.factors) != d.order:
             failures.append({"d": d.members(), "kind": "factor product"})
-            continue
-        qm = quotient(group, d)
-        images = []
-        for hi in remak.factors:
-            bits, _ = set_product(group, hi, d)
-            images.append(Subgroup(qm.target, project_bits(qm, bits)))
-        if not is_internal_direct(qm.target, images):
-            failures.append({"d": d.members(), "kind": "quotient splitting"})
     record("prop_2_4", failures)
 
     # T normal with T' = T∩G' forces T' directly decomposable
@@ -303,16 +299,9 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
         h0_derived = derived_of(group, h0)
         if h0_derived.bits != h0.bits & g_derived.bits:
             fail_a.append({"h0": h0.members()})
-        found_m = False
-        for m in normals:
-            inter = m.bits & h0.bits
-            if inter != h0_derived.bits:
-                continue
-            # |M·H0| = |M||H0|/|M∩H0| covers G exactly when it equals |G|
-            if m.order * h0.order == group.order * h0_derived.order:
-                found_m = True
-                break
-        if not found_m:
+        # |M·H0| = |M||H0|/|M∩H0| covers G exactly when it equals |G|
+        if not any(m.bits & h0.bits == h0_derived.bits
+                   and m.order * h0.order == group.order * h0_derived.order for m in normals):
             fail_b.append({"h0": h0.members()})
         h0_center = center_of(group, h0)
         if h0_center.bits != h0.bits & g_center.bits:
@@ -387,12 +376,12 @@ def build_split_counterexample(p: int, *, order_cap: int = 512,
     cp2 = construct(Product(Cyclic(p), Cyclic(p)))
     checks: dict[str, bool | None] = {}
 
-    bits, _ = set_product(group, t_split, n_split)
+    # subgroups T, N with T∩N = 1 have |TN| = |T|·|N|, so TN = G by orders
     checks["split_has_complement"] = (
         is_normal_bits(group, n_split.bits)
         and is_subgroup_bits(group, t_split.bits)
         and t_split.bits & n_split.bits == 1
-        and bits == (1 << group.order) - 1
+        and t_split.order * n_split.order == group.order
     )
 
     checks["nonsplit_kernel_central"] = not (n_nonsplit.bits & ~center(group).bits)
@@ -403,15 +392,10 @@ def build_split_counterexample(p: int, *, order_cap: int = 512,
     )
 
     if group.order <= lattice_cap:
-        has_complement = False
-        for t in all_subgroups(group, cap=lattice_cap):
-            if t.bits & n_nonsplit.bits != 1:
-                continue
-            bits, _ = set_product(group, t, n_nonsplit)
-            if bits == (1 << group.order) - 1:
-                has_complement = True
-                break
-        checks["nonsplit_has_no_complement"] = not has_complement
+        checks["nonsplit_has_no_complement"] = not any(
+            t.bits & n_nonsplit.bits == 1 and t.order * n_nonsplit.order == group.order
+            for t in all_subgroups(group, cap=lattice_cap)
+        )
     else:
         checks["nonsplit_has_no_complement"] = None
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Group, element_order, exponent, hom_defect, is_abelian, memo
+import numpy as np
+
+from .core import Group, element_order, exact_ints, exponent, hom_defect, is_abelian, memo
 from .errors import OrderBound
 from .subgroups import center, derived_of, derived_subgroup, whole_subgroup
 
@@ -61,9 +63,9 @@ def fingerprint(group: Group) -> Fingerprint:
 
 
 def is_isomorphism(source: Group, target: Group, mapping) -> bool:
-    """Full check: bijection fixing 0 with map[x*y] = map[x]*map[y] everywhere."""
+    """Full check: bijection of exact ints fixing 0 with map[x*y] = map[x]*map[y] everywhere."""
     n = source.order
-    if target.order != n or len(mapping) != n:
+    if target.order != n or len(mapping) != n or not exact_ints((mapping,), np.asarray(mapping)):
         return False
     if mapping[0] != 0 or set(mapping) != set(range(n)):
         return False

@@ -151,3 +151,25 @@ def semidirect_table_by_entries(normal: Group, acting: Group, phi) -> list[list[
             row.append(acting.table[q1][q2] * nn + normal.table[phi[q2_inv][n1]][n2])
         out.append(row)
     return out
+
+
+def gaussian_binomial(n: int, k: int, p: int) -> int:
+    """[n, k]_p: the number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def elementary_abelian_premises(p: int, n: int) -> tuple[int, int]:
+    """(premise count, distinct H0 count) of C_p^n, in closed form.
+
+    An oriented splitting (H, K) with dim H = k picks H in [n, k]_p ways and
+    a complement K in p^(k(n-k)) ways, and every k-dimensional subspace is an
+    H0 for it (H0 ≅ H and G/H0 ≅ K hold by dimension).  So the premises are
+    Σ_k [n, k]_p² · p^(k(n-k)), and every subgroup is an H0.
+    """
+    premises = sum(gaussian_binomial(n, k, p) ** 2 * p ** (k * (n - k))
+                   for k in range(n + 1))
+    return premises, sum(gaussian_binomial(n, k, p) for k in range(n + 1))

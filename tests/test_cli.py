@@ -87,6 +87,14 @@ def test_decompose_malformed_input(tmp_path, capsys):
     corrupt.write_text(json.dumps({"order": 513, "table": big}))
     assert main(["decompose", str(corrupt)]) == 2
     assert "exceeds cap 512" in capsys.readouterr().err
+    # nesting deeper than the JSON decoder and the recipe parser recurse
+    deep = 200_000
+    corrupt.write_text("[" * deep + "]" * deep)
+    assert main(["decompose", str(corrupt)]) == 2
+    nested = "P(" * 5_000 + "C(1)" + ",C(1))" * 5_000
+    corrupt.write_text(json.dumps({"order": 1, "table": [[0]], "recipe": nested}))
+    assert main(["decompose", str(corrupt)]) == 2
+    assert capsys.readouterr().err.count("cannot load group") == 2
 
 
 # groups with many Remak decompositions: (recipe, sha256 of the decompose output)

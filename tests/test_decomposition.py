@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -32,8 +33,13 @@ from groupkit.subgroups import (
     all_subgroups,
     bits_of,
     center,
+    center_of,
+    derived_of,
+    derived_subgroup,
     generate_subgroup,
     normal_subgroups,
+    project_bits,
+    quotient,
     set_product,
     subgroup_as_group,
     trivial_subgroup,
@@ -251,8 +257,9 @@ def test_directly_decomposable_examples():
 
 def test_order_tests_match_product_sets(catalog16):
     # is_directly_decomposable and prop_2_1 compare orders where they once
-    # built product sets; both sides lie in one subgroup and meet trivially
-    verdicts = set()
+    # built product sets; both sides lie in one subgroup and meet trivially.
+    # So do the prop_2_2 and prop_2_4 tests of the property suite
+    verdicts, verdicts_2_4 = set(), set()
     for entry in catalog16:
         g = entry.group
         subs = all_subgroups(g)
@@ -273,7 +280,31 @@ def test_order_tests_match_product_sets(catalog16):
                     lk = Subgroup(g, l.bits & k.bits)
                     assert ((set_product(g, h, lk)[0] == l.bits)
                             == (h.order * lk.order == l.order))
+        # prop_2_2: D(H)·D(K) = G′ and Z(H)·Z(K) = Z(G) by orders
+        g_derived, g_center = derived_subgroup(g), center(g)
+        for h, k in splittings:
+            dh, dk = derived_of(g, h), derived_of(g, k)
+            zh, zk = center_of(g, h), center_of(g, k)
+            assert ((set_product(g, dh, dk)[0] == g_derived.bits)
+                    == (dh.order * dk.order == g_derived.order)), entry.name
+            assert ((set_product(g, zh, zk)[0] == g_center.bits)
+                    == (zh.order * zk.order == g_center.order)), entry.name
+        # prop_2_4: ∏|Hᵢ∩D| = |D| against the join of the Hᵢ∩D and the
+        # splitting of G/D along the images HᵢD/D
+        factors = remak_decomposition(g).factors
+        for d in normal_subgroups(g):
+            join = trivial_subgroup(g)
+            for hi in factors:
+                join = Subgroup(g, set_product(g, join, Subgroup(g, hi.bits & d.bits))[0])
+            qm = quotient(g, d)
+            images = [Subgroup(qm.target, project_bits(qm, set_product(g, hi, d)[0]))
+                      for hi in factors]
+            by_products = join.bits == d.bits and is_internal_direct(qm.target, images)
+            by_orders = math.prod((hi.bits & d.bits).bit_count() for hi in factors) == d.order
+            assert by_orders == by_products, (entry.name, d.members())
+            verdicts_2_4.add(by_products)
     assert verdicts == {True, False}
+    assert verdicts_2_4 == {True, False}
 
 
 def test_cyclic_max_complement_whole():

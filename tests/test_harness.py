@@ -31,7 +31,7 @@ from groupkit.harness import (
     property_suite,
     verify_catalog,
 )
-from groupkit.iso import find_isomorphism, is_isomorphism
+from groupkit.iso import IsoCache, find_isomorphism, is_isomorphism
 from groupkit.subgroups import (
     all_subgroups,
     bits_of,
@@ -45,7 +45,7 @@ from groupkit.subgroups import (
 from groupkit.catalog import CatalogEntry, builtin_catalog, group_to_json_dict
 from groupkit.iso import fingerprint
 
-from conftest import PREMISES32
+from conftest import PREMISES32, elementary_abelian_premises
 
 
 def test_trivial_group_has_one_instance():
@@ -284,6 +284,35 @@ def test_premise_join_matches_instances(catalog16):
         premises = premise_classes(g)
         assert premises.count == len(insts), entry.name
         assert [h0.bits for h0 in premises.h0s] == sorted({i.h0.bits for i in insts}), entry.name
+
+
+def test_premise_classes_match_closed_form():
+    # C1 has the one splitting {1, 1}, a single orientation
+    for p, n in ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                 (3, 2), (3, 3), (5, 2), (7, 2)):
+        recipe = Cyclic(p) if n else Cyclic(1)
+        for _ in range(n - 1):
+            recipe = Product(recipe, Cyclic(p))
+        premises = premise_classes(construct(recipe))
+        assert (premises.count, len(premises.h0s)) == elementary_abelian_premises(p, n), (p, n)
+    assert elementary_abelian_premises(2, 5) == (3_105_954, 374)
+
+
+def test_premise_classes_classify_each_normal_once():
+    class CountingCache(IsoCache):
+        calls = 0
+
+        def class_of(self, group):
+            self.calls += 1
+            return super().class_of(group)
+
+    g = construct(parse_recipe(PREMISES32["D4xC2xC2"]))
+    sides = {s.order for pair in all_direct_splittings(g) for s in pair}
+    classified = [n for n in normal_subgroups(g) if n.order in sides]
+    cache = CountingCache()
+    premise_classes(g, cache=cache)
+    # one lookup for N and one for G/N, none per splitting
+    assert cache.calls == 2 * len(classified) > 0
 
 
 def test_premise_counts_match_benchmark_reference():

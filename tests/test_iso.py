@@ -1,6 +1,7 @@
 import math
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from groupkit.core import (
@@ -63,6 +64,15 @@ def test_is_isomorphism_rejects_out_of_range_images():
     assert is_isomorphism(c3, c3, (0, 2, 1))
     for mapping in ((0, 2, 5), (0, 3, 1), (0, -2, -1), (0, 1, 1)):
         assert not is_isomorphism(c3, c3, mapping)
+
+
+def test_is_isomorphism_rejects_inexact_images():
+    # images must be exact ints, as table entries must
+    c3 = construct(Cyclic(3))
+    for mapping in ((0, 2.0, 1), (0, 2, True), (False, 2, 1), (0, 2, "1"), (0, 2, None)):
+        assert not is_isomorphism(c3, c3, mapping)
+    for mapping in ([0, 2, 1], np.array([0, 2, 1]), np.array([0, 2, 1], dtype=np.uint8)):
+        assert is_isomorphism(c3, c3, mapping)
 
 
 def test_d4_not_isomorphic_to_q8():
