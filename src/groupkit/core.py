@@ -41,12 +41,20 @@ DEFAULT_ORDER_CAP = 512
 # ---------------------------------------------------------------------------
 # recipes
 
+def _exact_int(value, what: str):
+    """``value`` if it is an exact integer by ``exact_ints``'s rule (bools
+    excluded), else InvalidRecipe: no recipe parameter is cast."""
+    if isinstance(value, bool) or not isinstance(value, int | np.integer):
+        raise InvalidRecipe(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Cyclic:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if _exact_int(self.n, "Cyclic order") < 1:
             raise InvalidRecipe(f"Cyclic order must be >= 1, got {self.n}")
 
 
@@ -57,7 +65,7 @@ class Dihedral:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
+        if _exact_int(self.m, "Dihedral parameter") < 1:
             raise InvalidRecipe(f"Dihedral parameter must be >= 1, got {self.m}")
 
 
@@ -68,7 +76,7 @@ class Dicyclic:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
+        if _exact_int(self.m, "Dicyclic parameter") < 1:
             raise InvalidRecipe(f"Dicyclic parameter must be >= 1, got {self.m}")
 
 
@@ -77,7 +85,7 @@ class Symmetric:
     m: int
 
     def __post_init__(self):
-        if not 1 <= self.m <= 5:
+        if not 1 <= _exact_int(self.m, "Symmetric parameter") <= 5:
             raise InvalidRecipe(f"Symmetric parameter must be in 1..5, got {self.m}")
 
 
@@ -103,9 +111,10 @@ class Semidirect:
     action: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        norm = tuple(
-            (int(q), tuple(int(x) for x in perm)) for q, perm in self.action
-        )
+        norm = tuple((q, tuple(perm)) for q, perm in self.action)
+        for q, perm in norm:
+            for x in (q, *perm):
+                _exact_int(x, "Semidirect action entry")
         object.__setattr__(self, "action", norm)
         if not norm:
             raise InvalidRecipe("Semidirect action must list at least one generator")
@@ -119,7 +128,10 @@ class CentralQuotient:
     gens: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(int(g) for g in self.gens))
+        gens = tuple(self.gens)
+        for g in gens:
+            _exact_int(g, "CentralQuotient generator")
+        object.__setattr__(self, "gens", gens)
 
 
 Recipe = Cyclic | Dihedral | Dicyclic | Symmetric | Product | Semidirect | CentralQuotient
@@ -368,16 +380,6 @@ class Group:
         self.name = name
         self.recipe = recipe
         self._cache = {}
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def conj(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return self.table[self.table[g][x]][self.inv[g]]
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         label = self.name or (recipe_dsl(self.recipe) if self.recipe else "?")

@@ -6,7 +6,7 @@ import logging
 import random
 from dataclasses import dataclass
 
-from .core import Group, element_order, exponent, is_abelian, memo
+from .core import Group, closure_bits, element_order, exponent, is_abelian, memo
 from .errors import NotASplitting, NotNormal, PreconditionFailed
 from .iso import IsoCache
 from .subgroups import (
@@ -17,7 +17,6 @@ from .subgroups import (
     check_lattice_cap,
     is_normal_bits,
     normal_subgroups,
-    set_product,
     subgroup_as_group,
     trivial_subgroup,
     whole_subgroup,
@@ -39,12 +38,8 @@ class Splitting:
 
 
 def _join_normals(group: Group, factors) -> Subgroup:
-    """Join of normal subgroups: iterated product sets (each one a subgroup)."""
-    acc = trivial_subgroup(group)
-    for f in factors:
-        bits, _ = set_product(group, acc, f)
-        acc = Subgroup(group, bits)
-    return acc
+    """Join of subgroups: the closure of all their elements."""
+    return Subgroup(group, closure_bits(group.table, [x for f in factors for x in f.members()]))
 
 
 def is_internal_direct(group: Group, factors) -> bool:
@@ -84,22 +79,24 @@ def direct_complements(group: Group, normal: Subgroup, *,
                        cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
     """All normal K with N∩K = 1 and |N|·|K| = |G|, canonically ordered.
 
-    Empty iff N is not a direct factor.  Normality of both sides plus the
-    size and intersection conditions already force an internal direct
-    product, so no further checks are needed per candidate.
+    Empty iff N is not a direct factor.  Read from the direct splittings:
+    they are listed by the canonical index of their first side, so N's
+    partners in (K, N) come before those in (N, K), each in canonical order.
     """
     check_lattice_cap(group, cap)
 
-    def build() -> list[Subgroup]:
-        if not is_normal_bits(group, normal.bits):
-            raise NotNormal("complement search requires a normal subgroup")
-        return [
-            k
-            for k in normal_subgroups(group, cap=cap)
-            if normal.order * k.order == group.order and normal.bits & k.bits == 1
-        ]
+    def build() -> dict[int, list[Subgroup]]:
+        out: dict[int, list[Subgroup]] = {n.bits: [] for n in normal_subgroups(group, cap=cap)}
+        for h, k in all_direct_splittings(group, cap=cap):
+            out[h.bits].append(k)
+            if h.bits != k.bits:
+                out[k.bits].append(h)
+        return out
 
-    return list(memo(group, ("complements", normal.bits), build))
+    comps = memo(group, "complements", build).get(normal.bits)
+    if comps is None:
+        raise NotNormal("complement search requires a normal subgroup")
+    return list(comps)
 
 
 def all_direct_splittings(group: Group, *,
@@ -218,10 +215,11 @@ def combine_coprime_factors(group: Group, a: Subgroup, b: Subgroup, *,
         raise PreconditionFailed("A and B are not coprime")
     if a.bits & b.bits != 1:
         return CoprimeViolation(group, a, b, "A∩B is nontrivial")
-    bits, is_sub = set_product(group, a, b)
-    if not is_sub:
+    # with A∩B = 1 the product set has |A|·|B| elements and lies in the join,
+    # so it is the join exactly when the orders agree
+    ab = _join_normals(group, [a, b])
+    if ab.order != a.order * b.order:
         return CoprimeViolation(group, a, b, "A·B is not a subgroup")
-    ab = Subgroup(group, bits)
     if not direct_complements(group, ab, cap=cap):
         return CoprimeViolation(group, a, b, "A·B has no normal complement")
     return ab
@@ -301,8 +299,7 @@ def _complement_constructive(group: Group, f: Subgroup, d: Subgroup, *,
     inner = _complement_constructive(group, c, qd, cap=cap)
     if inner is None:
         return None
-    bits, _ = set_product(group, b, inner)
-    return Subgroup(group, bits)
+    return _join_normals(group, [b, inner])
 
 
 def cyclic_max_complement(group: Group, d: Subgroup, *,

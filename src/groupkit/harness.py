@@ -41,6 +41,7 @@ from .subgroups import (
     derived_subgroup,
     is_normal_bits,
     is_subgroup_bits,
+    members_of,
     normal_subgroups,
     quotient,
     subgroup_as_group,
@@ -222,21 +223,16 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
             failures.append({"h": h.members(), "k": k.members()})
     record("prop_2_2", failures)
 
-    factors = [n for n in normals if direct_complements(group, n, cap=cap)]
-    classes: dict[int, frozenset[int]] = {}
-
-    def coprime(a: Subgroup, b: Subgroup) -> bool:
-        """Disjoint Remak factor classes, each set computed once per subgroup."""
-        for s in (a, b):
-            if s.bits not in classes:
-                classes[s.bits] = factor_classes(s, cap=cap, cache=cache)
-        return classes[a.bits].isdisjoint(classes[b.bits])
+    # a normal is a direct factor exactly when it is a side of a splitting
+    factor_bits = {s.bits for pair in splittings for s in pair}
+    factors = [n for n in normals if n.bits in factor_bits]
+    classes = {a.bits: factor_classes(a, cap=cap, cache=cache) for a in factors}
 
     # coprime direct factors meet trivially and combine into a direct factor
     failures = []
     for i, a in enumerate(factors):
         for b in factors[i:]:
-            if not coprime(a, b):
+            if not classes[a.bits].isdisjoint(classes[b.bits]):
                 continue
             outcome = combine_coprime_factors(group, a, b, cap=cap, cache=cache)
             if isinstance(outcome, CoprimeViolation):
@@ -244,24 +240,24 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                                  "reason": outcome.reason})
     record("prop_2_3", failures)
 
-    # the projection of a factor coprime to B onto C is again a direct factor
+    # the projection of a factor coprime to B onto C is again a direct factor.
+    # The trivial factor is left out: its image is 1, a direct factor of
+    # every group.  The coprime factors depend on B only through its classes
     failures = []
-    image_is_factor: dict[int, bool] = {}
+    coprime_to: dict[frozenset[int], list[Subgroup]] = {}
     for b, c in _oriented(splittings):
-        proj = None
-        for a in factors:
-            if not coprime(a, b):
-                continue
-            if proj is None:
-                proj = _factor_projection(group, b, c)
+        key = classes[b.bits]
+        if key not in coprime_to:
+            coprime_to[key] = [a for a in factors
+                               if a.order > 1 and classes[a.bits].isdisjoint(key)]
+        if not coprime_to[key]:
+            continue
+        proj = _factor_projection(group, b, c)
+        for a in coprime_to[key]:
             bits = bits_of(proj[m] for m in a.members())
-            image = Subgroup(group, bits)
-            if bits not in image_is_factor:
-                image_is_factor[bits] = bool(is_normal_bits(group, bits)
-                                             and direct_complements(group, image, cap=cap))
-            if not image_is_factor[bits]:
+            if bits not in factor_bits:
                 failures.append({"a": a.members(), "b": b.members(),
-                                 "c": c.members(), "image": image.members()})
+                                 "c": c.members(), "image": members_of(bits)})
     record("cor_2_1", failures)
 
     # directly decomposable normal subgroups distribute over the
@@ -273,20 +269,23 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     # split once the order test passes.
     failures = []
     remak = remak_decomposition(group, cap=cap)
+    decomposable: set[int] = set()
     for d in normals:
         if not is_directly_decomposable(group, d, cap=cap):
             continue
+        decomposable.add(d.bits)
         if prod((hi.bits & d.bits).bit_count() for hi in remak.factors) != d.order:
             failures.append({"d": d.members(), "kind": "factor product"})
     record("prop_2_4", failures)
 
-    # T normal with T' = T∩G' forces T' directly decomposable
+    # T normal with T' = T∩G' forces T' directly decomposable.  T' is
+    # characteristic in T ⊴ G, so it is normal and was classified above
     failures = []
     for t in normals:
         t_derived = derived_of(group, t)
         if t_derived.bits != t.bits & g_derived.bits:
             continue
-        if not is_directly_decomposable(group, t_derived, cap=cap):
+        if t_derived.bits not in decomposable:
             failures.append({"t": t.members(), "t_derived": t_derived.members()})
     record("prop_2_5", failures)
 

@@ -102,6 +102,13 @@ def _search_isomorphisms(source: Group, target: Group, *, find_all: bool) -> lis
     span = [0]
     results: list[tuple[int, ...]] = []
 
+    def undo(added: list[int]) -> None:
+        nonlocal used
+        for x in reversed(added):
+            used &= ~(1 << mapping[x])
+            mapping[x] = -1
+            span.pop()
+
     def try_extend(s: int, t: int) -> list[int] | None:
         nonlocal used
         added: list[int] = []
@@ -129,18 +136,8 @@ def _search_isomorphisms(source: Group, target: Group, *, find_all: bool) -> lis
                 pending.append((stab[e][x], ttab[me][y]))
         if ok:
             return added
-        for x in reversed(added):
-            used &= ~(1 << mapping[x])
-            mapping[x] = -1
-            span.pop()
+        undo(added)
         return None
-
-    def undo(added: list[int]) -> None:
-        nonlocal used
-        for x in reversed(added):
-            used &= ~(1 << mapping[x])
-            mapping[x] = -1
-            span.pop()
 
     def dfs() -> bool:
         s = -1

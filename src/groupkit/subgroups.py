@@ -39,9 +39,6 @@ class Subgroup:
     def members(self) -> list[int]:
         return members_of(self.bits)
 
-    def contains(self, x: int) -> bool:
-        return bool((self.bits >> x) & 1)
-
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical order: by size, then lexicographic member list."""
         return (self.order, tuple(self.members()))
@@ -205,14 +202,6 @@ def quotient(group: Group, normal: Subgroup) -> QuotientMap:
         return QuotientMap(group, Group(qtable), tuple(coset_of))
 
     return memo(group, ("quotient", normal.bits), build)
-
-
-def project_bits(qmap: QuotientMap, bits: int) -> int:
-    """Image bitset of a source bitset under the quotient projection."""
-    out = 0
-    for x in members_of(bits):
-        out |= 1 << qmap.projection[x]
-    return out
 
 
 def set_product(group: Group, a: Subgroup, b: Subgroup) -> tuple[int, bool]:

@@ -162,6 +162,15 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
+def elementary_abelian_splittings(p: int, n: int) -> int:
+    """Oriented direct splittings (H, K) of C_p^n, {1, 1} of C1 counted once.
+
+    H is one of [n, k]_p subspaces of dimension k, and its complements are
+    the graphs of the p^(k(n-k)) linear maps from a fixed complement into H.
+    """
+    return sum(gaussian_binomial(n, k, p) * p ** (k * (n - k)) for k in range(n + 1))
+
+
 def elementary_abelian_premises(p: int, n: int) -> tuple[int, int]:
     """(premise count, distinct H0 count) of C_p^n, in closed form.
 

@@ -202,6 +202,33 @@ def test_invalid_semidirect_actions():
                              ((1, (0, 2, 1)), (0, (0, 1, 2)))))
 
 
+def test_recipe_parameters_must_be_exact_ints():
+    # nothing is cast: a float, a bool or a string that only compares equal
+    # to (or converts to) an index is rejected, whatever the recipe
+    swap = ((1, (0, 2, 1)),)
+    for make in (
+        lambda: Cyclic(2.0),
+        lambda: Cyclic(True),
+        lambda: Dihedral(np.float64(3)),
+        lambda: Dicyclic(True),
+        lambda: Symmetric("3"),
+        lambda: Semidirect(Cyclic(3), Cyclic(2), ((1, (0, 2.0, 1)),)),
+        lambda: Semidirect(Cyclic(3), Cyclic(2), ((1, (0, 2, True)),)),
+        lambda: Semidirect(Cyclic(3), Cyclic(2), ((1, (0, 2.7, 1)),)),
+        lambda: Semidirect(Cyclic(3), Cyclic(2), ((1, (0, "2", 1)),)),
+        lambda: Semidirect(Cyclic(3), Cyclic(2), ((1.0, swap[0][1]),)),
+        lambda: Semidirect(Cyclic(3), Cyclic(2), ((True, swap[0][1]),)),
+        lambda: CentralQuotient(Cyclic(4), (2.5,)),
+        lambda: CentralQuotient(Cyclic(4), (np.bool_(True),)),
+    ):
+        with pytest.raises(InvalidRecipe):
+            make()
+    # exact integers, numpy ones included, still build and keep list input as tuples
+    assert construct(Semidirect(Cyclic(3), Cyclic(np.int64(2)), [(1, [0, 2, 1])])).order == 6
+    assert Semidirect(Cyclic(3), Cyclic(2), [(1, [0, 2, 1])]).action == swap
+    assert recipe_dsl(CentralQuotient(Cyclic(4), [2])) == "CQ(C(4),gens=[2])"
+
+
 def test_central_quotient_requires_central_generators():
     # the rotation r in D4 is not central
     with pytest.raises(NotCentral):

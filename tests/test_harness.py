@@ -37,6 +37,7 @@ from groupkit.subgroups import (
     bits_of,
     center,
     commutator,
+    derived_of,
     derived_subgroup,
     generate_subgroup,
     normal_subgroups,
@@ -45,7 +46,7 @@ from groupkit.subgroups import (
 from groupkit.catalog import CatalogEntry, builtin_catalog, group_to_json_dict
 from groupkit.iso import fingerprint
 
-from conftest import PREMISES32, elementary_abelian_premises
+from conftest import PREMISES32, elementary_abelian_premises, elementary_abelian_splittings
 
 
 def test_trivial_group_has_one_instance():
@@ -293,9 +294,42 @@ def test_premise_classes_match_closed_form():
         recipe = Cyclic(p) if n else Cyclic(1)
         for _ in range(n - 1):
             recipe = Product(recipe, Cyclic(p))
-        premises = premise_classes(construct(recipe))
+        g = construct(recipe)
+        premises = premise_classes(g)
         assert (premises.count, len(premises.h0s)) == elementary_abelian_premises(p, n), (p, n)
+        # the splitting relation the property suite reads: every subgroup
+        # of C_p^n is a direct factor, so the sides are all the normals
+        splittings = all_direct_splittings(g)
+        oriented = sum(1 for _ in harness._oriented(splittings))
+        assert oriented == elementary_abelian_splittings(p, n), (p, n)
+        assert ({s.bits for pair in splittings for s in pair}
+                == {m.bits for m in normal_subgroups(g)}), (p, n)
     assert elementary_abelian_premises(2, 5) == (3_105_954, 374)
+    assert ([elementary_abelian_splittings(p, n) for p, n in ((2, 0), (2, 4), (2, 5), (3, 3))]
+            == [1, 802, 20_834, 236])
+
+
+def test_verify_one_pins_c2_to_the_fifth():
+    g = construct(parse_recipe("P(P(P(P(C(2),C(2)),C(2)),C(2)),C(2))"))
+    out = harness._verify_one(("C2^5", g, 64))
+    assert out["instances"] == 3_105_954
+    assert out["violations"] == []
+    assert out["properties"] == dict.fromkeys(
+        ("prop_2_1", "prop_2_2", "prop_2_3", "cor_2_1", "prop_2_4", "prop_2_5",
+         "lemma_4_1a", "lemma_4_1b", "lemma_4_2a", "lemma_4_2b"), "pass")
+    assert "property_failures" not in out
+
+
+def test_property_suite_set_facts(catalog24):
+    # the suite reads direct factors as splitting sides, and looks T′ up
+    # among the normals
+    for entry in catalog24:
+        g = entry.group
+        normals = normal_subgroups(g)
+        sides = {s.bits for pair in all_direct_splittings(g) for s in pair}
+        assert sides == {n.bits for n in normals if direct_complements(g, n)}, entry.name
+        normal_bits = {n.bits for n in normals}
+        assert all(derived_of(g, t).bits in normal_bits for t in normals), entry.name
 
 
 def test_premise_classes_classify_each_normal_once():
