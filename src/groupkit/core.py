@@ -49,6 +49,17 @@ def _exact_int(value, what: str):
     return value
 
 
+def _exact_ints(values, what: str) -> tuple:
+    """``values`` as a tuple of exact integers, else InvalidRecipe."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise InvalidRecipe(f"{what} must be a sequence of integers, got {values!r}") from None
+    for x in out:
+        _exact_int(x, f"{what} entry")
+    return out
+
+
 @dataclass(frozen=True)
 class Cyclic:
     n: int
@@ -111,10 +122,14 @@ class Semidirect:
     action: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        norm = tuple((q, tuple(perm)) for q, perm in self.action)
-        for q, perm in norm:
-            for x in (q, *perm):
-                _exact_int(x, "Semidirect action entry")
+        try:
+            pairs = [(q, perm) for q, perm in self.action]
+        except (TypeError, ValueError):
+            raise InvalidRecipe("Semidirect action must list (element, permutation) "
+                                f"pairs, got {self.action!r}") from None
+        norm = tuple((_exact_int(q, "Semidirect action element"),
+                      _exact_ints(perm, "Semidirect action permutation"))
+                     for q, perm in pairs)
         object.__setattr__(self, "action", norm)
         if not norm:
             raise InvalidRecipe("Semidirect action must list at least one generator")
@@ -128,10 +143,7 @@ class CentralQuotient:
     gens: tuple[int, ...]
 
     def __post_init__(self):
-        gens = tuple(self.gens)
-        for g in gens:
-            _exact_int(g, "CentralQuotient generator")
-        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "gens", _exact_ints(self.gens, "CentralQuotient generators"))
 
 
 Recipe = Cyclic | Dihedral | Dicyclic | Symmetric | Product | Semidirect | CentralQuotient

@@ -192,8 +192,10 @@ def automorphisms(group: Group, *, cap: int = DEFAULT_AUTOMORPHISM_CAP) -> list[
 class IsoCache:
     """Memoized isomorphism lookups keyed by multiplication tables.
 
-    Extracted subgroups and quotients frequently repeat the same table, so
-    callers doing bulk premise enumeration share one cache per run.
+    Extracted subgroups and quotients with the same table are one object
+    per parent (see ``subgroups.subgroup_as_group``), and the same tables
+    recur across parents, so callers doing bulk premise enumeration share
+    one cache per run.
 
     ``class_of`` numbers isomorphism classes: two groups get the same id
     exactly when they are isomorphic.  A group is compared only with the

@@ -193,13 +193,33 @@ def derived_subgroup(group: Group) -> Subgroup:
     return derived_of(group, whole_subgroup(group))
 
 
+def _derived_group(parent: Group, table) -> Group:
+    """The ``Group`` of a table derived from ``parent``, one per distinct table.
+
+    Subgroups and quotients of a parent repeat tables often (every subgroup
+    of order 2 extracts as ``((0, 1), (1, 0))``), so each distinct table is
+    built, and so validated, once; later requests return the same object.
+    The dict lives in the parent's memo and dies with it.
+    """
+    key = tuple(map(tuple, table))
+    groups = memo(parent, "derived_groups", dict)
+    found = groups.get(key)
+    if found is None:
+        found = groups[key] = Group(key)
+    return found
+
+
 def quotient(group: Group, normal: Subgroup) -> QuotientMap:
-    """Quotient by a normal subgroup; cosets numbered by minimal member."""
+    """Quotient by a normal subgroup; cosets numbered by minimal member.
+
+    The target is shared by every normal of ``group`` whose quotient has
+    the same table, and with any subgroup that extracts to that table.
+    """
     def build() -> QuotientMap:
         if not is_normal_bits(group, normal.bits):
             raise NotNormal("cannot form a quotient by a non-normal subgroup")
         qtable, coset_of = coset_table(group.table, normal.members())
-        return QuotientMap(group, Group(qtable), tuple(coset_of))
+        return QuotientMap(group, _derived_group(group, qtable), tuple(coset_of))
 
     return memo(group, ("quotient", normal.bits), build)
 
@@ -284,8 +304,10 @@ def subgroup_as_group(sub: Subgroup) -> tuple[Group, tuple[int, ...]]:
     """Extract a subgroup as a standalone group.
 
     Returns the new group and the member list mapping new indices to parent
-    indices (ascending, so the identity stays at 0).  Cached on the parent.
-    It serves isomorphism-class lookups and witnesses; lattice work on a
+    indices (ascending, so the identity stays at 0).  Cached on the parent;
+    the group is shared by every subgroup of the parent with the same
+    extracted table, and with any quotient of the parent that has it.  It
+    serves isomorphism-class lookups and witnesses; lattice work on a
     subgroup stays in the parent's indices.
     """
     parent = sub.parent
@@ -295,6 +317,6 @@ def subgroup_as_group(sub: Subgroup) -> tuple[Group, tuple[int, ...]]:
         pos = {m: i for i, m in enumerate(members)}
         table = parent.table
         new_table = [[pos[table[x][y]] for y in members] for x in members]
-        return Group(new_table), tuple(members)
+        return _derived_group(parent, new_table), tuple(members)
 
     return memo(parent, ("as_group", sub.bits), build)

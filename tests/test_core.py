@@ -220,6 +220,10 @@ def test_recipe_parameters_must_be_exact_ints():
         lambda: Semidirect(Cyclic(3), Cyclic(2), ((True, swap[0][1]),)),
         lambda: CentralQuotient(Cyclic(4), (2.5,)),
         lambda: CentralQuotient(Cyclic(4), (np.bool_(True),)),
+        # a tuple parameter that is not a sequence
+        lambda: CentralQuotient(Cyclic(4), 2),
+        lambda: Semidirect(Cyclic(3), Cyclic(2), 5),
+        lambda: Semidirect(Cyclic(3), Cyclic(2), ((1, 5),)),
     ):
         with pytest.raises(InvalidRecipe):
             make()

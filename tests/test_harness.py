@@ -6,6 +6,7 @@ import pytest
 
 from groupkit.core import (
     Cyclic,
+    Group,
     Dicyclic,
     Dihedral,
     Product,
@@ -41,6 +42,7 @@ from groupkit.subgroups import (
     derived_subgroup,
     generate_subgroup,
     normal_subgroups,
+    quotient,
     subgroup_as_group,
 )
 from groupkit.catalog import CatalogEntry, builtin_catalog, group_to_json_dict
@@ -289,7 +291,7 @@ def test_premise_join_matches_instances(catalog16):
 
 def test_premise_classes_match_closed_form():
     # C1 has the one splitting {1, 1}, a single orientation
-    for p, n in ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+    for p, n in ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
                  (3, 2), (3, 3), (5, 2), (7, 2)):
         recipe = Cyclic(p) if n else Cyclic(1)
         for _ in range(n - 1):
@@ -305,6 +307,7 @@ def test_premise_classes_match_closed_form():
         assert ({s.bits for pair in splittings for s in pair}
                 == {m.bits for m in normal_subgroups(g)}), (p, n)
     assert elementary_abelian_premises(2, 5) == (3_105_954, 374)
+    assert elementary_abelian_premises(2, 6) == (1_213_604_930, 2_825)
     assert ([elementary_abelian_splittings(p, n) for p, n in ((2, 0), (2, 4), (2, 5), (3, 3))]
             == [1, 802, 20_834, 236])
 
@@ -347,6 +350,31 @@ def test_premise_classes_classify_each_normal_once():
     premise_classes(g, cache=cache)
     # one lookup for N and one for G/N, none per splitting
     assert cache.calls == 2 * len(classified) > 0
+
+
+def test_premise_classes_build_one_group_per_derived_table(monkeypatch):
+    built = []
+    init = Group.__init__
+
+    def counting_init(self, table, **kwargs):
+        init(self, table, **kwargs)
+        built.append(self.table)
+
+    for name, dsl in PREMISES32.items():
+        g = construct(parse_recipe(dsl))
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Group, "__init__", counting_init)
+            premise_classes(g)
+        sides = {s.order for pair in all_direct_splittings(g) for s in pair}
+        classified = [n for n in normal_subgroups(g) if n.order in sides]
+        extracted = [subgroup_as_group(n)[0] for n in classified]
+        derived = {h.table for h in extracted} | {quotient(g, n).target.table for n in classified}
+        assert sorted(built) == sorted(derived), name
+        # normals that extract to equal tables share one Group
+        first = {}
+        assert all(first.setdefault(h.table, h) is h for h in extracted), name
+        assert len(first) < len(classified), name
 
 
 def test_premise_counts_match_benchmark_reference():

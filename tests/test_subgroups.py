@@ -279,3 +279,21 @@ def test_subgroup_as_group_round_trip():
         for i in range(extracted.order):
             for j in range(extracted.order):
                 assert members[extracted.table[i][j]] == g.table[members[i]][members[j]]
+
+
+def test_center_and_derived_orders_match_sympy(catalog24):
+    # an oracle that shares no code with the kernel: sympy's permutation
+    # groups on the regular representation x -> g·x, one generator per row
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    nonabelian = 0
+    for entry in catalog24:
+        g = entry.group
+        perms = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(row)) for row in g.table])
+        assert perms.is_abelian == is_abelian(g), entry.name
+        if perms.is_abelian:
+            continue
+        nonabelian += 1
+        assert (perms.order(), perms.center().order(), perms.derived_subgroup().order()) == (
+            g.order, center(g).order, derived_subgroup(g).order), entry.name
+    assert nonabelian > 0
