@@ -15,6 +15,7 @@ from .subgroups import (
     all_subgroups,
     bits_of,
     check_lattice_cap,
+    check_parent,
     is_normal_bits,
     normal_subgroups,
     subgroup_as_group,
@@ -38,8 +39,27 @@ class Splitting:
 
 
 def _join_normals(group: Group, factors) -> Subgroup:
-    """Join of subgroups: the closure of all their elements."""
-    return Subgroup(group, closure_bits(group.table, [x for f in factors for x in f.members()]))
+    """Join of subgroups: the closure of the first with the elements of the rest."""
+    if not factors:
+        return trivial_subgroup(group)
+    first = factors[0]
+    gens = [x for f in factors[1:] for x in f.members()]
+    return Subgroup(group, closure_bits(group.table, gens, first.bits, first.members()))
+
+
+def join_bits(group: Group, a: Subgroup, b: Subgroup) -> int:
+    """Bits of the join A·B, computed once per unordered pair and group.
+
+    The closure is seeded from the larger factor, so only the other
+    factor's elements are walked as generators.
+    """
+    joins = memo(group, "joins", dict)
+    key = (a.bits, b.bits) if a.bits < b.bits else (b.bits, a.bits)
+    found = joins.get(key)
+    if found is None:
+        pair = [a, b] if a.order >= b.order else [b, a]
+        found = joins[key] = _join_normals(group, pair).bits
+    return found
 
 
 def is_internal_direct(group: Group, factors) -> bool:
@@ -50,6 +70,7 @@ def is_internal_direct(group: Group, factors) -> bool:
     is re-checked) elementwise commuting between distinct factors.
     """
     factors = list(factors)
+    check_parent(group, *factors)
     prod = 1
     for f in factors:
         if not is_normal_bits(group, f.bits):
@@ -83,11 +104,12 @@ def direct_complements(group: Group, normal: Subgroup, *,
     they are listed by the canonical index of their first side, so N's
     partners in (K, N) come before those in (N, K), each in canonical order.
     """
+    check_parent(group, normal)
     check_lattice_cap(group, cap)
 
     def build() -> dict[int, list[Subgroup]]:
         out: dict[int, list[Subgroup]] = {n.bits: [] for n in normal_subgroups(group, cap=cap)}
-        for h, k in all_direct_splittings(group, cap=cap):
+        for h, k in _splittings(group, cap):
             out[h.bits].append(k)
             if h.bits != k.bits:
                 out[k.bits].append(h)
@@ -99,21 +121,30 @@ def direct_complements(group: Group, normal: Subgroup, *,
     return list(comps)
 
 
+def _splittings(group: Group, cap: int) -> tuple[tuple[Subgroup, Subgroup], ...]:
+    """The memoized splittings of ``all_direct_splittings``, not copied.
+
+    Each normal H is paired only with the normals K of order |G|/|H| that
+    come at or after it in canonical order.
+    """
+    check_lattice_cap(group, cap)
+
+    def build() -> tuple[tuple[Subgroup, Subgroup], ...]:
+        normals = normal_subgroups(group, cap=cap)
+        of_order: dict[int, list[tuple[int, Subgroup]]] = {}
+        for i, n in enumerate(normals):
+            of_order.setdefault(n.order, []).append((i, n))
+        return tuple((h, k) for i, h in enumerate(normals)
+                     for j, k in of_order.get(group.order // h.order, ())
+                     if j >= i and h.bits & k.bits == 1)
+
+    return memo(group, "splittings", build)
+
+
 def all_direct_splittings(group: Group, *,
                           cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[Subgroup, Subgroup]]:
     """Every unordered internal direct pair {H, K}, including {1, G}."""
-    check_lattice_cap(group, cap)
-
-    def build() -> list[tuple[Subgroup, Subgroup]]:
-        normals = normal_subgroups(group, cap=cap)
-        out = []
-        for i, h in enumerate(normals):
-            for k in normals[i:]:
-                if h.order * k.order == group.order and h.bits & k.bits == 1:
-                    out.append((h, k))
-        return out
-
-    return list(memo(group, "splittings", build))
+    return list(_splittings(group, cap))
 
 
 def _remak_factors(group: Group, f: Subgroup, *, cap: int,
@@ -130,13 +161,17 @@ def _remak_factors(group: Group, f: Subgroup, *, cap: int,
     check_lattice_cap(group, cap)
 
     def build() -> tuple[Subgroup, ...]:
+        # the normals strictly between 1 and F
         candidates = [n for n in normal_subgroups(group, cap=cap)
-                      if 1 < n.order < f.order and not n.bits & ~f.bits]
+                      if not n.bits & ~f.bits and n.bits != 1 and n.bits != f.bits]
         if rng is not None:
             rng.shuffle(candidates)
+        of_order: dict[int, list[Subgroup]] = {}
+        for n in candidates:
+            of_order.setdefault(n.order, []).append(n)
         for a in candidates:
-            comps = [b for b in candidates
-                     if a.order * b.order == f.order and a.bits & b.bits == 1]
+            comps = [b for b in of_order.get(f.order // a.order, ())
+                     if a.bits & b.bits == 1]
             if comps:
                 b = rng.choice(comps) if rng is not None else comps[0]
                 parts = (_remak_factors(group, a, cap=cap, rng=rng)
@@ -217,7 +252,7 @@ def combine_coprime_factors(group: Group, a: Subgroup, b: Subgroup, *,
         return CoprimeViolation(group, a, b, "A∩B is nontrivial")
     # with A∩B = 1 the product set has |A|·|B| elements and lies in the join,
     # so it is the join exactly when the orders agree
-    ab = _join_normals(group, [a, b])
+    ab = Subgroup(group, join_bits(group, a, b))
     if ab.order != a.order * b.order:
         return CoprimeViolation(group, a, b, "A·B is not a subgroup")
     if not direct_complements(group, ab, cap=cap):
@@ -243,6 +278,7 @@ def project_onto_factor(group: Group, splitting: tuple[Subgroup, Subgroup],
                         x: Subgroup) -> Subgroup:
     """Image of a subgroup under the projection onto K along H."""
     h, k = splitting
+    check_parent(group, x)
     if not is_internal_direct(group, [h, k]):
         raise NotASplitting("projection requires an internal direct splitting")
     proj = _factor_projection(group, h, k)
@@ -259,9 +295,11 @@ def is_directly_decomposable(group: Group, d: Subgroup, *,
     Both factors lie in D and meet trivially, so their product set fills D
     exactly when |H∩D|·|K∩D| = |D|.
     """
+    check_parent(group, d)
+    d_bits, d_order = d.bits, d.order
     return all(
-        (h.bits & d.bits).bit_count() * (k.bits & d.bits).bit_count() == d.order
-        for h, k in all_direct_splittings(group, cap=cap)
+        (h.bits & d_bits).bit_count() * (k.bits & d_bits).bit_count() == d_order
+        for h, k in _splittings(group, cap)
     )
 
 
@@ -310,6 +348,7 @@ def cyclic_max_complement(group: Group, d: Subgroup, *,
     a brute-force search over all subgroups backs it up (and is recorded in
     CYCLIC_COMPLEMENT_FALLBACKS, since it should never be needed).
     """
+    check_parent(group, d)
     if not is_abelian(group):
         raise PreconditionFailed("group must be abelian")
     n = group.order

@@ -33,7 +33,6 @@ from .subgroups import (
     Subgroup,
     _is_prime,
     all_subgroups,
-    bits_of,
     center,
     center_of,
     check_lattice_cap,
@@ -48,12 +47,12 @@ from .subgroups import (
 )
 from .decomposition import (
     CoprimeViolation,
-    _factor_projection,
     all_direct_splittings,
     combine_coprime_factors,
     direct_complements,
     factor_classes,
     is_directly_decomposable,
+    join_bits,
     remak_decomposition,
 )
 
@@ -106,20 +105,22 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                     cache: IsoCache | None = None) -> Premises:
     """Every premise of the extension check, counted without witnesses.
 
-    Only normals whose order is that of some splitting side are classified;
-    the others can never be an H0.  ``cache`` supplies the class ids; the
-    result does not depend on it and is memoized per group.
+    Only normals whose order is that of some normal with a direct
+    complement (a splitting side) are classified; the others can never be
+    an H0.  ``cache`` supplies the class ids; the result does not depend on
+    it and is memoized per group.
     """
     check_lattice_cap(group, cap)
 
     def build() -> Premises:
         classes = cache or IsoCache()
         splittings = all_direct_splittings(group, cap=cap)
-        sides = {s.order for pair in splittings for s in pair}
+        normals = normal_subgroups(group, cap=cap)
+        sides = {n.order for n in normals if direct_complements(group, n, cap=cap)}
         # every splitting side is such a normal, so ids holds the class of each
         ids: dict[int, int] = {}
         buckets: dict[tuple[int, int], list[Subgroup]] = {}
-        for n in normal_subgroups(group, cap=cap):
+        for n in normals:
             if n.order in sides:
                 ids[n.bits] = classes.class_of(subgroup_as_group(n)[0])
                 key = (ids[n.bits], classes.class_of(quotient(group, n).target))
@@ -184,6 +185,15 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     failure lists stay empty unless a statement is falsified.  The premise
     lemmas run over the H0s of ``instances`` when given, else over those
     of ``premise_classes``.
+
+    Every check walks the splittings in the same order, so failure lists
+    are reproducible, but work that depends on one side or one pair is done
+    once: the supersets of each H (prop_2_1), the derived and centre orders
+    of each side (prop_2_2), the factors coprime to each class set, and one
+    join A·B per unordered coprime pair (prop_2_3, ``join_bits``).  cor_2_1
+    reads the projection of A onto C along B from that join, as
+    π_C(A) = A·B ∩ C, which holds for G = B×C and any A ⊴ G, so no
+    element-wise projection is built.
     """
     cache = cache or IsoCache()
     if instances is None:
@@ -202,37 +212,56 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
         results[name] = {"pass": not failures, "failures": failures}
 
     # subgroups of an internal product split along it: L ⊇ H gives L = H·(L∩K);
-    # H and L∩K lie in L and meet trivially, so |H|·|L∩K| = |L| says it
+    # H and L∩K lie in L and meet trivially, so |L∩K| = |L|/|H| says it.
+    # The supersets of H, with their quotas |L|/|H|, are taken once per H
     failures = []
+    supersets: dict[int, list[tuple[int, int, Subgroup]]] = {}
     for h, k in _oriented(splittings):
-        for l in subs:
-            if h.bits & ~l.bits:
-                continue
-            if h.order * (l.bits & k.bits).bit_count() != l.order:
+        h_bits = h.bits
+        above = supersets.get(h_bits)
+        if above is None:
+            above = supersets[h_bits] = [(l.bits, l.order // h.order, l)
+                                         for l in subs if not h_bits & ~l.bits]
+        k_bits = k.bits
+        for l_bits, quota, l in above:
+            if (l_bits & k_bits).bit_count() != quota:
                 failures.append({"h": h.members(), "k": k.members(), "l": l.members()})
     record("prop_2_1", failures)
-
-    # derived group and centre distribute over a splitting: D(H), D(K) lie in
-    # G′ and Z(H), Z(K) in Z(G) (the other factor centralises each), and each
-    # pair meets trivially, so the products are the whole exactly when the
-    # orders multiply to it
-    failures = []
-    for h, k in splittings:
-        if (derived_of(group, h).order * derived_of(group, k).order != g_derived.order
-                or center_of(group, h).order * center_of(group, k).order != g_center.order):
-            failures.append({"h": h.members(), "k": k.members()})
-    record("prop_2_2", failures)
 
     # a normal is a direct factor exactly when it is a side of a splitting
     factor_bits = {s.bits for pair in splittings for s in pair}
     factors = [n for n in normals if n.bits in factor_bits]
+
+    # derived group and centre distribute over a splitting: D(H), D(K) lie in
+    # G′ and Z(H), Z(K) in Z(G) (the other factor centralises each), and each
+    # pair meets trivially, so the products are the whole exactly when the
+    # orders multiply to it.  Both orders are taken once per side
+    failures = []
+    side_orders = {a.bits: (derived_of(group, a).order, center_of(group, a).order)
+                   for a in factors}
+    for h, k in splittings:
+        h_derived, h_center = side_orders[h.bits]
+        k_derived, k_center = side_orders[k.bits]
+        if (h_derived * k_derived != g_derived.order
+                or h_center * k_center != g_center.order):
+            failures.append({"h": h.members(), "k": k.members()})
+    record("prop_2_2", failures)
+
     classes = {a.bits: factor_classes(a, cap=cap, cache=cache) for a in factors}
+    # the factors coprime to a class set, with their indices in ``factors``
+    coprime_to: dict[frozenset[int], list[tuple[int, Subgroup]]] = {}
+
+    def coprime(key: frozenset[int]) -> list[tuple[int, Subgroup]]:
+        if key not in coprime_to:
+            coprime_to[key] = [(j, a) for j, a in enumerate(factors)
+                               if classes[a.bits].isdisjoint(key)]
+        return coprime_to[key]
 
     # coprime direct factors meet trivially and combine into a direct factor
     failures = []
     for i, a in enumerate(factors):
-        for b in factors[i:]:
-            if not classes[a.bits].isdisjoint(classes[b.bits]):
+        for j, b in coprime(classes[a.bits]):
+            if j < i:
                 continue
             outcome = combine_coprime_factors(group, a, b, cap=cap, cache=cache)
             if isinstance(outcome, CoprimeViolation):
@@ -241,20 +270,20 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     record("prop_2_3", failures)
 
     # the projection of a factor coprime to B onto C is again a direct factor.
-    # The trivial factor is left out: its image is 1, a direct factor of
-    # every group.  The coprime factors depend on B only through its classes
+    # For G = B×C and A ⊴ G the projection is π_C(A) = A·B ∩ C: each
+    # a = b·c in A has c = b⁻¹a in A·B ∩ C, and each c = a·b in A·B ∩ C
+    # has a = b⁻¹c (B and C commute), so π_C(a) = c.  The join is the one
+    # prop_2_3 built for the coprime pair.  The trivial factor is left out:
+    # its image is 1, a direct factor of every group.  The coprime factors
+    # depend on B only through its classes
     failures = []
-    coprime_to: dict[frozenset[int], list[Subgroup]] = {}
+    nontrivial: dict[frozenset[int], list[Subgroup]] = {}
     for b, c in _oriented(splittings):
         key = classes[b.bits]
-        if key not in coprime_to:
-            coprime_to[key] = [a for a in factors
-                               if a.order > 1 and classes[a.bits].isdisjoint(key)]
-        if not coprime_to[key]:
-            continue
-        proj = _factor_projection(group, b, c)
-        for a in coprime_to[key]:
-            bits = bits_of(proj[m] for m in a.members())
+        if key not in nontrivial:
+            nontrivial[key] = [a for _, a in coprime(key) if a.order > 1]
+        for a in nontrivial[key]:
+            bits = join_bits(group, a, b) & c.bits
             if bits not in factor_bits:
                 failures.append({"a": a.members(), "b": b.members(),
                                  "c": c.members(), "image": members_of(bits)})
@@ -291,24 +320,31 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
 
     # premise-only identities, one evaluation per H0 that occurs in an instance
     fail_a, fail_b, fail_c, fail_d = [], [], [], []
-    # every subgroup of Z(G) is normal in G, so these are all of Z(G)'s
-    # subgroups, and any complement of Z(H0) in Z(G) is among them
-    central = [m for m in normals if not m.bits & ~g_center.bits]
+    # the normals, and those inside Z(G), by order.  Every subgroup of Z(G)
+    # is normal in G, so the latter are all of Z(G)'s subgroups, and any
+    # complement of Z(H0) in Z(G) is among them
+    normals_of_order: dict[int, list[Subgroup]] = {}
+    central_of_order: dict[int, list[Subgroup]] = {}
+    for m in normals:
+        normals_of_order.setdefault(m.order, []).append(m)
+        if not m.bits & ~g_center.bits:
+            central_of_order.setdefault(m.order, []).append(m)
     for h0 in h0s:
         h0_derived = derived_of(group, h0)
         if h0_derived.bits != h0.bits & g_derived.bits:
             fail_a.append({"h0": h0.members()})
-        # |M·H0| = |M||H0|/|M∩H0| covers G exactly when it equals |G|
-        if not any(m.bits & h0.bits == h0_derived.bits
-                   and m.order * h0.order == group.order * h0_derived.order for m in normals):
+        # |M·H0| = |M||H0|/|M∩H0| covers G exactly when it equals |G|, so an
+        # M with M∩H0 = H0′ must have order |G:H0|·|H0′|
+        if not any(m.bits & h0.bits == h0_derived.bits for m in normals_of_order.get(
+                group.order // h0.order * h0_derived.order, ())):
             fail_b.append({"h0": h0.members()})
         h0_center = center_of(group, h0)
         if h0_center.bits != h0.bits & g_center.bits:
             fail_c.append({"h0": h0.members()})
         if h0_center.bits & ~g_center.bits:
             fail_d.append({"h0": h0.members(), "reason": "Z(H0) not inside Z(G)"})
-        elif not any(m.order * h0_center.order == g_center.order
-                     and m.bits & h0_center.bits == 1 for m in central):
+        elif not any(m.bits & h0_center.bits == 1 for m in central_of_order.get(
+                g_center.order // h0_center.order, ())):
             fail_d.append({"h0": h0.members()})
     record("lemma_4_1a", fail_a)
     record("lemma_4_1b", fail_b)

@@ -20,7 +20,7 @@ from .core import (
     members_of,
     memo,
 )
-from .errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound
+from .errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound, PreconditionFailed
 
 DEFAULT_LATTICE_CAP = 64
 
@@ -101,6 +101,17 @@ def is_normal_bits(group: Group, bits: int) -> bool:
     return True
 
 
+def check_parent(group: Group, *subs: Subgroup) -> None:
+    """Raise PreconditionFailed unless every subgroup is a subgroup of ``group``.
+
+    Bitsets only mean something in their parent's indices, so a subgroup of
+    another group must not be read against this one's table.
+    """
+    for sub in subs:
+        if sub.parent is not group:
+            raise PreconditionFailed("subgroup belongs to another group")
+
+
 def check_lattice_cap(group: Group, cap: int) -> None:
     """Raise OrderBound for a group too large to scan its subgroup lattice.
 
@@ -153,12 +164,24 @@ def normal_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Su
     ]))
 
 
+def _listed_normal(group: Group, bits: int) -> bool:
+    """True iff ``normal_subgroups`` has already found ``bits`` normal.
+
+    Builds no lattice: without the memoized normals the answer is False.
+    """
+    normals = group._cache.get("normal_subgroups")
+    return normals is not None and bits in memo(
+        group, "normal_bits", lambda: {n.bits for n in normals})
+
+
 def center(group: Group) -> Subgroup:
     return center_of(group, whole_subgroup(group))
 
 
 def center_of(group: Group, sub: Subgroup) -> Subgroup:
     """Center of a subgroup, computed inside it (a subgroup of the parent)."""
+    check_parent(group, sub)
+
     def build() -> Subgroup:
         table = group.table
         members = sub.members()
@@ -174,6 +197,7 @@ def center_of(group: Group, sub: Subgroup) -> Subgroup:
 
 def commutator(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
     """Subgroup generated by all [x,y] = x^-1 y^-1 x y with x in A, y in B."""
+    check_parent(group, a, b)
     table = group.table
     inv = group.inv
     gens = set()
@@ -186,6 +210,7 @@ def commutator(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
 
 def derived_of(group: Group, sub: Subgroup) -> Subgroup:
     """Derived subgroup of a subgroup, computed inside it (a subgroup of the parent)."""
+    check_parent(group, sub)
     return memo(group, ("derived", sub.bits), lambda: commutator(group, sub, sub))
 
 
@@ -214,9 +239,12 @@ def quotient(group: Group, normal: Subgroup) -> QuotientMap:
 
     The target is shared by every normal of ``group`` whose quotient has
     the same table, and with any subgroup that extracts to that table.
+    Normality is tested unless ``normal_subgroups`` already listed it.
     """
+    check_parent(group, normal)
+
     def build() -> QuotientMap:
-        if not is_normal_bits(group, normal.bits):
+        if not _listed_normal(group, normal.bits) and not is_normal_bits(group, normal.bits):
             raise NotNormal("cannot form a quotient by a non-normal subgroup")
         qtable, coset_of = coset_table(group.table, normal.members())
         return QuotientMap(group, _derived_group(group, qtable), tuple(coset_of))
@@ -229,6 +257,7 @@ def set_product(group: Group, a: Subgroup, b: Subgroup) -> tuple[int, bool]:
 
     AB is a subgroup iff AB = BA (always true when A or B is normal).
     """
+    check_parent(group, a, b)
     table = group.table
     amem = a.members()
     bmem = b.members()

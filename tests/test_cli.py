@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import groupkit
 
 from groupkit.catalog import export_group
 from groupkit.cli import main
@@ -188,11 +192,15 @@ def test_bad_env_value_is_config_error(monkeypatch, capsys):
 
 def test_module_entrypoint_subprocess(tmp_path):
     report = tmp_path / "r.json"
+    # the child imports the groupkit this process imported, installed or not
+    path = [str(Path(groupkit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
         [sys.executable, "-m", "groupkit", "verify", "--max-order", "6",
          "--report", str(report)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(report.read_text())["status"] == "PASS"

@@ -34,6 +34,7 @@ from groupkit.subgroups import (
     bits_of,
     center,
     center_of,
+    commutator,
     derived_of,
     derived_subgroup,
     generate_subgroup,
@@ -246,6 +247,30 @@ def test_project_requires_splitting():
     a = generate_subgroup(g, [1])
     with pytest.raises(NotASplitting):
         project_onto_factor(g, (a, a), a)
+
+
+def test_subgroup_of_another_group_is_rejected():
+    g = v4()
+    # {0, 2} is a subgroup of C4, and its bits are also a subgroup of V4
+    foreign = generate_subgroup(construct(Cyclic(4)), [2])
+    a = generate_subgroup(g, [1])
+    b = generate_subgroup(g, [2])
+    calls = [
+        lambda: direct_complements(g, foreign),
+        lambda: quotient(g, foreign),
+        lambda: is_directly_decomposable(g, foreign),
+        lambda: center_of(g, foreign),
+        lambda: derived_of(g, foreign),
+        lambda: commutator(g, a, foreign),
+        lambda: is_internal_direct(g, [a, foreign]),
+        lambda: combine_coprime_factors(g, foreign, trivial_subgroup(g)),
+        lambda: project_onto_factor(g, (a, b), foreign),
+        lambda: set_product(g, a, foreign),
+        lambda: cyclic_max_complement(g, foreign),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionFailed, match="another group"):
+            call()
 
 
 def test_directly_decomposable_examples():

@@ -13,12 +13,15 @@ from groupkit.core import (
     Symmetric,
     construct,
 )
-from groupkit import harness
+from groupkit import decomposition, harness
 from groupkit.core import parse_recipe
 from groupkit.decomposition import (
+    _factor_projection,
     all_direct_splittings,
     direct_complements,
+    factor_classes,
     is_internal_direct,
+    join_bits,
     remak_decomposition,
 )
 from groupkit.errors import NotPrime, OrderBound
@@ -34,6 +37,7 @@ from groupkit.harness import (
 )
 from groupkit.iso import IsoCache, find_isomorphism, is_isomorphism
 from groupkit.subgroups import (
+    Subgroup,
     all_subgroups,
     bits_of,
     center,
@@ -312,15 +316,68 @@ def test_premise_classes_match_closed_form():
             == [1, 802, 20_834, 236])
 
 
+ALL_PASS = dict.fromkeys(
+    ("prop_2_1", "prop_2_2", "prop_2_3", "cor_2_1", "prop_2_4", "prop_2_5",
+     "lemma_4_1a", "lemma_4_1b", "lemma_4_2a", "lemma_4_2b"), "pass")
+
+
 def test_verify_one_pins_c2_to_the_fifth():
     g = construct(parse_recipe("P(P(P(P(C(2),C(2)),C(2)),C(2)),C(2))"))
     out = harness._verify_one(("C2^5", g, 64))
     assert out["instances"] == 3_105_954
     assert out["violations"] == []
-    assert out["properties"] == dict.fromkeys(
-        ("prop_2_1", "prop_2_2", "prop_2_3", "cor_2_1", "prop_2_4", "prop_2_5",
-         "lemma_4_1a", "lemma_4_1b", "lemma_4_2a", "lemma_4_2b"), "pass")
+    assert out["properties"] == ALL_PASS
     assert "property_failures" not in out
+
+
+def test_verify_one_pins_d4_times_c2_cubed():
+    # the non-abelian order-64 group of the stress set
+    g = construct(parse_recipe("P(P(P(D(4),C(2)),C(2)),C(2))"))
+    out = harness._verify_one(("D4xC2^3", g, 64))
+    assert out["instances"] == 297_154
+    assert out["violations"] == []
+    assert out["properties"] == ALL_PASS
+    assert "property_failures" not in out
+
+
+def test_join_meet_is_the_factor_projection(catalog24):
+    # cor_2_1 reads π_C(A) as A·B ∩ C for G = B×C and A normal; the
+    # reference is the element-wise image under the map b·c -> c
+    groups = [e.group for e in catalog24] + [construct(parse_recipe(dsl))
+                                             for dsl in PREMISES32.values()]
+    triples = 0
+    for g in groups:
+        normals = normal_subgroups(g)
+        for b, c in harness._oriented(all_direct_splittings(g)):
+            proj = _factor_projection(g, b, c)
+            for a in normals:
+                image = bits_of(proj[m] for m in a.members())
+                assert join_bits(g, a, b) & c.bits == image, (g.name, a, b, c)
+                triples += 1
+    assert triples == 254_117
+
+
+def test_property_suite_joins_each_coprime_pair_once(monkeypatch):
+    g = construct(parse_recipe(PREMISES32["C4xC2xC2xC2"]))
+    cache = IsoCache()
+    premise_classes(g, cache=cache)
+    seeds = []
+    closure_bits = decomposition.closure_bits
+
+    def counting(table, gens, bits=1, members=(0,)):
+        seeds.append(bits)
+        return closure_bits(table, gens, bits, members)
+
+    monkeypatch.setattr(decomposition, "closure_bits", counting)
+    assert all(v["pass"] for v in property_suite(g, cache=cache).values())
+    # no projection table is built; cor_2_1 reads the joins of prop_2_3
+    assert not any(isinstance(key, tuple) and key[0] == "proj" for key in g._cache)
+    factors = sorted({s.bits: s for pair in all_direct_splittings(g) for s in pair}.values(),
+                     key=Subgroup.sort_key)
+    classes = [factor_classes(a, cache=cache) for a in factors]
+    coprime_pairs = sum(1 for i, x in enumerate(classes) for y in classes[i:]
+                        if x.isdisjoint(y))
+    assert len(seeds) == len(g._cache["joins"]) == coprime_pairs > len(factors)
 
 
 def test_property_suite_set_facts(catalog24):

@@ -13,6 +13,7 @@ from groupkit.core import (
     is_abelian,
     recipe_dsl,
 )
+from groupkit import subgroups
 from groupkit.errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound
 from groupkit.iso import automorphisms, find_isomorphism
 from groupkit.subgroups import (
@@ -154,6 +155,27 @@ def test_quotient_requires_normal():
     for _ in range(2):  # a refused quotient is not memoized
         with pytest.raises(NotNormal):
             quotient(s3, generate_subgroup(s3, [reflection]))
+
+
+def test_quotient_tests_normality_only_for_unlisted_bits(monkeypatch):
+    g = construct(Product(Dihedral(4), Cyclic(2)))
+    normals = normal_subgroups(g)
+    normal_bits = {n.bits for n in normals}
+    tested = []
+    real = subgroups.is_normal_bits
+
+    def counting(group, bits):
+        tested.append(bits)
+        return real(group, bits)
+
+    monkeypatch.setattr(subgroups, "is_normal_bits", counting)
+    for n in normals:
+        quotient(g, n)
+    assert tested == []
+    other = next(s for s in all_subgroups(g) if s.bits not in normal_bits)
+    with pytest.raises(NotNormal):
+        quotient(g, other)
+    assert tested == [other.bits]
 
 
 def test_quotient_is_homomorphism_with_equal_fibers(catalog16):
