@@ -493,12 +493,15 @@ def element_order(group: Group, x: int) -> int:
     return k
 
 
+def element_orders(group: Group) -> tuple[int, ...]:
+    """The order of every element, by index (memoized)."""
+    return memo(group, "element_orders",
+                lambda: tuple(element_order(group, x) for x in range(group.order)))
+
+
 def exponent(group: Group) -> int:
     """lcm of the orders of all elements."""
-    out = 1
-    for x in range(group.order):
-        out = math.lcm(out, element_order(group, x))
-    return out
+    return math.lcm(*element_orders(group))
 
 
 def is_abelian(group: Group) -> bool:

@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 
-from .core import Group, closure_bits, element_order, exponent, is_abelian, memo
+from .core import Group, closure_bits, element_orders, exponent, is_abelian, memo
 from .errors import NotASplitting, NotNormal, PreconditionFailed
 from .iso import IsoCache
 from .subgroups import (
     DEFAULT_LATTICE_CAP,
     Subgroup,
-    all_subgroups,
-    bits_of,
     check_lattice_cap,
     check_parent,
     is_normal_bits,
@@ -22,12 +19,6 @@ from .subgroups import (
     trivial_subgroup,
     whole_subgroup,
 )
-
-log = logging.getLogger(__name__)
-
-# Inputs where the constructive complement algorithm had to fall back to a
-# brute-force search; stays empty unless its correctness argument fails.
-CYCLIC_COMPLEMENT_FALLBACKS: list[tuple[int, tuple[int, ...]]] = []
 
 
 @dataclass(frozen=True)
@@ -109,7 +100,7 @@ def direct_complements(group: Group, normal: Subgroup, *,
 
     def build() -> dict[int, list[Subgroup]]:
         out: dict[int, list[Subgroup]] = {n.bits: [] for n in normal_subgroups(group, cap=cap)}
-        for h, k in _splittings(group, cap):
+        for h, k in all_direct_splittings(group, cap=cap):
             out[h.bits].append(k)
             if h.bits != k.bits:
                 out[k.bits].append(h)
@@ -121,8 +112,9 @@ def direct_complements(group: Group, normal: Subgroup, *,
     return list(comps)
 
 
-def _splittings(group: Group, cap: int) -> tuple[tuple[Subgroup, Subgroup], ...]:
-    """The memoized splittings of ``all_direct_splittings``, not copied.
+def all_direct_splittings(group: Group, *,
+                          cap: int = DEFAULT_LATTICE_CAP) -> tuple[tuple[Subgroup, Subgroup], ...]:
+    """Every unordered internal direct pair {H, K}, including {1, G}; the memoized tuple itself.
 
     Each normal H is paired only with the normals K of order |G|/|H| that
     come at or after it in canonical order.
@@ -139,12 +131,6 @@ def _splittings(group: Group, cap: int) -> tuple[tuple[Subgroup, Subgroup], ...]
                      if j >= i and h.bits & k.bits == 1)
 
     return memo(group, "splittings", build)
-
-
-def all_direct_splittings(group: Group, *,
-                          cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[Subgroup, Subgroup]]:
-    """Every unordered internal direct pair {H, K}, including {1, G}."""
-    return list(_splittings(group, cap))
 
 
 def _remak_factors(group: Group, f: Subgroup, *, cap: int,
@@ -260,32 +246,20 @@ def combine_coprime_factors(group: Group, a: Subgroup, b: Subgroup, *,
     return ab
 
 
-def _factor_projection(group: Group, h: Subgroup, k: Subgroup) -> list[int]:
-    """Index map g = h·k -> k for a direct splitting {H, K} (cached)."""
-    def build() -> list[int]:
-        table = group.table
-        out = [-1] * group.order
-        for x in h.members():
-            row = table[x]
-            for y in k.members():
-                out[row[y]] = y
-        return out
-
-    return memo(group, ("proj", h.bits, k.bits), build)
-
-
 def project_onto_factor(group: Group, splitting: tuple[Subgroup, Subgroup],
                         x: Subgroup) -> Subgroup:
-    """Image of a subgroup under the projection onto K along H."""
+    """Image of a subgroup under the projection onto K along H.
+
+    For G = H×K the image is π_K(X) = X·H ∩ K, for every subgroup X: each
+    x = h·k in X has k = h⁻¹x in X·H ∩ K, and each k = x·h in X·H ∩ K has
+    x = h⁻¹k (H and K commute), so π_K(x) = k.  X·H is a subgroup because
+    H is normal, and it is read from ``join_bits``.
+    """
     h, k = splitting
     check_parent(group, x)
     if not is_internal_direct(group, [h, k]):
         raise NotASplitting("projection requires an internal direct splitting")
-    proj = _factor_projection(group, h, k)
-    bits = 0
-    for m in x.members():
-        bits |= 1 << proj[m]
-    return Subgroup(group, bits)
+    return Subgroup(group, join_bits(group, x, h) & k.bits)
 
 
 def is_directly_decomposable(group: Group, d: Subgroup, *,
@@ -299,25 +273,27 @@ def is_directly_decomposable(group: Group, d: Subgroup, *,
     d_bits, d_order = d.bits, d.order
     return all(
         (h.bits & d_bits).bit_count() * (k.bits & d_bits).bit_count() == d_order
-        for h, k in _splittings(group, cap)
+        for h, k in all_direct_splittings(group, cap=cap)
     )
 
 
 def _is_cyclic_subgroup(group: Group, sub: Subgroup) -> bool:
-    return any(element_order(group, x) == sub.order for x in sub.members())
+    orders = element_orders(group)
+    return any(orders[x] == sub.order for x in sub.members())
 
 
 def _complement_constructive(group: Group, f: Subgroup, d: Subgroup, *,
-                             cap: int) -> Subgroup | None:
+                             cap: int) -> Subgroup:
     """Inductive complement of a maximal-order cyclic D in a direct factor F.
 
     G is an abelian p-group and every step stays in its indices.  Splits
     off F's first indecomposable factor B with complement C; if C∩D is
-    trivial C itself works, otherwise B∩D must be trivial (subgroups of a
-    cyclic p-group are totally ordered), D projects injectively into C, and
-    the complement is B · (complement of the projection inside C).  Returns
-    None if the trivial-intersection dichotomy fails, which triggers the
-    caller's brute-force fallback.
+    trivial C itself works.  Otherwise B∩D is trivial: the subgroups of the
+    cyclic p-group D form a chain, so if B∩D and C∩D were both nontrivial
+    they would share D's subgroup of order p, yet B∩C = 1.  So D projects
+    injectively into C, onto π_C(D) = D·B ∩ C (read from ``join_bits``),
+    a maximal-order cyclic subgroup of C, and the complement is
+    B · (complement of the projection inside C).
     """
     if d.order == f.order:
         return trivial_subgroup(group)
@@ -326,27 +302,17 @@ def _complement_constructive(group: Group, f: Subgroup, d: Subgroup, *,
     c = _join_normals(group, factors[1:])
     if c.bits & d.bits == 1:
         return c
-    if b.bits & d.bits != 1:
-        log.warning(
-            "trivial-intersection dichotomy failed: |F|=%d, D=%s, B=%s, C=%s",
-            f.order, d.members(), b.members(), c.members(),
-        )
-        return None
-    proj = _factor_projection(group, b, c)
-    qd = Subgroup(group, bits_of(proj[m] for m in d.members()))
-    inner = _complement_constructive(group, c, qd, cap=cap)
-    if inner is None:
-        return None
-    return _join_normals(group, [b, inner])
+    image = Subgroup(group, join_bits(group, d, b) & c.bits)
+    return _join_normals(group, [b, _complement_constructive(group, c, image, cap=cap)])
 
 
 def cyclic_max_complement(group: Group, d: Subgroup, *,
                           cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
     """A direct complement of a maximal-order cyclic subgroup of an abelian p-group.
 
-    Follows the constructive induction; the result is always revalidated and
-    a brute-force search over all subgroups backs it up (and is recorded in
-    CYCLIC_COMPLEMENT_FALLBACKS, since it should never be needed).
+    Follows the constructive induction of ``_complement_constructive``.  The
+    result is revalidated with ``is_internal_direct``; a failure there would
+    refute the induction's argument and raises AssertionError.
     """
     check_parent(group, d)
     if not is_abelian(group):
@@ -366,11 +332,6 @@ def cyclic_max_complement(group: Group, d: Subgroup, *,
             f"D has order {d.order}, but the maximal element order is {exponent(group)}"
         )
     result = _complement_constructive(group, whole_subgroup(group), d, cap=cap)
-    if result is not None and is_internal_direct(group, [d, result]):
-        return result
-    log.warning("constructive complement failed; brute-forcing (|G|=%d)", n)
-    CYCLIC_COMPLEMENT_FALLBACKS.append((n, tuple(d.members())))
-    for s in all_subgroups(group, cap=cap):
-        if s.order * d.order == n and s.bits & d.bits == 1:
-            return s
-    raise AssertionError("maximal-order cyclic subgroup must have a complement")
+    if not is_internal_direct(group, [d, result]):
+        raise AssertionError(f"constructive result is not a direct complement of {d}")
+    return result

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Group, element_order, exact_ints, exponent, hom_defect, is_abelian, memo
+from .core import Group, element_orders, exact_ints, exponent, hom_defect, is_abelian, memo
 from .errors import OrderBound
 from .subgroups import center, derived_of, derived_subgroup, whole_subgroup
 
@@ -38,8 +38,7 @@ class Iso:
 def fingerprint(group: Group) -> Fingerprint:
     def build() -> Fingerprint:
         histogram: dict[int, int] = {}
-        for x in range(group.order):
-            k = element_order(group, x)
+        for k in element_orders(group):
             histogram[k] = histogram.get(k, 0) + 1
         series_len = 0
         current = whole_subgroup(group)
@@ -72,11 +71,6 @@ def is_isomorphism(source: Group, target: Group, mapping) -> bool:
     return hom_defect(source.table, target.table, mapping) is None
 
 
-def _element_orders(group: Group) -> list[int]:
-    return memo(group, "element_orders",
-                lambda: [element_order(group, x) for x in range(group.order)])
-
-
 def _search_isomorphisms(source: Group, target: Group, *, find_all: bool) -> list[tuple[int, ...]]:
     """Backtracking generator-image search; yields maps in lexicographic order.
 
@@ -87,8 +81,8 @@ def _search_isomorphisms(source: Group, target: Group, *, find_all: bool) -> lis
     n = source.order
     stab = source.table
     ttab = target.table
-    sorder = _element_orders(source)
-    torder = _element_orders(target)
+    sorder = element_orders(source)
+    torder = element_orders(target)
     by_order: dict[int, list[int]] = {}
     for t in range(n):
         by_order.setdefault(torder[t], []).append(t)

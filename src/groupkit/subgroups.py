@@ -15,7 +15,7 @@ from .core import (
     bits_of,
     closure_bits,
     coset_table,
-    element_order,
+    element_orders,
     is_abelian,
     members_of,
     memo,
@@ -122,15 +122,15 @@ def check_lattice_cap(group: Group, cap: int) -> None:
         raise OrderBound(group.order, cap, "subgroup lattice order")
 
 
-def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
-    """Every subgroup exactly once, canonically sorted.
+def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subgroup, ...]:
+    """Every subgroup exactly once, canonically sorted; the memoized tuple itself.
 
     Seeds with all cyclic subgroups, then closes under joins with the seeds;
     every subgroup is reached because it is a join of its cyclic subgroups.
     """
     check_lattice_cap(group, cap)
 
-    def build() -> list[Subgroup]:
+    def build() -> tuple[Subgroup, ...]:
         table = group.table
         seeds: dict[int, int] = {}  # cyclic subgroup bits -> generator
         for x in range(1, group.order):
@@ -152,16 +152,17 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgr
                 if joined not in found:
                     found[joined] = members_of(joined)
                     queue.append(joined)
-        return sorted((Subgroup(group, bits) for bits in found), key=Subgroup.sort_key)
+        return tuple(sorted((Subgroup(group, bits) for bits in found), key=Subgroup.sort_key))
 
-    return list(memo(group, "all_subgroups", build))
+    return memo(group, "all_subgroups", build)
 
 
-def normal_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
+def normal_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subgroup, ...]:
+    """The normal subgroups, in ``all_subgroups`` order; the memoized tuple itself."""
     check_lattice_cap(group, cap)
-    return list(memo(group, "normal_subgroups", lambda: [
+    return memo(group, "normal_subgroups", lambda: tuple(
         s for s in all_subgroups(group, cap=cap) if is_normal_bits(group, s.bits)
-    ]))
+    ))
 
 
 def _listed_normal(group: Group, bits: int) -> bool:
@@ -297,8 +298,7 @@ def sylow(group: Group, p: int, *, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
         return trivial_subgroup(group)
     if is_abelian(group):
         bits = 0
-        for x in range(n):
-            k = element_order(group, x)
+        for x, k in enumerate(element_orders(group)):
             while k % p == 0:
                 k //= p
             if k == 1:

@@ -86,6 +86,16 @@ def order_by_powering(group: Group, x: int) -> int:
     return len(seen)
 
 
+def projection_by_products(group: Group, h, k) -> list[int]:
+    """Index map g = h·k -> k of a direct splitting G = H×K, one product at a time."""
+    table = group.table
+    out = [-1] * group.order
+    for x in members_of(h.bits):
+        for y in members_of(k.bits):
+            out[table[x][y]] = y
+    return out
+
+
 def complements_by_scan(group: Group, n_bits: int) -> list[int]:
     """Brute-force complement oracle: scan all subgroups, filter normality,
     order product, and trivial intersection per candidate."""

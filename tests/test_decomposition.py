@@ -13,8 +13,8 @@ from groupkit.core import (
     element_order,
     parse_recipe,
 )
+from groupkit import decomposition, harness
 from groupkit.decomposition import (
-    CYCLIC_COMPLEMENT_FALLBACKS,
     all_direct_splittings,
     combine_coprime_factors,
     cyclic_max_complement,
@@ -47,7 +47,7 @@ from groupkit.subgroups import (
     whole_subgroup,
 )
 
-from conftest import PREMISES32, complements_by_scan
+from conftest import PREMISES32, complements_by_scan, projection_by_products
 
 
 def s3():
@@ -242,6 +242,22 @@ def test_project_onto_factor_examples():
     assert project_onto_factor(g, (a, b), diag).bits == b.bits
 
 
+def test_project_onto_factor_matches_products(catalog16):
+    # π_K(X) = X·H ∩ K holds for every subgroup X, normal or not
+    pairs = non_normal = 0
+    for entry in catalog16:
+        g = entry.group
+        normal_bits = {n.bits for n in normal_subgroups(g)}
+        for h, k in harness._oriented(all_direct_splittings(g)):
+            proj = projection_by_products(g, h, k)
+            for x in all_subgroups(g):
+                image = bits_of(proj[m] for m in x.members())
+                assert project_onto_factor(g, (h, k), x).bits == image, (entry.name, h, k, x)
+                pairs += 1
+                non_normal += x.bits not in normal_bits
+    assert pairs == 59_301 and non_normal > 0
+
+
 def test_project_requires_splitting():
     g = v4()
     a = generate_subgroup(g, [1])
@@ -393,5 +409,18 @@ def test_remak_iso_class_multiset_stable_under_seeds(catalog16):
             assert class_multiset(entry.group, rng=random.Random(seed)) == base, entry.name
 
 
-def test_no_brute_force_fallbacks_recorded():
-    assert CYCLIC_COMPLEMENT_FALLBACKS == []
+def test_constructive_complement_is_revalidated(monkeypatch):
+    # a wrong constructive answer raises; nothing searches for another one
+    g = construct(Product(Cyclic(4), Cyclic(2)))
+    d = generate_subgroup(g, [2])
+    monkeypatch.setattr(decomposition, "_complement_constructive",
+                        lambda group, f, d, *, cap: trivial_subgroup(group))
+    with pytest.raises(AssertionError, match="not a direct complement"):
+        cyclic_max_complement(g, d)
+
+
+def test_lattice_accessors_return_the_stored_tuples():
+    g = construct(Product(Dihedral(4), Cyclic(2)))
+    for accessor in (all_subgroups, normal_subgroups, all_direct_splittings):
+        first = accessor(g)
+        assert isinstance(first, tuple) and accessor(g) is first, accessor.__name__

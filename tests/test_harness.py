@@ -16,7 +16,6 @@ from groupkit.core import (
 from groupkit import decomposition, harness
 from groupkit.core import parse_recipe
 from groupkit.decomposition import (
-    _factor_projection,
     all_direct_splittings,
     direct_complements,
     factor_classes,
@@ -52,7 +51,12 @@ from groupkit.subgroups import (
 from groupkit.catalog import CatalogEntry, builtin_catalog, group_to_json_dict
 from groupkit.iso import fingerprint
 
-from conftest import PREMISES32, elementary_abelian_premises, elementary_abelian_splittings
+from conftest import (
+    PREMISES32,
+    elementary_abelian_premises,
+    elementary_abelian_splittings,
+    projection_by_products,
+)
 
 
 def test_trivial_group_has_one_instance():
@@ -349,7 +353,7 @@ def test_join_meet_is_the_factor_projection(catalog24):
     for g in groups:
         normals = normal_subgroups(g)
         for b, c in harness._oriented(all_direct_splittings(g)):
-            proj = _factor_projection(g, b, c)
+            proj = projection_by_products(g, b, c)
             for a in normals:
                 image = bits_of(proj[m] for m in a.members())
                 assert join_bits(g, a, b) & c.bits == image, (g.name, a, b, c)

@@ -1,0 +1,52 @@
+"""Randomised checks against the naive oracles, drawn by ``hypothesis``.
+
+Every test is derandomized and keeps no example database, so a run draws
+the same examples each time.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from groupkit import harness
+from groupkit.core import Cyclic, Dicyclic, Dihedral, Product, construct, parse_recipe, recipe_dsl
+from groupkit.decomposition import all_direct_splittings, project_onto_factor
+from groupkit.subgroups import all_subgroups, bits_of
+
+from conftest import projection_by_products
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
+parameters = st.integers(min_value=1, max_value=64)
+recipes = st.recursive(
+    st.one_of(st.builds(Cyclic, parameters), st.builds(Dihedral, parameters),
+              st.builds(Dicyclic, parameters)),
+    lambda inner: st.builds(Product, inner, inner),
+    max_leaves=6,
+)
+
+
+@DETERMINISTIC
+@given(recipes)
+def test_recipe_dsl_round_trip(recipe):
+    text = recipe_dsl(recipe)
+    assert parse_recipe(text) == recipe
+    assert recipe_dsl(parse_recipe(text)) == text
+
+
+# one to three cyclic factors, of product order at most 64
+cyclic_orders = st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=3).filter(
+    lambda orders: math.prod(orders) <= 64)
+
+
+@DETERMINISTIC
+@given(cyclic_orders, st.data())
+def test_project_onto_factor_matches_products(orders, data):
+    recipe = Cyclic(orders[0])
+    for n in orders[1:]:
+        recipe = Product(recipe, Cyclic(n))
+    g = construct(recipe)
+    h, k = data.draw(st.sampled_from(list(harness._oriented(all_direct_splittings(g)))))
+    x = data.draw(st.sampled_from(all_subgroups(g)))
+    proj = projection_by_products(g, h, k)
+    assert project_onto_factor(g, (h, k), x).bits == bits_of(proj[m] for m in x.members())
