@@ -253,11 +253,13 @@ def project_onto_factor(group: Group, splitting: tuple[Subgroup, Subgroup],
     For G = H×K the image is π_K(X) = X·H ∩ K, for every subgroup X: each
     x = h·k in X has k = h⁻¹x in X·H ∩ K, and each k = x·h in X·H ∩ K has
     x = h⁻¹k (H and K commute), so π_K(x) = k.  X·H is a subgroup because
-    H is normal, and it is read from ``join_bits``.
+    H is normal, and it is read from ``join_bits``.  G = H×K holds exactly
+    when both sides are normal, H∩K = 1 and |H|·|K| = |G|.
     """
     h, k = splitting
-    check_parent(group, x)
-    if not is_internal_direct(group, [h, k]):
+    check_parent(group, x, h, k)
+    if not (h.bits & k.bits == 1 and h.order * k.order == group.order
+            and is_normal_bits(group, h.bits) and is_normal_bits(group, k.bits)):
         raise NotASplitting("projection requires an internal direct splitting")
     return Subgroup(group, join_bits(group, x, h) & k.bits)
 

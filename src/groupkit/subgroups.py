@@ -125,32 +125,53 @@ def check_lattice_cap(group: Group, cap: int) -> None:
 def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subgroup, ...]:
     """Every subgroup exactly once, canonically sorted; the memoized tuple itself.
 
-    Seeds with all cyclic subgroups, then closes under joins with the seeds;
-    every subgroup is reached because it is a join of its cyclic subgroups.
+    A search from the trivial subgroup that joins each subgroup H it finds
+    with seeds, by three rules that hold in every finite group:
+
+    1. The seeds are the cyclic subgroups of prime-power order.
+    2. H is joined only with a seed c where |c : c∩H| is a prime p.
+    3. A join K with |K : H| prime has H maximal in K, so every later seed
+       with its generator in K gives K again: K goes into H's ``covered``
+       mask, and such seeds are skipped.
+
+    Every cover K of H (H maximal in K) is still reached.  For x in K∖H let
+    d > 0 be least with x^d in H and p a prime dividing d; y = x^(d/p) is
+    outside H and y^p is inside.  The p'-part of y is a power of y^p, so it
+    lies in H, and the p-part of y is therefore outside H with its p-th
+    power inside: it generates a seed c with |c : c∩H| = p, and
+    ⟨H, c⟩ = K by maximality.  Every subgroup ends a chain of covers from
+    the trivial subgroup, so every subgroup is found.
     """
     check_lattice_cap(group, cap)
 
     def build() -> tuple[Subgroup, ...]:
         table = group.table
-        seeds: dict[int, int] = {}  # cyclic subgroup bits -> generator
-        for x in range(1, group.order):
-            seeds.setdefault(closure_bits(table, (x,)), x)
-        found: dict[int, list[int]] = {1: [0]}
+        n = group.order
+        orders = element_orders(group)
+        # element orders divide n, so these are all the prime powers p^a > 1 they take
+        prime_of = {p ** a: p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)
+                    for a in range(1, n.bit_length()) if n % p ** a == 0}
+        seeds: dict[int, int] = {}  # cyclic subgroup of prime-power order -> least generator
+        for x in range(1, n):
+            if orders[x] in prime_of:
+                seeds.setdefault(closure_bits(table, (x,)), x)
+        # (generator, bits, |c|/p): H is joined with c only when |c∩H| = |c|/p
+        seed_list = sorted((g, c, orders[g] // prime_of[orders[g]]) for c, g in seeds.items())
+        found = {1}
         queue = deque([1])
-        for bits in seeds:
-            if bits not in found:
-                found[bits] = members_of(bits)
-                queue.append(bits)
-        seed_list = sorted(seeds.items(), key=lambda kv: kv[1])
         while queue:
             bits = queue.popleft()
-            members = found[bits]
-            for seed_bits, g in seed_list:
-                if seed_bits & ~bits == 0:
+            members = members_of(bits)
+            size = len(members)
+            covered = bits
+            for g, c, meet in seed_list:
+                if (covered >> g) & 1 or (c & bits).bit_count() != meet:
                     continue
                 joined = closure_bits(table, (g,), bits, members)
+                if _is_prime(joined.bit_count() // size):
+                    covered |= joined
                 if joined not in found:
-                    found[joined] = members_of(joined)
+                    found.add(joined)
                     queue.append(joined)
         return tuple(sorted((Subgroup(group, bits) for bits in found), key=Subgroup.sort_key))
 

@@ -172,6 +172,16 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
+def elementary_abelian_covers(p: int, n: int) -> int:
+    """Cover edges H < K with |K : H| = p in the subgroup lattice of C_p^n.
+
+    A k-dimensional H is one of [n, k]_p subspaces, and the subspaces one
+    dimension above it are the (p^(n-k) - 1)/(p - 1) lines of G/H.
+    """
+    return sum(gaussian_binomial(n, k, p) * (p ** (n - k) - 1) // (p - 1)
+               for k in range(n + 1))
+
+
 def elementary_abelian_splittings(p: int, n: int) -> int:
     """Oriented direct splittings (H, K) of C_p^n, {1, 1} of C1 counted once.
 

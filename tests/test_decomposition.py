@@ -263,6 +263,13 @@ def test_project_requires_splitting():
     a = generate_subgroup(g, [1])
     with pytest.raises(NotASplitting):
         project_onto_factor(g, (a, a), a)
+    # S3 = C3·C2 with trivial meet and the right orders, but C2 is not normal
+    s3 = construct(Symmetric(3))
+    c3 = next(s for s in all_subgroups(s3) if s.order == 3)
+    c2 = next(s for s in all_subgroups(s3) if s.order == 2)
+    for pair in ((c3, c2), (c2, c3)):
+        with pytest.raises(NotASplitting):
+            project_onto_factor(s3, pair, c2)
 
 
 def test_subgroup_of_another_group_is_rejected():
@@ -281,6 +288,8 @@ def test_subgroup_of_another_group_is_rejected():
         lambda: is_internal_direct(g, [a, foreign]),
         lambda: combine_coprime_factors(g, foreign, trivial_subgroup(g)),
         lambda: project_onto_factor(g, (a, b), foreign),
+        lambda: project_onto_factor(g, (a, foreign), a),
+        lambda: project_onto_factor(g, (foreign, b), a),
         lambda: set_product(g, a, foreign),
         lambda: cyclic_max_complement(g, foreign),
     ]

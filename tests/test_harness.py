@@ -344,6 +344,23 @@ def test_verify_one_pins_d4_times_c2_cubed():
     assert "property_failures" not in out
 
 
+# order-128 groups whose lattices stay small: name -> (recipe DSL, instances)
+ORDER_128 = {
+    "C8xC4^2": ("P(P(C(8),C(4)),C(4))", 26_626),
+    "C4^3xC2": ("P(P(P(C(4),C(4)),C(4)),C(2))", 1_807_362),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_128)
+def test_verify_one_pins_order_128(name):
+    dsl, instances = ORDER_128[name]
+    out = harness._verify_one((name, construct(parse_recipe(dsl)), 128))
+    assert out["instances"] == instances
+    assert out["violations"] == []
+    assert out["properties"] == ALL_PASS
+    assert "property_failures" not in out
+
+
 def test_join_meet_is_the_factor_projection(catalog24):
     # cor_2_1 reads π_C(A) as A·B ∩ C for G = B×C and A normal; the
     # reference is the element-wise image under the map b·c -> c

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from groupkit.core import (
@@ -11,10 +13,12 @@ from groupkit.core import (
     element_order,
     exponent,
     is_abelian,
+    parse_recipe,
     recipe_dsl,
 )
 from groupkit import subgroups
 from groupkit.errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound
+from groupkit.harness import build_split_counterexample
 from groupkit.iso import automorphisms, find_isomorphism
 from groupkit.subgroups import (
     agemo,
@@ -35,7 +39,12 @@ from groupkit.subgroups import (
     whole_subgroup,
 )
 
-from conftest import closure_by_products, subgroups_by_subset_filter
+from conftest import (
+    closure_by_products,
+    elementary_abelian_covers,
+    gaussian_binomial,
+    subgroups_by_subset_filter,
+)
 
 
 def test_generate_empty_is_trivial():
@@ -96,6 +105,66 @@ def test_all_subgroups_order_bound():
     g = construct(Cyclic(72))
     with pytest.raises(OrderBound):
         all_subgroups(g)
+
+
+def _alternating5():
+    sub = derived_subgroup(construct(Symmetric(5)))
+    return subgroup_as_group(sub)[0]
+
+
+# name -> (group builder, lattice cap, subgroup count, sha256 of the bit list)
+LATTICE_PINS = {
+    "S4xC2": (lambda: construct(parse_recipe("P(S(4),C(2))")), 64, 98,
+              "1d2907e84b73aeb94b908dc5ac9769fc9261ec3cd388d750096a37d823e104cb"),
+    "D4xS3": (lambda: construct(parse_recipe("P(D(4),S(3))")), 64, 120,
+              "b1127956fce042702a99771c3c2d4cf4e9a385c040a93c94a59b198abdd7bba5"),
+    "SL(2,3)xC2": (lambda: construct(parse_recipe(
+        "P(SD(Dic(2),C(3),action=[[1,[0,4,2,6,5,1,7,3]]]),C(2))")), 64, 41,
+        "2e6a1bf3fef29d75cbf4c8e935d679658f474e3430425ee62a82685928f9634d"),
+    "D16": (lambda: construct(parse_recipe("D(16)")), 64, 36,
+            "5b381cf0d44886186426ca6123ec445025be7f9d4b8cdb17012edb732dfdfa09"),
+    "split-counterexample-p3": (
+        lambda: build_split_counterexample(3, lattice_cap=81).group, 81, 104,
+        "aaf90740286c364c1984afe74daa1434ed9187609d470f116af95487afc63a30"),
+    "D4xC2^3": (lambda: construct(parse_recipe("P(P(P(D(4),C(2)),C(2)),C(2))")), 64, 937,
+                "5b8a7afc189841abcd510c613163d2420c82e8f959ef0c4d8a68cb7f9bca3eaa"),
+    "C4xC2^5": (lambda: construct(parse_recipe(
+        "P(P(P(P(P(C(4),C(2)),C(2)),C(2)),C(2)),C(2))")), 128, 5_276,
+        "d8801c295654618440806114b5557eba59b97fddc0aee8db6d38f9a12ca43219"),
+    "D4xC4^2": (lambda: construct(parse_recipe("P(P(D(4),C(4)),C(4))")), 128, 636,
+                "2699f91d7a5b4c74cf3fbbf889462ff105d626170e00c39bb5c61fe8b4aeb4ca"),
+    # non-solvable: the lattice search must not lean on solvability
+    "A5": (_alternating5, 120, 59,
+           "85e2b4febe8f10d8eaf476262940bd7bc331731f4b97a0ed2bd89be044a9054a"),
+    "S5": (lambda: construct(Symmetric(5)), 120, 156,
+           "8241b2cea08da608c41f5ed8a8a426bdd3f7460e8eff60a13665a688a962587f"),
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_PINS)
+def test_all_subgroups_pinned_bit_for_bit(name):
+    build, cap, count, digest = LATTICE_PINS[name]
+    bits = [s.bits for s in all_subgroups(build(), cap=cap)]
+    assert len(bits) == count
+    assert hashlib.sha256(repr(bits).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p, n, joins", [(2, 4, 255), (2, 5, 2_108), (3, 4, 1_200)])
+def test_lattice_joins_once_per_cover(monkeypatch, p, n, joins):
+    # one closure per non-identity element (the seeds), then one join per
+    # cover edge H < K of C_p^n: every cover has index p there
+    calls = []
+    kernel = subgroups.closure_bits
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(subgroups, "closure_bits", counting)
+    g = construct(parse_recipe("P(" * (n - 1) + f"C({p})" + f",C({p}))" * (n - 1)))
+    assert len(all_subgroups(g, cap=p ** n)) == sum(
+        gaussian_binomial(n, k, p) for k in range(n + 1))
+    assert len(calls) == joins == p ** n - 1 + elementary_abelian_covers(p, n)
 
 
 def test_lagrange(catalog16):
