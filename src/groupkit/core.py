@@ -12,15 +12,20 @@ Three kernels live here and nowhere else: subgroup closure
 (``closure_bits``), coset numbering (``coset_table``) and per-group caching
 (``memo``).  Every other module calls them rather than re-implementing
 them, so each concept has one place to reason about.
+
+A table has one representation: a tuple of row tuples of Python ints, as
+``validate_table`` returns it and ``Group.table`` holds it.  Table code is
+plain Python; arrays are accepted as input (anything with a ``dtype`` and
+``tolist``) but no array library is imported.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, permutations
-
-import numpy as np
+from numbers import Integral
 
 from .errors import (
     IndexOutOfRange,
@@ -41,10 +46,25 @@ DEFAULT_ORDER_CAP = 512
 # ---------------------------------------------------------------------------
 # recipes
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an exact integer (any ``numbers.Integral``), bools excluded."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def exact_ints(values) -> bool:
+    """Whether every item of ``values`` is an exact integer by ``_is_int``.
+
+    An array (anything with a ``dtype``) answers by its dtype's kind, so an
+    array of Python objects does not pass.
+    """
+    dtype = getattr(values, "dtype", None)
+    return dtype.kind in "iu" if dtype is not None else all(map(_is_int, values))
+
+
 def _exact_int(value, what: str):
-    """``value`` if it is an exact integer by ``exact_ints``'s rule (bools
-    excluded), else InvalidRecipe: no recipe parameter is cast."""
-    if isinstance(value, bool) or not isinstance(value, int | np.integer):
+    """``value`` if it is an exact integer by ``_is_int``'s rule, else
+    InvalidRecipe: no recipe parameter is cast."""
+    if not _is_int(value):
         raise InvalidRecipe(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -296,25 +316,24 @@ def parse_recipe(text: str) -> Recipe:
 # ---------------------------------------------------------------------------
 # table validation
 
-def exact_ints(rows, t: np.ndarray) -> bool:
-    """Whether ``t = np.asarray(rows)`` holds exact integers, bools excluded.
+def validate_table(table) -> tuple[tuple[int, ...], ...]:
+    """Check every group axiom on a square index table; return it as rows.
 
-    numpy turns Python rows that mix ints and bools into int64, so only an
-    ndarray's dtype answers the type check on its own.
-    """
-    return t.dtype.kind in "iu" and (
-        isinstance(rows, np.ndarray)
-        or {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(rows)))
-    )
+    The result is a tuple of row tuples of Python ints.  Raises on the first
+    failure, checked in the order: shape, integer entries, range, identity
+    at 0, Latin rows then columns, two-sided inverses, associativity.  Every
+    check runs at every order.  An array (anything with a ``dtype``) is read
+    through ``tolist`` and its dtype answers the integer check; bools and
+    floats of either kind are rejected.
 
-
-def validate_table(table) -> np.ndarray:
-    """Check every group axiom on a square index table; return it as int64.
-
-    Raises on the first failure, checked in the order: shape, integer
-    entries, range, identity at 0, Latin rows then columns, two-sided
-    inverses, associativity.  Every check is a whole-array operation and
-    runs at every order.
+    A fast path proves a table is a group with fewer checks: exact-int entry
+    types, n entries per row, all in 0..n-1, identity at 0, a 0 in every
+    row, then associativity.  That suffices: the table is then a finite
+    monoid in which every element has a right inverse, and such a monoid is
+    a group (if ab = 1 and bc = 1 then a = a(bc) = (ab)c = c), so its rows
+    and columns are Latin and its inverses two-sided.  When a fast-path step
+    fails, the checks run again one at a time in the order above, so the
+    first failure in that order is raised.
 
     Associativity uses Light's test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, §1.2): the g with (x·g)·y = x·(g·y) for all x, y
@@ -323,51 +342,98 @@ def validate_table(table) -> np.ndarray:
     ``closure_bits``, which only ever adds products of elements it has
     already reached and a generator.
     """
-    try:
-        t = np.asarray(table)
-    except ValueError:  # ragged rows
-        raise MalformedTable("table rows differ in length") from None
-    if t.size == 0:
-        raise MalformedTable("table is empty")
-    n = len(t)
-    if t.shape != (n, n):
-        raise MalformedTable(f"table has shape {t.shape}, expected ({n}, {n})")
-    if not exact_ints(table, t):
-        raise MalformedTable(f"table entries must be integers in [0, {n})")
-    bad = np.argwhere((t < 0) | (t >= n))
-    if len(bad):
-        i, j = bad[0]
-        raise MalformedTable(f"row {i} entry {t[i, j]} out of range [0, {n})")
-    t = t.astype(np.int64, copy=False)
+    dtype = getattr(table, "dtype", None)
+    typed = dtype is None or dtype.kind in "iu"
+    if dtype is not None:
+        table = table.tolist()
+    return (typed and _group_rows(table)) or _checked_rows(table, typed)
 
-    ident = np.arange(n)
-    if not (np.array_equal(t[0], ident) and np.array_equal(t[:, 0], ident)):
-        raise NoIdentity("index 0 is not a two-sided identity")
 
-    for axis, lines in (("row", t), ("column", t.T)):
-        ordered = np.sort(lines, axis=1)
-        bad = np.flatnonzero((ordered != ident).any(axis=1))
-        if len(bad):
-            line = ordered[bad[0]]
-            dup = line[np.flatnonzero(np.diff(line) == 0)[0]]
-            raise NotLatin(axis, int(bad[0]), int(dup))
-
-    # each row now holds exactly one 0; invertibility needs it two-sided
-    bad = np.flatnonzero(t[np.argmin(t, axis=1), ident] != 0)
-    if len(bad):
-        raise NotInvertible(int(bad[0]))
-
-    rows = t.tolist()  # Python ints: closure_bits shifts by entries
+def _light_generators(rows) -> list[int]:
+    """Greedy generators for Light's test: each the least element not yet reached."""
     bits, gens = 1, []
-    for x in range(1, n):
+    for x in range(1, len(rows)):
         if not (bits >> x) & 1:
             gens.append(x)
             bits = closure_bits(rows, [x], bits, members_of(bits))
-    for g in gens:
-        bad = np.argwhere(t[t[:, g]] != t[:, t[g]])  # (x·g)·y against x·(g·y)
-        if len(bad):
-            x, y = bad[0]
-            raise NotAssociative(int(x), g, int(y))
+    return gens
+
+
+def _group_rows(table) -> tuple[tuple[int, ...], ...] | None:
+    """``table`` as rows when the fast path proves it a group, else None."""
+    sequence = list | tuple
+    if not isinstance(table, sequence) or not all(isinstance(row, sequence) for row in table):
+        return None
+    t = tuple(map(tuple, table))
+    n = len(t)
+    ident = list(range(n))
+    if (not t or set(map(type, chain.from_iterable(t))) != {int}
+            or set(map(len, t)) != {n} or not set(ident).issuperset(chain.from_iterable(t))
+            or list(t[0]) != ident or [row[0] for row in t] != ident
+            or not all(0 in row for row in t)):
+        return None
+    cols = tuple(zip(*t))
+    for g in _light_generators(t):
+        # row x of each side: (x·g)·y over y, and x·(g·y) over y
+        right = zip(*operator.itemgetter(*t[g])(cols))
+        if operator.itemgetter(*cols[g])(t) != tuple(right):
+            return None
+    return t
+
+
+def _shape(x) -> tuple[int, ...]:
+    """The shape of nested lists and tuples, arrays among them read as
+    sequences (as an array library reads them); ValueError when ragged."""
+    if not isinstance(x, list | tuple) and not getattr(x, "ndim", 0):
+        return ()
+    inner = {_shape(item) for item in x}
+    if len(inner) > 1:
+        raise ValueError("ragged")
+    return (len(x), *(inner.pop() if inner else ()))
+
+
+def _checked_rows(table, typed: bool) -> tuple[tuple[int, ...], ...]:
+    """``validate_table``'s checks one at a time, in its documented order."""
+    try:
+        shape = _shape(table)
+    except ValueError:
+        raise MalformedTable("table rows differ in length") from None
+    if not shape:
+        raise MalformedTable("table is not a sequence of rows")
+    if 0 in shape:
+        raise MalformedTable("table is empty")
+    n = shape[0]
+    if shape != (n, n):
+        raise MalformedTable(f"table has shape {shape}, expected ({n}, {n})")
+    if not (typed and all(map(exact_ints, table))):
+        raise MalformedTable(f"table entries must be integers in [0, {n})")
+    for i, row in enumerate(table):
+        for v in row:
+            if not 0 <= v < n:
+                raise MalformedTable(f"row {i} entry {v} out of range [0, {n})")
+    t = tuple(tuple(map(operator.index, row)) for row in table)
+
+    ident = list(range(n))
+    if list(t[0]) != ident or [row[0] for row in t] != ident:
+        raise NoIdentity("index 0 is not a two-sided identity")
+
+    for axis, lines in (("row", t), ("column", tuple(zip(*t)))):
+        for i, line in enumerate(lines):
+            ordered = sorted(line)
+            if ordered != ident:
+                raise NotLatin(axis, i, next(a for a, b in zip(ordered, ordered[1:]) if a == b))
+
+    # each row now holds exactly one 0; invertibility needs it two-sided
+    for x, row in enumerate(t):
+        if t[row.index(0)][x] != 0:
+            raise NotInvertible(x)
+
+    for g in _light_generators(t):
+        for x, row in enumerate(t):
+            left = t[row[g]]
+            for y, gy in enumerate(t[g]):
+                if left[y] != row[gy]:  # (x·g)·y against x·(g·y)
+                    raise NotAssociative(x, g, y)
     return t
 
 
@@ -385,10 +451,9 @@ class Group:
     __slots__ = ("order", "table", "inv", "name", "recipe", "_cache")
 
     def __init__(self, table, *, name: str | None = None, recipe: Recipe | None = None):
-        t = validate_table(table)
-        self.order = len(t)
-        self.table = tuple(map(tuple, t.tolist()))
-        self.inv = tuple(np.argmin(t, axis=1).tolist())
+        self.table = validate_table(table)
+        self.order = len(self.table)
+        self.inv = tuple(row.index(0) for row in self.table)
         self.name = name
         self.recipe = recipe
         self._cache = {}
@@ -560,11 +625,19 @@ def _symmetric_table(m: int) -> list[list[int]]:
     return table
 
 
-def _product_table(a: Group, b: Group) -> np.ndarray:
-    # entry [(a1, b1), (a2, b2)] = (a1·a2, b1·b2), pair (x, y) -> x*|B| + y
-    ta, tb = np.asarray(a.table), np.asarray(b.table)
-    n = a.order * b.order
-    return (ta[:, None, :, None] * b.order + tb[None, :, None, :]).reshape(n, n)
+def _product_table(a: Group, b: Group) -> list[list[int]]:
+    # entry [(a1, b1), (a2, b2)] = (a1·a2, b1·b2), pair (x, y) -> x*|B| + y;
+    # row (a1, b1) joins, for each c = a1·a2, row b1 of B shifted by c*|B|
+    nb = b.order
+    shifted = [[[c * nb + v for v in rb] for c in range(a.order)] for rb in b.table]
+    table = []
+    for ra in a.table:
+        for blocks in shifted:
+            row = []
+            for c in ra:
+                row += blocks[c]
+            table.append(row)
+    return table
 
 
 def hom_defect(source, target, mapping) -> tuple[int, int] | None:
@@ -573,9 +646,13 @@ def hom_defect(source, target, mapping) -> tuple[int, int] | None:
     ``source`` and ``target`` are multiplication tables; ``mapping`` sends
     source indices to target indices.
     """
-    m = np.asarray(mapping, dtype=np.int64)
-    bad = np.argwhere(m[np.asarray(source)] != np.asarray(target)[np.ix_(m, m)])
-    return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
+    for x, row in enumerate(source):
+        image = target[mapping[x]]
+        left = list(map(mapping.__getitem__, row))  # map[x·y] over y
+        right = list(map(image.__getitem__, mapping))  # map[x]·map[y] over y
+        if left != right:
+            return x, next(y for y, (u, v) in enumerate(zip(left, right)) if u != v)
+    return None
 
 
 def _resolve_action(normal: Group, acting: Group,
@@ -622,13 +699,21 @@ def _resolve_action(normal: Group, acting: Group,
 
 
 def _semidirect_table(normal: Group, acting: Group,
-                      action: tuple[tuple[int, tuple[int, ...]], ...]) -> np.ndarray:
-    # (q1,n1)(q2,n2) = (q1 q2, phi(q2^-1)(n1) * n2); pair (q,n) -> q*|N| + n
-    phi = np.asarray(_resolve_action(normal, acting, action))
-    twist = phi[list(acting.inv)]  # [q2, n1] -> phi(q2^-1)(n1)
-    right = np.asarray(normal.table)[twist].transpose(1, 0, 2)  # [n1, q2, n2]
-    n = acting.order * normal.order
-    return (np.asarray(acting.table)[:, None, :, None] * normal.order + right).reshape(n, n)
+                      action: tuple[tuple[int, tuple[int, ...]], ...]) -> list[list[int]]:
+    # (q1,n1)(q2,n2) = (q1 q2, phi(q2^-1)(n1) * n2); pair (q,n) -> q*|N| + n;
+    # row (q1, n1) joins, for each q2, row phi(q2^-1)(n1) of N shifted by (q1 q2)*|N|
+    phi = _resolve_action(normal, acting, action)
+    nn = normal.order
+    shifted = [[[c * nn + v for v in rn] for rn in normal.table] for c in range(acting.order)]
+    twist = [phi[q] for q in acting.inv]  # [q2][n1] -> phi(q2^-1)(n1)
+    table = []
+    for rq in acting.table:
+        for n1 in range(nn):
+            row = []
+            for c, tw in zip(rq, twist):
+                row += shifted[c][tw[n1]]
+            table.append(row)
+    return table
 
 
 def _central_quotient_table(inner: Group, gens: tuple[int, ...]) -> list[list[int]]:
@@ -647,13 +732,11 @@ def _central_quotient_table(inner: Group, gens: tuple[int, ...]) -> list[list[in
     return coset_table(table, members)[0]
 
 
-def construct(recipe: Recipe, *, name: str | None = None,
-              order_cap: int = DEFAULT_ORDER_CAP) -> Group:
-    """Build and validate the group a recipe describes.
+def _table(recipe: Recipe, order_cap: int) -> list[list[int]]:
+    """The table a recipe describes, its parts taken from ``_part``.
 
-    Element numbering is deterministic (see module docstring), so equal
-    recipes always produce identical tables.  Orders are checked against the
-    cap bottom-up, before any combined table is filled in.
+    Orders are checked against the cap bottom-up, before any combined table
+    is filled in.
     """
     def check(order: int) -> int:
         if order > order_cap:
@@ -672,19 +755,57 @@ def construct(recipe: Recipe, *, name: str | None = None,
         check(math.factorial(recipe.m))
         table = _symmetric_table(recipe.m)
     elif isinstance(recipe, Product):
-        left = construct(recipe.left, order_cap=order_cap)
-        right = construct(recipe.right, order_cap=order_cap)
+        left = _part(recipe.left, order_cap)
+        right = _part(recipe.right, order_cap)
         check(left.order * right.order)
         table = _product_table(left, right)
     elif isinstance(recipe, Semidirect):
-        normal = construct(recipe.normal, order_cap=order_cap)
-        acting = construct(recipe.acting, order_cap=order_cap)
+        normal = _part(recipe.normal, order_cap)
+        acting = _part(recipe.acting, order_cap)
         check(normal.order * acting.order)
         table = _semidirect_table(normal, acting, recipe.action)
     elif isinstance(recipe, CentralQuotient):
-        table = _central_quotient_table(
-            construct(recipe.inner, order_cap=order_cap), recipe.gens
-        )
+        table = _central_quotient_table(_part(recipe.inner, order_cap), recipe.gens)
     else:
         raise InvalidRecipe(f"unknown recipe object {recipe!r}")
-    return Group(table, name=name, recipe=recipe)
+    return table
+
+
+# validated group of every recipe part built so far, for the life of the process
+_parts: dict[Recipe, Group] = {}
+
+
+def _part(recipe: Recipe, order_cap: int) -> Group:
+    """The group of a part of a recipe, built and validated once per process.
+
+    A reused part meets the cap as a rebuilt one would: its own parts, then
+    its own order, are checked again, so the same OrderBound is raised.
+    Part groups never leave ``construct``.
+    """
+    try:
+        group = _parts.get(recipe)
+    except TypeError:  # a part that is no recipe, somewhere inside
+        raise InvalidRecipe(f"unknown recipe object {recipe!r}") from None
+    if group is None:
+        group = _parts[recipe] = Group(_table(recipe, order_cap), recipe=recipe)
+    else:
+        # a recipe's fields are its parts in build order, then its parameters
+        for sub in vars(recipe).values():
+            if isinstance(sub, Recipe):
+                _part(sub, order_cap)
+        if group.order > order_cap:
+            raise OrderBound(group.order, order_cap)
+    return group
+
+
+def construct(recipe: Recipe, *, name: str | None = None,
+              order_cap: int = DEFAULT_ORDER_CAP) -> Group:
+    """Build and validate the group a recipe describes; a new Group per call.
+
+    Element numbering is deterministic (see module docstring), so equal
+    recipes always produce identical tables.  Orders are checked against the
+    cap bottom-up, before any combined table is filled in.  The parts of a
+    Product, Semidirect or CentralQuotient are built once per process and
+    reused (``_part``).
+    """
+    return Group(_table(recipe, order_cap), name=name, recipe=recipe)

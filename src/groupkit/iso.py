@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Group, element_orders, exact_ints, exponent, hom_defect, is_abelian, memo
 from .errors import OrderBound
 from .subgroups import center, derived_of, derived_subgroup, whole_subgroup
@@ -64,7 +62,7 @@ def fingerprint(group: Group) -> Fingerprint:
 def is_isomorphism(source: Group, target: Group, mapping) -> bool:
     """Full check: bijection of exact ints fixing 0 with map[x*y] = map[x]*map[y] everywhere."""
     n = source.order
-    if target.order != n or len(mapping) != n or not exact_ints((mapping,), np.asarray(mapping)):
+    if target.order != n or len(mapping) != n or not exact_ints(mapping):
         return False
     if mapping[0] != 0 or set(mapping) != set(range(n)):
         return False

@@ -158,11 +158,13 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
         # (generator, bits, |c|/p): H is joined with c only when |c∩H| = |c|/p
         seed_list = sorted((g, c, orders[g] // prime_of[orders[g]]) for c, g in seeds.items())
         found = {1}
+        keys = {}  # bits -> Subgroup.sort_key, from the members walked once here
         queue = deque([1])
         while queue:
             bits = queue.popleft()
             members = members_of(bits)
             size = len(members)
+            keys[bits] = (size, members)
             covered = bits
             for g, c, meet in seed_list:
                 if (covered >> g) & 1 or (c & bits).bit_count() != meet:
@@ -173,7 +175,7 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
                 if joined not in found:
                     found.add(joined)
                     queue.append(joined)
-        return tuple(sorted((Subgroup(group, bits) for bits in found), key=Subgroup.sort_key))
+        return tuple(Subgroup(group, bits) for bits in sorted(found, key=keys.__getitem__))
 
     return memo(group, "all_subgroups", build)
 

@@ -11,6 +11,8 @@ from groupkit.catalog import export_group
 from groupkit.cli import main
 from groupkit.core import Cyclic, Dicyclic, construct, parse_recipe
 
+from test_acceptance import REPORT_SHA256
+
 
 def test_verify_max_order_1(tmp_path, capsys):
     report = tmp_path / "r.json"
@@ -188,6 +190,45 @@ def test_bad_env_value_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("GROUPKIT_MAX_ORDER", "three")
     assert main(["catalog"]) == 2
     assert "GROUPKIT_MAX_ORDER" in capsys.readouterr().err
+
+
+# runs the CLI with every import of numpy refused
+_WITHOUT_NUMPY = """
+import sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} refused")
+
+sys.meta_path.insert(0, RefuseNumpy())
+try:
+    import numpy
+except ImportError:
+    pass
+else:
+    sys.exit("numpy imported despite the refusal")
+import groupkit
+from groupkit.cli import main
+if "numpy" in sys.modules:
+    sys.exit("importing groupkit imported numpy")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_numpy_is_not_needed(tmp_path):
+    report = tmp_path / "r.json"
+    path = [str(Path(groupkit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, "verify", "--max-order", "16",
+         "--report", str(report)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256[16]
 
 
 def test_module_entrypoint_subprocess(tmp_path):

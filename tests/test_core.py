@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -28,11 +29,9 @@ from groupkit.errors import (
     IndexOutOfRange,
     InvalidAction,
     InvalidRecipe,
-    NoIdentity,
     NotAssociative,
     NotCentral,
     NotInvertible,
-    NotLatin,
     MalformedTable,
     OrderBound,
     TableError,
@@ -86,28 +85,64 @@ def test_validate_dihedral4_table_and_axiom_oracle():
                 assert table[table[i][j]][k] == table[i][table[j][k]]
 
 
+def _failure(table, check=validate_table):
+    """(class name, fields, message) of the TableError ``check(table)`` raises, or None."""
+    try:
+        check(table)
+    except TableError as err:
+        return type(err).__name__, vars(err), str(err)
+    return None
+
+
 def test_validate_perturbed_cyclic3():
     table = [list(row) for row in construct(Cyclic(3)).table]
-    table[1][2] = 1  # duplicate inside row 1
-    with pytest.raises((NotAssociative, NotLatin)) as err:
-        validate_table(table)
-    assert err.value.args or getattr(err.value, "witness", None) or True
+    table[1][2] = 1  # duplicate inside row 1; column 2 and associativity fail too
+    assert _failure(table) == ("NotLatin", {"axis": "row", "index": 1, "value": 1},
+                               "row 1 repeats value 1")
 
 
 def test_validate_shape_and_identity_errors():
-    with pytest.raises(MalformedTable):
-        validate_table([[0, 1], [1]])
-    with pytest.raises(MalformedTable):
-        validate_table([[0, 7], [1, 0]])
-    with pytest.raises(NoIdentity):
-        validate_table([[1, 0], [0, 1]])
-    with pytest.raises(MalformedTable):
-        validate_table([])
+    # the first failure in the documented order wins: class, fields and
+    # message are pinned
+    for table, message in (
+        ([[0, 1], [1]], "table rows differ in length"),
+        ([], "table is empty"),
+        ([[]], "table is empty"),
+        ([[0, 1]], "table has shape (1, 2), expected (1, 1)"),
+        ([0, 1], "table has shape (2,), expected (2, 2)"),
+        ([[0, True], [True, 0]], "table entries must be integers in [0, 2)"),
+        ([[0, 1], [1, 0.5]], "table entries must be integers in [0, 2)"),
+        ([[0, 7], [1, 0]], "row 0 entry 7 out of range [0, 2)"),
+        ([[0, -1], [1, 0]], "row 0 entry -1 out of range [0, 2)"),
+        # out of range and no identity: the range check comes first
+        ([[1, 5], [0, 1]], "row 0 entry 5 out of range [0, 2)"),
+    ):
+        assert _failure(table) == ("MalformedTable", {}, message), table
+    for table in ([[1, 0], [0, 1]], [[0, 1], [0, 1]]):
+        assert _failure(table) == ("NoIdentity", {}, "index 0 is not a two-sided identity")
 
 
 def test_group_constructor_rejects_bad_tables():
-    with pytest.raises(TableError):
-        Group([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    for table, expected in (
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+         ("NotLatin", {"axis": "column", "index": 1, "value": 1}, "column 1 repeats value 1")),
+        # rows Latin, columns not, and not associative: the column is reported
+        ([[0, 1, 2], [1, 0, 2], [2, 0, 1]],
+         ("NotLatin", {"axis": "column", "index": 1, "value": 0}, "column 1 repeats value 0")),
+        ([[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]],
+         ("NotLatin", {"axis": "column", "index": 1, "value": 0}, "column 1 repeats value 0")),
+        # associative with an identity, but a monoid, not a group
+        ([[0, 1], [1, 1]],
+         ("NotLatin", {"axis": "row", "index": 1, "value": 1}, "row 1 repeats value 1")),
+        ([[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+         ("NotLatin", {"axis": "row", "index": 1, "value": 1}, "row 1 repeats value 1")),
+        # a Latin square with identity whose element 2 has only a one-sided inverse
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+         ("NotInvertible", {"index": 2}, "element 2 has no two-sided inverse")),
+        (_cyclic_with_intercalate(6),
+         ("NotAssociative", {"witness": (1, 1, 2)}, "(g1*g1)*g2 != g1*(g1*g2)")),
+    ):
+        assert _failure(table, Group) == expected, table
 
 
 def test_element_order_identity_and_generator():
@@ -159,6 +194,8 @@ def test_construct_deterministic(catalog16):
     for entry in catalog16:
         again = construct(entry.recipe)
         assert again.table == entry.group.table, entry.name
+        # every call returns a new Group, parts reused or not
+        assert construct(entry.recipe) is not again
 
 
 def test_recipe_dsl_round_trip(catalog16):
@@ -183,6 +220,15 @@ def test_order_bound():
         construct(Cyclic(513))
     with pytest.raises(OrderBound):
         construct(Product(Cyclic(32), Cyclic(32)), order_cap=512)
+    # parts are built once per process, but a reused part still meets the
+    # cap: the order-16 quotient of an order-32 product is out of reach at 16
+    inner = Product(Cyclic(4), Dihedral(4))
+    quotient = CentralQuotient(inner, (18,))
+    construct(inner)
+    assert construct(quotient).order == 16  # inner is now a built part
+    with pytest.raises(OrderBound) as err:
+        construct(quotient, order_cap=16)
+    assert (err.value.order, err.value.cap) == (32, 16)
 
 
 def test_invalid_semidirect_actions():
@@ -300,21 +346,33 @@ def _cyclic_with_intercalate(n: int) -> list[list[int]]:
 
 def test_light_test_matches_triple_oracle_on_reduced_latin_squares():
     rejected = 0
+    failures = []
     for n in range(1, 6):
         for square in reduced_latin_squares(n):
             verdict = _passes_validation(square)
             assert verdict == is_associative_by_triples(square), square
             rejected += not verdict
+            failures.append(_failure(square))
     assert rejected > 0
+    # every (class, fields, message) is pinned
+    assert (len(failures), sum(f is not None for f in failures)) == (63, 50)
+    assert hashlib.sha256(repr(failures).encode()).hexdigest() == (
+        "e6c25900aab5b5dd927c6a281fbef18ab7e0c3b58598b36dfe45394b4583cf87")
 
 
 def test_light_test_matches_triple_oracle_on_perturbed_catalog(catalog16):
     checked = 0
+    failures = []
     for entry in catalog16:
         for _, table in zip(range(3), _intercalate_swaps(entry.group.table)):
             assert _passes_validation(table) == is_associative_by_triples(table), entry.name
             checked += 1
+            failures.append(_failure(table))
     assert checked > 50
+    # every witness and message is pinned
+    assert len(failures) == 89
+    assert hashlib.sha256(repr(failures).encode()).hexdigest() == (
+        "fb77ae570ff7f15f1a54c63b05f7a6f399f0158ef5412682414f3c3b6ee60707")
 
 
 def test_every_order_is_checked_for_associativity(tmp_path):
@@ -342,7 +400,7 @@ def test_non_integer_entries_are_malformed(entry):
 
 
 def test_array_dtype_answers_the_type_check():
-    assert validate_table(np.array([[0, 1], [1, 0]], dtype=np.uint8)).dtype == np.int64
+    assert validate_table(np.array([[0, 1], [1, 0]], dtype=np.uint8)) == ((0, 1), (1, 0))
     for dtype in (bool, float):
         with pytest.raises(MalformedTable):
             validate_table(np.array([[0, 1], [1, 0]], dtype=dtype))
@@ -354,7 +412,7 @@ def test_product_and_semidirect_tables_match_entrywise_builders(catalog16):
     small = [e.group for e in catalog16 if e.group.order <= 8]
     for a in small:
         for b in small:
-            assert _product_table(a, b).tolist() == product_table_by_entries(a, b)
+            assert _product_table(a, b) == product_table_by_entries(a, b)
     semidirects = [r for _, r in _BUILTIN + _EXTRAS if isinstance(r, Semidirect)]
     assert len(semidirects) >= 6
     for recipe in semidirects:
@@ -364,5 +422,5 @@ def test_product_and_semidirect_tables_match_entrywise_builders(catalog16):
             for q2 in range(acting.order):
                 composed = tuple(phi[q1][phi[q2][x]] for x in range(normal.order))
                 assert phi[acting.table[q1][q2]] == composed
-        assert (_semidirect_table(normal, acting, recipe.action).tolist()
+        assert (_semidirect_table(normal, acting, recipe.action)
                 == semidirect_table_by_entries(normal, acting, phi))
