@@ -11,6 +11,7 @@ from .iso import IsoCache
 from .subgroups import (
     DEFAULT_LATTICE_CAP,
     Subgroup,
+    _is_prime,
     check_lattice_cap,
     check_parent,
     is_normal_bits,
@@ -133,65 +134,73 @@ def all_direct_splittings(group: Group, *,
     return memo(group, "splittings", build)
 
 
-def _remak_factors(group: Group, f: Subgroup, *, cap: int,
-                   rng: random.Random | None = None) -> tuple[Subgroup, ...]:
-    """Indecomposable direct factors of a direct factor F of G, canonically sorted.
+def _minimal_factors(group: Group, *, cap: int) -> tuple[Subgroup, ...]:
+    """The minimal nontrivial direct factors, canonically sorted; memoized.
 
-    The other factor of G centralises F, so the normal subgroups of F are
-    exactly the normals of G inside F, and every factor stays in G's
-    indices.  The first pair A, B of them with A∩B = 1 and |A|·|B| = |F|
-    splits F, and each side splits again.  With an rng the scan order (and
-    hence which decomposition is found) is shuffled, which must not change
-    the factors' isomorphism classes; only the unshuffled result is memoized.
+    The indecomposable direct factors.  A direct factor of a direct factor
+    F of G is one of G, and a direct factor Y of G inside F is one of F:
+    with G = Y×Z, Dedekind gives F = Y×(Z∩F).  Past the trivial normal,
+    the smallest come first, so a side is kept if it contains no kept side.
     """
-    check_lattice_cap(group, cap)
-
     def build() -> tuple[Subgroup, ...]:
-        # the normals strictly between 1 and F
-        candidates = [n for n in normal_subgroups(group, cap=cap)
-                      if not n.bits & ~f.bits and n.bits != 1 and n.bits != f.bits]
-        if rng is not None:
-            rng.shuffle(candidates)
-        of_order: dict[int, list[Subgroup]] = {}
-        for n in candidates:
-            of_order.setdefault(n.order, []).append(n)
-        for a in candidates:
-            comps = [b for b in of_order.get(f.order // a.order, ())
-                     if a.bits & b.bits == 1]
-            if comps:
-                b = rng.choice(comps) if rng is not None else comps[0]
-                parts = (_remak_factors(group, a, cap=cap, rng=rng)
-                         + _remak_factors(group, b, cap=cap, rng=rng))
-                return tuple(sorted(parts, key=Subgroup.sort_key))
-        return (f,)
+        kept: list[Subgroup] = []
+        for n in normal_subgroups(group, cap=cap)[1:]:
+            if direct_complements(group, n, cap=cap) and all(m.bits & ~n.bits for m in kept):
+                kept.append(n)
+        return tuple(kept)
 
-    return build() if rng is not None else memo(group, ("remak", f.bits), build)
+    return memo(group, "minimal_factors", build)
+
+
+def _split_off(group: Group, f: Subgroup, *, cap: int,
+               rng: random.Random | None = None) -> tuple[Subgroup, Subgroup]:
+    """F = A×C for a nontrivial direct factor F of G, first in canonical order.
+
+    A is the first minimal factor inside F: F if F is indecomposable, else
+    F's first nontrivial direct factor, indecomposable as its order is least.
+    With G = A×K, Dedekind gives F = A×(K∩F), and every complement of A in
+    F is such a K∩F; C is the least.  With an rng both are drawn at random.
+    """
+    inside = [m for m in _minimal_factors(group, cap=cap) if not m.bits & ~f.bits]
+    a = rng.choice(inside) if rng is not None else inside[0]
+    rests = [Subgroup(group, k.bits & f.bits) for k in direct_complements(group, a, cap=cap)]
+    return a, rng.choice(rests) if rng is not None else min(rests, key=Subgroup.sort_key)
 
 
 def remak_decomposition(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                         rng: random.Random | None = None) -> Splitting:
-    """Split recursively into indecomposable internal direct factors.
+    """Split into indecomposable internal direct factors, canonically sorted.
 
-    Every step scans the group's own normal subgroups, so one subgroup
-    lattice serves the whole recursion.
+    Splits F = A×C (``_split_off``) from F = G on, continuing with C.  With
+    an rng the choices (and so the decomposition found) are random, which
+    must not change the factors' isomorphism classes.
     """
-    return Splitting(group, _remak_factors(group, whole_subgroup(group), cap=cap, rng=rng))
+    f = whole_subgroup(group)
+    factors = []
+    while f.order > 1:
+        a, f = _split_off(group, f, cap=cap, rng=rng)
+        factors.append(a)
+    return Splitting(group, tuple(sorted(factors, key=Subgroup.sort_key)) or (f,))
 
 
 def factor_classes(factor: Subgroup, *, cap: int = DEFAULT_LATTICE_CAP,
                    cache: IsoCache) -> frozenset[int]:
     """Class ids (within ``cache``) of the nontrivial Remak factors of a direct factor.
 
-    ``factor`` must be a direct factor of its parent (the whole group is
-    one), so that its Remak factors come from the parent's lattice.  By the
-    Krull–Remak–Schmidt theorem the factors are unique up to isomorphism,
-    so this set depends only on the factor's isomorphism class.
+    Anything but a direct factor of its parent raises PreconditionFailed.
+    Its indecomposable direct factors are the parent's minimal factors
+    inside it; by the Krull–Remak–Schmidt theorem each is isomorphic to one
+    of its Remak factors, so the set depends only on its isomorphism class.
     """
-    return frozenset(
-        cache.class_of(subgroup_as_group(f)[0])
-        for f in _remak_factors(factor.parent, factor, cap=cap)
-        if f.order > 1
-    )
+    group = factor.parent
+    try:
+        comps = direct_complements(group, factor, cap=cap)
+    except NotNormal:
+        comps = []
+    if not comps:
+        raise PreconditionFailed("not a direct factor of its parent")
+    return frozenset(cache.class_of(subgroup_as_group(m)[0])
+                     for m in _minimal_factors(group, cap=cap) if not m.bits & ~factor.bits)
 
 
 def is_coprime(group1: Group, group2: Group, *, cap: int = DEFAULT_LATTICE_CAP,
@@ -224,16 +233,17 @@ def combine_coprime_factors(group: Group, a: Subgroup, b: Subgroup, *,
     Returns the direct factor A·B, or a violation record if a check fails
     (which would falsify the combination property for direct factors).
     """
-    for name, sub in (("A", a), ("B", b)):
-        try:
-            if not direct_complements(group, sub, cap=cap):
-                raise PreconditionFailed(f"{name} is not a direct factor")
-        except NotNormal:
-            raise PreconditionFailed(f"{name} is not normal, hence not a direct factor")
+    check_parent(group, a, b)
     cache = cache or IsoCache()
     if not factor_classes(a, cap=cap, cache=cache).isdisjoint(
             factor_classes(b, cap=cap, cache=cache)):
         raise PreconditionFailed("A and B are not coprime")
+    return _combine(group, a, b, cap=cap)
+
+
+def _combine(group: Group, a: Subgroup, b: Subgroup, *,
+             cap: int) -> Subgroup | CoprimeViolation:
+    """The checks of ``combine_coprime_factors``, for direct factors known coprime."""
     if a.bits & b.bits != 1:
         return CoprimeViolation(group, a, b, "A∩B is nontrivial")
     # with A∩B = 1 the product set has |A|·|B| elements and lies in the join,
@@ -279,17 +289,12 @@ def is_directly_decomposable(group: Group, d: Subgroup, *,
     )
 
 
-def _is_cyclic_subgroup(group: Group, sub: Subgroup) -> bool:
-    orders = element_orders(group)
-    return any(orders[x] == sub.order for x in sub.members())
-
-
 def _complement_constructive(group: Group, f: Subgroup, d: Subgroup, *,
                              cap: int) -> Subgroup:
     """Inductive complement of a maximal-order cyclic D in a direct factor F.
 
     G is an abelian p-group and every step stays in its indices.  Splits
-    off F's first indecomposable factor B with complement C; if C∩D is
+    F = B×C as ``remak_decomposition`` does (``_split_off``); if C∩D is
     trivial C itself works.  Otherwise B∩D is trivial: the subgroups of the
     cyclic p-group D form a chain, so if B∩D and C∩D were both nontrivial
     they would share D's subgroup of order p, yet B∩C = 1.  So D projects
@@ -299,9 +304,7 @@ def _complement_constructive(group: Group, f: Subgroup, d: Subgroup, *,
     """
     if d.order == f.order:
         return trivial_subgroup(group)
-    factors = _remak_factors(group, f, cap=cap)
-    b = factors[0]
-    c = _join_normals(group, factors[1:])
+    b, c = _split_off(group, f, cap=cap)
     if c.bits & d.bits == 1:
         return c
     image = Subgroup(group, join_bits(group, d, b) & c.bits)
@@ -320,14 +323,10 @@ def cyclic_max_complement(group: Group, d: Subgroup, *,
     if not is_abelian(group):
         raise PreconditionFailed("group must be abelian")
     n = group.order
-    if n > 1:
-        p = min(f for f in range(2, n + 1) if n % f == 0)
-        m = n
-        while m % p == 0:
-            m //= p
-        if m != 1:
-            raise PreconditionFailed(f"group order {n} is not a power of a prime")
-    if not _is_cyclic_subgroup(group, d):
+    if len([p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]) > 1:
+        raise PreconditionFailed(f"group order {n} is not a power of a prime")
+    orders = element_orders(group)
+    if not any(orders[x] == d.order for x in d.members()):
         raise PreconditionFailed("D must be cyclic")
     if d.order != exponent(group):
         raise PreconditionFailed(

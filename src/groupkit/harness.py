@@ -8,18 +8,19 @@ in full.
 
 Whether H0 has a complement depends only on H0, so the verifier does not
 build instances one by one.  ``premise_classes`` gives every normal
-subgroup N the key (class of N, class of G/N) from ``IsoCache.class_of``,
-and each oriented splitting (H, K) meets the normals under the key
-(class of H, class of K).  That join yields the instance count and the
-distinct H0s; each H0 is checked once.  ``extension_instances`` walks the
-same join and builds the two ``Iso`` witnesses per instance, which the
-verifier asks for only when some H0 has no complement.
+subgroup N the key (class of N, class of G/N) from ``IsoCache.class_of``;
+an oriented splitting (H, K) meets the normals under (class of H, class
+of K).  Counting orientations per key gives the instance count and the
+distinct H0s; each H0 is checked once.  Only ``extension_instances``
+pairs splittings with normals, building the two ``Iso`` witnesses per
+instance, which the verifier asks for only when some H0 has no complement.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from math import prod
 from multiprocessing import get_context
@@ -47,8 +48,8 @@ from .subgroups import (
 )
 from .decomposition import (
     CoprimeViolation,
+    _combine,
     all_direct_splittings,
-    combine_coprime_factors,
     direct_complements,
     factor_classes,
     is_directly_decomposable,
@@ -81,16 +82,18 @@ class TheoremResult:
 
 @dataclass(frozen=True)
 class Premises:
-    """The premises of one group, joined by isomorphism class.
+    """The premises of one group, joined by isomorphism class and counted.
 
-    ``pairs`` holds each oriented splitting (H, K) that has premises, with
-    its H0s (H0 ≅ H and G/H0 ≅ K) in ``normal_subgroups`` order; ``count``
-    is the number of instances and ``h0s`` the distinct H0s sorted by bits.
+    ``count`` is the number of instances and ``h0s`` the distinct H0s
+    sorted by bits.  ``ids`` maps each splitting side's bits to its class,
+    and ``buckets`` each key (class of N, class of G/N) to its normals N in
+    ``normal_subgroups`` order; the ids are those of the first call's cache.
     """
 
-    pairs: tuple[tuple[Subgroup, Subgroup, tuple[Subgroup, ...]], ...]
     count: int
     h0s: tuple[Subgroup, ...]
+    ids: dict[int, int]
+    buckets: dict[tuple[int, int], tuple[Subgroup, ...]]
 
 
 def _oriented(splittings):
@@ -107,14 +110,14 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
 
     Only normals whose order is that of some normal with a direct
     complement (a splitting side) are classified; the others can never be
-    an H0.  ``cache`` supplies the class ids; the result does not depend on
-    it and is memoized per group.
+    an H0.  The count is Σ over the keys some oriented splitting has of
+    (orientations with that key) × (bucket size).  ``cache`` supplies the
+    class ids; the count and the H0s do not depend on it.  Memoized.
     """
     check_lattice_cap(group, cap)
 
     def build() -> Premises:
         classes = cache or IsoCache()
-        splittings = all_direct_splittings(group, cap=cap)
         normals = normal_subgroups(group, cap=cap)
         sides = {n.order for n in normals if direct_complements(group, n, cap=cap)}
         # every splitting side is such a normal, so ids holds the class of each
@@ -125,17 +128,13 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                 ids[n.bits] = classes.class_of(subgroup_as_group(n)[0])
                 key = (ids[n.bits], classes.class_of(quotient(group, n).target))
                 buckets.setdefault(key, []).append(n)
-        hits_of = {key: tuple(ns) for key, ns in buckets.items()}
-        pairs = []
-        used: set[tuple[int, int]] = set()
-        for h, k in _oriented(splittings):
-            key = (ids[h.bits], ids[k.bits])
-            if key in hits_of:
-                pairs.append((h, k, hits_of[key]))
-                used.add(key)
+        oriented = Counter((ids[h.bits], ids[k.bits])
+                           for h, k in _oriented(all_direct_splittings(group, cap=cap)))
+        used = [key for key in oriented if key in buckets]
         # distinct keys hold disjoint buckets, so no H0 is listed twice
-        h0s = sorted((h0 for key in used for h0 in hits_of[key]), key=lambda h0: h0.bits)
-        return Premises(tuple(pairs), sum(len(hits) for _, _, hits in pairs), tuple(h0s))
+        h0s = sorted((h0 for key in used for h0 in buckets[key]), key=lambda h0: h0.bits)
+        return Premises(sum(oriented[key] * len(buckets[key]) for key in used), tuple(h0s),
+                        ids, {key: tuple(ns) for key, ns in buckets.items()})
 
     return memo(group, "premises", build)
 
@@ -143,10 +142,12 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
 def extension_instances(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                         cache: IsoCache | None = None) -> list[ExtensionInstance]:
     """Every way the premises hold: both orientations of every splitting
-    crossed with every normal subgroup, kept when both witnesses exist."""
+    crossed with the normals in its ``premise_classes`` bucket."""
     cache = cache or IsoCache()
+    premises = premise_classes(group, cap=cap, cache=cache)
     out = []
-    for h, k, hits in premise_classes(group, cap=cap, cache=cache).pairs:
+    for h, k in _oriented(all_direct_splittings(group, cap=cap)):
+        hits = premises.buckets.get((premises.ids[h.bits], premises.ids[k.bits]), ())
         h_group, _ = subgroup_as_group(h)
         k_group, _ = subgroup_as_group(k)
         for h0 in hits:
@@ -257,13 +258,13 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                                if classes[a.bits].isdisjoint(key)]
         return coprime_to[key]
 
-    # coprime direct factors meet trivially and combine into a direct factor
+    # direct factors coprime by ``classes`` meet trivially and combine into one
     failures = []
     for i, a in enumerate(factors):
         for j, b in coprime(classes[a.bits]):
             if j < i:
                 continue
-            outcome = combine_coprime_factors(group, a, b, cap=cap, cache=cache)
+            outcome = _combine(group, a, b, cap=cap)
             if isinstance(outcome, CoprimeViolation):
                 failures.append({"a": a.members(), "b": b.members(),
                                  "reason": outcome.reason})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from groupkit import builtin_catalog
@@ -202,3 +204,83 @@ def elementary_abelian_premises(p: int, n: int) -> tuple[int, int]:
     premises = sum(gaussian_binomial(n, k, p) ** 2 * p ** (k * (n - k))
                    for k in range(n + 1))
     return premises, sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+
+
+def coset_orders(group: Group, elements, m_bits: int) -> list[int]:
+    """The order of xM in G/M (M normal) for one x of each coset xM met in
+    ``elements``: the least k >= 1 with x^k in M, found by powering."""
+    table = group.table
+    m_members = members_of(m_bits)
+    seen = 0
+    out = []
+    for x in elements:
+        if (seen >> x) & 1:
+            continue
+        for m in m_members:
+            seen |= 1 << table[x][m]
+        k, y = 1, x
+        while not (m_bits >> y) & 1:
+            y = table[y][x]
+            k += 1
+        out.append(k)
+    return out
+
+
+def abelian_invariants(orders: list[int]) -> list[int]:
+    """Elementary divisors of a finite abelian group, from its element orders.
+
+    With cyclic p-factors of orders p^aᵢ, the elements killed by p^k number
+    ∏ p^min(k, aᵢ), so log_p of |killed by p^k| / |killed by p^(k-1)| is
+    the number of p-factors of order at least p^k.
+    """
+    n = len(orders)
+    out = []
+    for p in range(2, n + 1):
+        if n % p or any(p % q == 0 for q in range(2, p)):
+            continue
+
+        def log_killed(k: int) -> int:
+            killed = sum(1 for o in orders if p ** k % o == 0)
+            e = 0
+            while killed > 1:
+                killed //= p
+                e += 1
+            return e
+
+        at_least = []
+        while True:
+            k = len(at_least) + 1
+            step = log_killed(k) - log_killed(k - 1)
+            if not step:
+                break
+            at_least.append(step)
+        for k, count in enumerate(at_least, 1):
+            out += [p ** k] * (count - (at_least[k] if k < len(at_least) else 0))
+    return sorted(out)
+
+
+def derived_bits_by_commutators(group: Group) -> int:
+    """G′: the closure of every commutator x⁻¹y⁻¹xy, inverses read off the table."""
+    table = group.table
+    inv = [row.index(0) for row in table]
+    bits = 0
+    for x in range(group.order):
+        for y in range(group.order):
+            bits |= 1 << table[table[inv[x]][inv[y]]][table[x][y]]
+    return closure_by_products(group, bits)
+
+
+def complement_count_by_homs(group: Group, n_bits: int, derived_bits: int) -> int:
+    """|Hom((G/N)^ab, Z(N))| = ∏ᵢⱼ gcd(mᵢ, nⱼ) over the elementary divisors.
+
+    (G/N)^ab is G/(N·G′), and Z(N) the members of N that commute with all
+    of N.  For a direct factor N this counts its normal complements: they
+    are the graphs of the homomorphisms from a complement C ≅ G/N to Z(N).
+    """
+    table = group.table
+    members = members_of(n_bits)
+    center = [z for z in members if all(table[z][x] == table[x][z] for x in members)]
+    quotient = abelian_invariants(coset_orders(
+        group, range(group.order), closure_by_products(group, n_bits | derived_bits)))
+    central = abelian_invariants(coset_orders(group, center, 1))
+    return math.prod(math.gcd(m, n) for m in quotient for n in central)

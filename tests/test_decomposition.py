@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -11,6 +12,8 @@ from groupkit.core import (
     Symmetric,
     construct,
     element_order,
+    exponent,
+    is_abelian,
     parse_recipe,
 )
 from groupkit import decomposition, harness
@@ -38,6 +41,7 @@ from groupkit.subgroups import (
     derived_of,
     derived_subgroup,
     generate_subgroup,
+    is_normal_bits,
     members_of,
     normal_subgroups,
     quotient,
@@ -47,7 +51,13 @@ from groupkit.subgroups import (
     whole_subgroup,
 )
 
-from conftest import PREMISES32, complements_by_scan, projection_by_products
+from conftest import (
+    PREMISES32,
+    complement_count_by_homs,
+    complements_by_scan,
+    derived_bits_by_commutators,
+    projection_by_products,
+)
 
 
 def s3():
@@ -163,6 +173,76 @@ def test_direct_factor_lattice_comes_from_parent(catalog24):
             extracted = {cache.class_of(subgroup_as_group(f)[0])
                          for f in remak_decomposition(fg).factors if f.order > 1}
             assert factor_classes(s, cache=cache) == extracted, (g.name, s.members())
+
+
+def test_factor_classes_requires_a_direct_factor():
+    cache = IsoCache()
+    c4 = construct(Cyclic(4))
+    d4 = construct(Dihedral(4))
+    reflection = next(s for s in all_subgroups(d4)
+                      if s.order == 2 and not is_normal_bits(d4, s.bits))
+    # <2> of C4 is normal but has no complement; a reflection of D4 is not normal
+    for sub in (generate_subgroup(c4, [2]), reflection):
+        with pytest.raises(PreconditionFailed, match="not a direct factor"):
+            factor_classes(sub, cache=cache)
+    # factor_classes reads its group from the subgroup, so a subgroup of
+    # another group is refused where a group is passed beside it
+    v4_factor = generate_subgroup(v4(), [1])
+    assert factor_classes(v4_factor, cache=cache)
+    with pytest.raises(PreconditionFailed, match="another group"):
+        combine_coprime_factors(c4, v4_factor, trivial_subgroup(c4))
+    with pytest.raises(PreconditionFailed, match="another group"):
+        combine_coprime_factors(c4, trivial_subgroup(c4), v4_factor)
+
+
+# order-64 groups with many Remak decompositions, as recipe DSL
+ORDER_64 = {
+    "D4xC2^3": "P(P(P(D(4),C(2)),C(2)),C(2))",
+    "C4^2xC2^2": "P(P(P(C(4),C(4)),C(2)),C(2))",
+    "C4xC2^4": "P(P(P(P(C(4),C(2)),C(2)),C(2)),C(2))",
+}
+# sha256 of repr([(name, Remak factor bits, [(D bits, cyclic_max_complement
+# bits) for each maximal-order cyclic D of an abelian p-group])]) over the
+# groups of the test below, as the scan over pairs of normals chose them
+DECOMPOSITION_SHA256 = "a7487fc69767d8517d1d13e692cb9c163fb7fc7b60286c9a5f65c525958a94a0"
+
+
+def test_decomposition_choices_pinned(catalog24):
+    groups = [(e.name, e.group) for e in catalog24]
+    groups += [(name, construct(parse_recipe(dsl)))
+               for name, dsl in {**PREMISES32, **ORDER_64}.items()]
+    rows = []
+    complements = 0
+    for name, g in groups:
+        n = g.order
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        pairs = []
+        if is_abelian(g) and len(primes) <= 1:
+            exp = exponent(g)
+            for d in all_subgroups(g):
+                if d.order == exp and any(element_order(g, x) == exp for x in d.members()):
+                    pairs.append((d.bits, cyclic_max_complement(g, d).bits))
+        rows.append((name, [f.bits for f in remak_decomposition(g).factors], pairs))
+        complements += len(pairs)
+    assert (len(rows), complements) == (70, 117)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == DECOMPOSITION_SHA256
+
+
+def test_complement_counts_match_hom_counts(catalog24):
+    # the normal complements of a direct factor N are the graphs of the
+    # homomorphisms G/N -> Z(N); the count is computed from the table alone
+    groups = [e.group for e in catalog24]
+    groups += [construct(parse_recipe(dsl), name=name) for name, dsl in PREMISES32.items()]
+    factors = 0
+    for g in groups:
+        derived = derived_bits_by_commutators(g)
+        for n in normal_subgroups(g):
+            comps = direct_complements(g, n)
+            if comps:
+                assert len(comps) == complement_count_by_homs(g, n.bits, derived), (
+                    g.name, n.members())
+                factors += 1
+    assert factors == 513
 
 
 def test_is_coprime_examples():

@@ -401,6 +401,46 @@ def test_property_suite_joins_each_coprime_pair_once(monkeypatch):
     assert len(seeds) == len(g._cache["joins"]) == coprime_pairs > len(factors)
 
 
+def test_cor_2_1_join_counts_and_a_wrong_join(monkeypatch):
+    # cor_2_1 reads one join per oriented splitting (B, C) and nontrivial
+    # factor A coprime to B, all among the joins prop_2_3 made per coprime pair
+    real = harness.join_bits
+    for name, calls, pairs in (("C4xC2xC2xC2", 8_293, 502), ("D4xC2xC2", 2_471, 200)):
+        g = construct(parse_recipe(PREMISES32[name]))
+        seen = []
+
+        def counting(group, a, b):
+            seen.append((a, b))
+            return real(group, a, b)
+
+        monkeypatch.setattr(harness, "join_bits", counting)
+        assert all(v["pass"] for v in property_suite(g).values()), name
+        assert (len(seen), len(g._cache["joins"])) == (calls, pairs), name
+    # a wrong join for one pair fails cor_2_1 once per complement C of B
+    a, b = seen[0]
+    monkeypatch.setattr(harness, "join_bits",
+                        lambda group, x, y: 0 if (x, y) == (a, b) else real(group, x, y))
+    results = property_suite(g)
+    failures = results["cor_2_1"]["failures"]
+    assert failures == [{"a": a.members(), "b": b.members(), "c": c.members(), "image": []}
+                        for c in direct_complements(g, b)]
+    assert all(v["pass"] for name, v in results.items() if name != "cor_2_1")
+
+
+def test_prop_2_1_fails_on_an_injected_superset(monkeypatch):
+    # a superset L of a side H that is not a subgroup breaks L = H·(L∩K)
+    g = construct(Product(Cyclic(2), Cyclic(2)))
+    h = next(s for s in normal_subgroups(g) if s.order == 2)
+    fake = Subgroup(g, h.bits | 1 << next(x for x in range(4) if not (h.bits >> x) & 1))
+    real = harness.all_subgroups
+    monkeypatch.setattr(harness, "all_subgroups",
+                        lambda group, *, cap: real(group, cap=cap) + (fake,))
+    results = property_suite(g)
+    failures = results["prop_2_1"]["failures"]
+    assert failures and all(f["l"] == fake.members() for f in failures)
+    assert all(v["pass"] for name, v in results.items() if name != "prop_2_1")
+
+
 def test_property_suite_set_facts(catalog24):
     # the suite reads direct factors as splitting sides, and looks T′ up
     # among the normals
