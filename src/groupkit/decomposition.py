@@ -12,6 +12,7 @@ from .subgroups import (
     DEFAULT_LATTICE_CAP,
     Subgroup,
     _is_prime,
+    _listed_normal,
     check_lattice_cap,
     check_parent,
     is_normal_bits,
@@ -88,48 +89,63 @@ def is_internal_direct(group: Group, factors) -> bool:
     return True
 
 
+def _normals_of_order(group: Group, *, cap: int) -> dict[int, list[Subgroup]]:
+    """The normals grouped by order, each group canonically ordered; memoized."""
+    def build() -> dict[int, list[Subgroup]]:
+        out: dict[int, list[Subgroup]] = {}
+        for n in normal_subgroups(group, cap=cap):
+            out.setdefault(n.order, []).append(n)
+        return out
+
+    return memo(group, "normals_of_order", build)
+
+
 def direct_complements(group: Group, normal: Subgroup, *,
-                       cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
+                       cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subgroup, ...]:
     """All normal K with N∩K = 1 and |N|·|K| = |G|, canonically ordered.
 
-    Empty iff N is not a direct factor.  Read from the direct splittings:
-    they are listed by the canonical index of their first side, so N's
-    partners in (K, N) come before those in (N, K), each in canonical order.
+    Empty iff N is not a direct factor.  This per-side map is the one store
+    of the splitting relation: N's entry is filled when first asked, from
+    the normals of order |G|/|N|, and the stored tuple itself is returned.
     """
     check_parent(group, normal)
     check_lattice_cap(group, cap)
+    by_order = _normals_of_order(group, cap=cap)
+    comps = memo(group, "complements", dict)
+    if normal.bits not in comps:
+        if not _listed_normal(group, normal.bits):
+            raise NotNormal("complement search requires a normal subgroup")
+        comps[normal.bits] = tuple(
+            k for k in by_order.get(group.order // normal.order, ()) if k.bits & normal.bits == 1)
+    return comps[normal.bits]
 
-    def build() -> dict[int, list[Subgroup]]:
-        out: dict[int, list[Subgroup]] = {n.bits: [] for n in normal_subgroups(group, cap=cap)}
-        for h, k in all_direct_splittings(group, cap=cap):
-            out[h.bits].append(k)
-            if h.bits != k.bits:
-                out[k.bits].append(h)
-        return out
 
-    comps = memo(group, "complements", build).get(normal.bits)
-    if comps is None:
-        raise NotNormal("complement search requires a normal subgroup")
-    return list(comps)
+def splitting_sides(group: Group, *, cap: int = DEFAULT_LATTICE_CAP
+                    ) -> tuple[tuple[Subgroup, tuple[Subgroup, ...]], ...]:
+    """Each direct factor with its stored complements, canonically; memoized.
+
+    One entry per oriented splitting (H, K); C1's {1, 1} occurs once.
+    """
+    check_lattice_cap(group, cap)
+    return memo(group, "sides", lambda: tuple(
+        (n, comps) for n in normal_subgroups(group, cap=cap)
+        if (comps := direct_complements(group, n, cap=cap))))
 
 
 def all_direct_splittings(group: Group, *,
                           cap: int = DEFAULT_LATTICE_CAP) -> tuple[tuple[Subgroup, Subgroup], ...]:
-    """Every unordered internal direct pair {H, K}, including {1, G}; the memoized tuple itself.
+    """Every unordered internal direct pair {H, K}, including {1, G}; memoized.
 
-    Each normal H is paired only with the normals K of order |G|/|H| that
-    come at or after it in canonical order.
+    A view of ``splitting_sides``: each side H is paired with its
+    complements at or after it in canonical order.
     """
     check_lattice_cap(group, cap)
 
     def build() -> tuple[tuple[Subgroup, Subgroup], ...]:
-        normals = normal_subgroups(group, cap=cap)
-        of_order: dict[int, list[tuple[int, Subgroup]]] = {}
-        for i, n in enumerate(normals):
-            of_order.setdefault(n.order, []).append((i, n))
-        return tuple((h, k) for i, h in enumerate(normals)
-                     for j, k in of_order.get(group.order // h.order, ())
-                     if j >= i and h.bits & k.bits == 1)
+        sides = splitting_sides(group, cap=cap)
+        rank = {h.bits: i for i, (h, _) in enumerate(sides)}
+        return tuple((h, k) for i, (h, comps) in enumerate(sides)
+                     for k in comps if rank[k.bits] >= i)
 
     return memo(group, "splittings", build)
 
@@ -140,12 +156,13 @@ def _minimal_factors(group: Group, *, cap: int) -> tuple[Subgroup, ...]:
     The indecomposable direct factors.  A direct factor of a direct factor
     F of G is one of G, and a direct factor Y of G inside F is one of F:
     with G = Y×Z, Dedekind gives F = Y×(Z∩F).  Past the trivial normal,
-    the smallest come first, so a side is kept if it contains no kept side.
+    the smallest come first, so a side is kept if it contains no kept side;
+    that is tested first, so only the normals that pass fill complements.
     """
     def build() -> tuple[Subgroup, ...]:
         kept: list[Subgroup] = []
         for n in normal_subgroups(group, cap=cap)[1:]:
-            if direct_complements(group, n, cap=cap) and all(m.bits & ~n.bits for m in kept):
+            if all(m.bits & ~n.bits for m in kept) and direct_complements(group, n, cap=cap):
                 kept.append(n)
         return tuple(kept)
 
@@ -283,10 +300,11 @@ def is_directly_decomposable(group: Group, d: Subgroup, *,
     """
     check_parent(group, d)
     d_bits, d_order = d.bits, d.order
-    return all(
-        (h.bits & d_bits).bit_count() * (k.bits & d_bits).bit_count() == d_order
-        for h, k in all_direct_splittings(group, cap=cap)
-    )
+    for h, comps in splitting_sides(group, cap=cap):
+        h_meet = (h.bits & d_bits).bit_count()
+        if any(h_meet * (k.bits & d_bits).bit_count() != d_order for k in comps):
+            return False
+    return True
 
 
 def _complement_constructive(group: Group, f: Subgroup, d: Subgroup, *,

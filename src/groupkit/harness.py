@@ -9,11 +9,13 @@ in full.
 Whether H0 has a complement depends only on H0, so the verifier does not
 build instances one by one.  ``premise_classes`` gives every normal
 subgroup N the key (class of N, class of G/N) from ``IsoCache.class_of``;
-an oriented splitting (H, K) meets the normals under (class of H, class
-of K).  Counting orientations per key gives the instance count and the
-distinct H0s; each H0 is checked once.  Only ``extension_instances``
+an oriented splitting (H, K), one entry of ``splitting_sides`` (each side
+H with its stored complements K), meets the normals under (class of H,
+class of K).  Counting orientations per key gives the instance count and
+the distinct H0s; each H0 is checked once.  Only ``extension_instances``
 pairs splittings with normals, building the two ``Iso`` witnesses per
 instance, which the verifier asks for only when some H0 has no complement.
+The property suite walks the same per-side relation.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ from .subgroups import (
 from .decomposition import (
     CoprimeViolation,
     _combine,
-    all_direct_splittings,
+    _normals_of_order,
     direct_complements,
     factor_classes,
     is_directly_decomposable,
     join_bits,
     remak_decomposition,
+    splitting_sides,
 )
 
 
@@ -96,14 +99,6 @@ class Premises:
     buckets: dict[tuple[int, int], tuple[Subgroup, ...]]
 
 
-def _oriented(splittings):
-    """Each splitting {H, K} as (H, K) and then (K, H); {1, 1} only once."""
-    for h, k in splittings:
-        yield h, k
-        if h.bits != k.bits:
-            yield k, h
-
-
 def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                     cache: IsoCache | None = None) -> Premises:
     """Every premise of the extension check, counted without witnesses.
@@ -118,18 +113,17 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
 
     def build() -> Premises:
         classes = cache or IsoCache()
-        normals = normal_subgroups(group, cap=cap)
-        sides = {n.order for n in normals if direct_complements(group, n, cap=cap)}
+        sides = splitting_sides(group, cap=cap)
+        orders = {h.order for h, _ in sides}
         # every splitting side is such a normal, so ids holds the class of each
         ids: dict[int, int] = {}
         buckets: dict[tuple[int, int], list[Subgroup]] = {}
-        for n in normals:
-            if n.order in sides:
+        for n in normal_subgroups(group, cap=cap):
+            if n.order in orders:
                 ids[n.bits] = classes.class_of(subgroup_as_group(n)[0])
                 key = (ids[n.bits], classes.class_of(quotient(group, n).target))
                 buckets.setdefault(key, []).append(n)
-        oriented = Counter((ids[h.bits], ids[k.bits])
-                           for h, k in _oriented(all_direct_splittings(group, cap=cap)))
+        oriented = Counter((ids[h.bits], ids[k.bits]) for h, comps in sides for k in comps)
         used = [key for key in oriented if key in buckets]
         # distinct keys hold disjoint buckets, so no H0 is listed twice
         h0s = sorted((h0 for key in used for h0 in buckets[key]), key=lambda h0: h0.bits)
@@ -141,25 +135,26 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
 
 def extension_instances(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                         cache: IsoCache | None = None) -> list[ExtensionInstance]:
-    """Every way the premises hold: both orientations of every splitting
-    crossed with the normals in its ``premise_classes`` bucket."""
+    """Every way the premises hold: each side H with each of its complements
+    K, crossed with the normals in the ``premise_classes`` bucket of (H, K)."""
     cache = cache or IsoCache()
     premises = premise_classes(group, cap=cap, cache=cache)
     out = []
-    for h, k in _oriented(all_direct_splittings(group, cap=cap)):
-        hits = premises.buckets.get((premises.ids[h.bits], premises.ids[k.bits]), ())
+    for h, comps in splitting_sides(group, cap=cap):
         h_group, _ = subgroup_as_group(h)
-        k_group, _ = subgroup_as_group(k)
-        for h0 in hits:
-            h0_group, _ = subgroup_as_group(h0)
-            q_group = quotient(group, h0).target
-            out.append(
-                ExtensionInstance(
-                    group, h0, h, k,
-                    Iso(h0_group, h_group, cache.iso_map(h0_group, h_group)),
-                    Iso(q_group, k_group, cache.iso_map(q_group, k_group)),
+        for k in comps:
+            hits = premises.buckets.get((premises.ids[h.bits], premises.ids[k.bits]), ())
+            k_group, _ = subgroup_as_group(k)
+            for h0 in hits:
+                h0_group, _ = subgroup_as_group(h0)
+                q_group = quotient(group, h0).target
+                out.append(
+                    ExtensionInstance(
+                        group, h0, h, k,
+                        Iso(h0_group, h_group, cache.iso_map(h0_group, h_group)),
+                        Iso(q_group, k_group, cache.iso_map(q_group, k_group)),
+                    )
                 )
-            )
     return out
 
 
@@ -187,14 +182,14 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     lemmas run over the H0s of ``instances`` when given, else over those
     of ``premise_classes``.
 
-    Every check walks the splittings in the same order, so failure lists
-    are reproducible, but work that depends on one side or one pair is done
-    once: the supersets of each H (prop_2_1), the derived and centre orders
-    of each side (prop_2_2), the factors coprime to each class set, and one
-    join A·B per unordered coprime pair (prop_2_3, ``join_bits``).  cor_2_1
-    reads the projection of A onto C along B from that join, as
-    π_C(A) = A·B ∩ C, which holds for G = B×C and any A ⊴ G, so no
-    element-wise projection is built.
+    Every check walks ``splitting_sides``, each side H with its stored
+    complements K, so failure lists are reproducible and work that depends
+    on one side is done once per side: the supersets of H (prop_2_1), its
+    derived and centre orders (prop_2_2, one test per {H, K}) and the
+    factors coprime to it (cor_2_1).  prop_2_3 makes one join A·B per
+    unordered coprime pair (``join_bits``); cor_2_1 reads the projection of
+    A onto C along B from it, as π_C(A) = A·B ∩ C, which holds for G = B×C
+    and any A ⊴ G, so no element-wise projection is built.
     """
     cache = cache or IsoCache()
     if instances is None:
@@ -204,7 +199,10 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                      key=lambda h0: h0.bits)
     subs = all_subgroups(group, cap=cap)
     normals = normal_subgroups(group, cap=cap)
-    splittings = all_direct_splittings(group, cap=cap)
+    sides = splitting_sides(group, cap=cap)
+    # the direct factors (the sides) by their place in canonical order
+    index = {h.bits: i for i, (h, _) in enumerate(sides)}
+    factors = [h for h, _ in sides]
     g_derived = derived_subgroup(group)
     g_center = center(group)
     results: dict[str, dict] = {}
@@ -216,53 +214,45 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     # H and L∩K lie in L and meet trivially, so |L∩K| = |L|/|H| says it.
     # The supersets of H, with their quotas |L|/|H|, are taken once per H
     failures = []
-    supersets: dict[int, list[tuple[int, int, Subgroup]]] = {}
-    for h, k in _oriented(splittings):
+    for h, comps in sides:
         h_bits = h.bits
-        above = supersets.get(h_bits)
-        if above is None:
-            above = supersets[h_bits] = [(l.bits, l.order // h.order, l)
-                                         for l in subs if not h_bits & ~l.bits]
-        k_bits = k.bits
-        for l_bits, quota, l in above:
-            if (l_bits & k_bits).bit_count() != quota:
-                failures.append({"h": h.members(), "k": k.members(), "l": l.members()})
+        above = [(l.bits, l.order // h.order, l) for l in subs if not h_bits & ~l.bits]
+        for k in comps:
+            k_bits = k.bits
+            for l_bits, quota, l in above:
+                if (l_bits & k_bits).bit_count() != quota:
+                    failures.append({"h": h.members(), "k": k.members(), "l": l.members()})
     record("prop_2_1", failures)
-
-    # a normal is a direct factor exactly when it is a side of a splitting
-    factor_bits = {s.bits for pair in splittings for s in pair}
-    factors = [n for n in normals if n.bits in factor_bits]
 
     # derived group and centre distribute over a splitting: D(H), D(K) lie in
     # G′ and Z(H), Z(K) in Z(G) (the other factor centralises each), and each
     # pair meets trivially, so the products are the whole exactly when the
-    # orders multiply to it.  Both orders are taken once per side
+    # orders multiply to it.  Both orders are taken once per side, and each
+    # splitting {H, K} is tested once, from its side first in canonical order
     failures = []
-    side_orders = {a.bits: (derived_of(group, a).order, center_of(group, a).order)
-                   for a in factors}
-    for h, k in splittings:
-        h_derived, h_center = side_orders[h.bits]
-        k_derived, k_center = side_orders[k.bits]
-        if (h_derived * k_derived != g_derived.order
-                or h_center * k_center != g_center.order):
-            failures.append({"h": h.members(), "k": k.members()})
+    side_orders = [(derived_of(group, h).order, center_of(group, h).order) for h in factors]
+    for i, (h, comps) in enumerate(sides):
+        h_derived, h_center = side_orders[i]
+        for k in comps:
+            j = index[k.bits]
+            if j < i:
+                continue
+            k_derived, k_center = side_orders[j]
+            if (h_derived * k_derived != g_derived.order
+                    or h_center * k_center != g_center.order):
+                failures.append({"h": h.members(), "k": k.members()})
     record("prop_2_2", failures)
 
     classes = {a.bits: factor_classes(a, cap=cap, cache=cache) for a in factors}
-    # the factors coprime to a class set, with their indices in ``factors``
-    coprime_to: dict[frozenset[int], list[tuple[int, Subgroup]]] = {}
-
-    def coprime(key: frozenset[int]) -> list[tuple[int, Subgroup]]:
-        if key not in coprime_to:
-            coprime_to[key] = [(j, a) for j, a in enumerate(factors)
-                               if classes[a.bits].isdisjoint(key)]
-        return coprime_to[key]
+    # the factors coprime to each class set that occurs, in canonical order
+    coprime = {key: [a for a in factors if classes[a.bits].isdisjoint(key)]
+               for key in set(classes.values())}
 
     # direct factors coprime by ``classes`` meet trivially and combine into one
     failures = []
     for i, a in enumerate(factors):
-        for j, b in coprime(classes[a.bits]):
-            if j < i:
+        for b in coprime[classes[a.bits]]:
+            if index[b.bits] < i:
                 continue
             outcome = _combine(group, a, b, cap=cap)
             if isinstance(outcome, CoprimeViolation):
@@ -275,19 +265,17 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     # a = b·c in A has c = b⁻¹a in A·B ∩ C, and each c = a·b in A·B ∩ C
     # has a = b⁻¹c (B and C commute), so π_C(a) = c.  The join is the one
     # prop_2_3 built for the coprime pair.  The trivial factor is left out:
-    # its image is 1, a direct factor of every group.  The coprime factors
-    # depend on B only through its classes
+    # its image is 1, a direct factor of every group.  Each side B is walked
+    # once, so its coprime factors are listed once
     failures = []
-    nontrivial: dict[frozenset[int], list[Subgroup]] = {}
-    for b, c in _oriented(splittings):
-        key = classes[b.bits]
-        if key not in nontrivial:
-            nontrivial[key] = [a for _, a in coprime(key) if a.order > 1]
-        for a in nontrivial[key]:
-            bits = join_bits(group, a, b) & c.bits
-            if bits not in factor_bits:
-                failures.append({"a": a.members(), "b": b.members(),
-                                 "c": c.members(), "image": members_of(bits)})
+    for b, comps in sides:
+        nontrivial = [a for a in coprime[classes[b.bits]] if a.order > 1]
+        for c in comps:
+            for a in nontrivial:
+                bits = join_bits(group, a, b) & c.bits
+                if bits not in index:
+                    failures.append({"a": a.members(), "b": b.members(),
+                                     "c": c.members(), "image": members_of(bits)})
     record("cor_2_1", failures)
 
     # directly decomposable normal subgroups distribute over the
@@ -321,15 +309,9 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
 
     # premise-only identities, one evaluation per H0 that occurs in an instance
     fail_a, fail_b, fail_c, fail_d = [], [], [], []
-    # the normals, and those inside Z(G), by order.  Every subgroup of Z(G)
-    # is normal in G, so the latter are all of Z(G)'s subgroups, and any
-    # complement of Z(H0) in Z(G) is among them
-    normals_of_order: dict[int, list[Subgroup]] = {}
-    central_of_order: dict[int, list[Subgroup]] = {}
-    for m in normals:
-        normals_of_order.setdefault(m.order, []).append(m)
-        if not m.bits & ~g_center.bits:
-            central_of_order.setdefault(m.order, []).append(m)
+    # the normals by order.  Every subgroup of Z(G) is normal in G, so any
+    # complement of Z(H0) in Z(G) is among the normals inside Z(G)
+    normals_of_order = _normals_of_order(group, cap=cap)
     for h0 in h0s:
         h0_derived = derived_of(group, h0)
         if h0_derived.bits != h0.bits & g_derived.bits:
@@ -344,8 +326,8 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
             fail_c.append({"h0": h0.members()})
         if h0_center.bits & ~g_center.bits:
             fail_d.append({"h0": h0.members(), "reason": "Z(H0) not inside Z(G)"})
-        elif not any(m.bits & h0_center.bits == 1 for m in central_of_order.get(
-                g_center.order // h0_center.order, ())):
+        elif not any(m.bits & h0_center.bits == 1 and not m.bits & ~g_center.bits
+                     for m in normals_of_order.get(g_center.order // h0_center.order, ())):
             fail_d.append({"h0": h0.members()})
     record("lemma_4_1a", fail_a)
     record("lemma_4_1b", fail_b)

@@ -217,6 +217,11 @@ REPORT_SHA256 = {
     16: "908d0dc7e999a28fff88cd81f107133bc21ef014558bef2c7698c3c30619777e",
     24: "227985d28ba9469243d8e1b8ec480868a432c28d0facbcb9a3aad3fdd5e4c528",
 }
+# sha256 of the `groupkit props --max-order 24 --report` bytes and of the
+# `groupkit counterexample --p 2` file; like the reports, they change only
+# if an answer does
+PROPS_SHA256 = {24: "237e11da8dc98aa4a454e8c2f6a262173b3babb86e5aed2704b8d6c4b7c8305a"}
+COUNTEREXAMPLE_SHA256 = {2: "9c65cdaced9965cf048926b38844d51a8301c848c4f18ae52db844037505831f"}
 
 
 def test_report_bytes_pinned_at_16(full_report):

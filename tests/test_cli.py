@@ -11,7 +11,7 @@ from groupkit.catalog import export_group
 from groupkit.cli import main
 from groupkit.core import Cyclic, Dicyclic, construct, parse_recipe
 
-from test_acceptance import REPORT_SHA256
+from test_acceptance import COUNTEREXAMPLE_SHA256, PROPS_SHA256, REPORT_SHA256
 
 
 def test_verify_max_order_1(tmp_path, capsys):
@@ -132,6 +132,7 @@ def test_decompose_picks_pinned_factors(tmp_path, capsys):
 def test_counterexample_p2_exit_and_decompose_pipeline(tmp_path, capsys):
     out = tmp_path / "g16.json"
     assert main(["counterexample", "--p", "2", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COUNTEREXAMPLE_SHA256[2]
     data = json.loads(out.read_text())
     assert data["group"]["order"] == 16
     assert all(v is True for v in data["checks"].values())
@@ -174,6 +175,8 @@ def test_props_command(tmp_path, capsys):
     assert len(data["groups"]) == 14
     for g in data["groups"]:
         assert all(v == "pass" for v in g["properties"].values())
+    assert main(["props", "--max-order", "24", "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == PROPS_SHA256[24]
 
 
 def test_env_var_overrides(tmp_path, monkeypatch, capsys):

@@ -16,7 +16,8 @@ from groupkit.core import (
     is_abelian,
     parse_recipe,
 )
-from groupkit import decomposition, harness
+from groupkit import decomposition
+from groupkit.catalog import abelian_p_group_catalog
 from groupkit.decomposition import (
     all_direct_splittings,
     combine_coprime_factors,
@@ -28,6 +29,7 @@ from groupkit.decomposition import (
     is_internal_direct,
     project_onto_factor,
     remak_decomposition,
+    splitting_sides,
 )
 from groupkit.errors import NotASplitting, NotNormal, PreconditionFailed
 from groupkit.iso import IsoCache, find_isomorphism
@@ -83,7 +85,7 @@ def test_internal_direct_rejects_nonnormal_factor():
 
 def test_direct_complements_trivial():
     g = s3()
-    assert direct_complements(g, trivial_subgroup(g)) == [whole_subgroup(g)]
+    assert direct_complements(g, trivial_subgroup(g)) == (whole_subgroup(g),)
 
 
 def test_direct_complements_v4():
@@ -96,7 +98,7 @@ def test_direct_complements_v4():
 
 def test_q8_center_has_no_complement():
     q8 = construct(Dicyclic(2))
-    assert direct_complements(q8, center(q8)) == []
+    assert direct_complements(q8, center(q8)) == ()
 
 
 def test_direct_complements_requires_normal():
@@ -231,18 +233,25 @@ def test_decomposition_choices_pinned(catalog24):
 def test_complement_counts_match_hom_counts(catalog24):
     # the normal complements of a direct factor N are the graphs of the
     # homomorphisms G/N -> Z(N); the count is computed from the table alone
+    def checked(groups) -> int:
+        factors = 0
+        for g in groups:
+            derived = derived_bits_by_commutators(g)
+            for n in normal_subgroups(g):
+                comps = direct_complements(g, n)
+                if comps:
+                    assert len(comps) == complement_count_by_homs(g, n.bits, derived), (
+                        g.name, n.members())
+                    factors += 1
+        return factors
+
     groups = [e.group for e in catalog24]
     groups += [construct(parse_recipe(dsl), name=name) for name, dsl in PREMISES32.items()]
-    factors = 0
-    for g in groups:
-        derived = derived_bits_by_commutators(g)
-        for n in normal_subgroups(g):
-            comps = direct_complements(g, n)
-            if comps:
-                assert len(comps) == complement_count_by_homs(g, n.bits, derived), (
-                    g.name, n.members())
-                factors += 1
-    assert factors == 513
+    assert checked(groups) == 513
+    # every abelian p-group of order at most 64, C2^6 and its 2,825 factors included
+    p_groups = abelian_p_group_catalog(64)
+    assert len(p_groups) == 55
+    assert checked([e.group for e in p_groups]) == 4_663
 
 
 def test_is_coprime_examples():
@@ -328,13 +337,14 @@ def test_project_onto_factor_matches_products(catalog16):
     for entry in catalog16:
         g = entry.group
         normal_bits = {n.bits for n in normal_subgroups(g)}
-        for h, k in harness._oriented(all_direct_splittings(g)):
-            proj = projection_by_products(g, h, k)
-            for x in all_subgroups(g):
-                image = bits_of(proj[m] for m in x.members())
-                assert project_onto_factor(g, (h, k), x).bits == image, (entry.name, h, k, x)
-                pairs += 1
-                non_normal += x.bits not in normal_bits
+        for h, comps in splitting_sides(g):
+            for k in comps:
+                proj = projection_by_products(g, h, k)
+                for x in all_subgroups(g):
+                    image = bits_of(proj[m] for m in x.members())
+                    assert project_onto_factor(g, (h, k), x).bits == image, (entry.name, h, k, x)
+                    pairs += 1
+                    non_normal += x.bits not in normal_bits
     assert pairs == 59_301 and non_normal > 0
 
 
@@ -498,6 +508,20 @@ def test_remak_iso_class_multiset_stable_under_seeds(catalog16):
             assert class_multiset(entry.group, rng=random.Random(seed)) == base, entry.name
 
 
+def test_cyclic_max_complement_fills_only_the_sides_it_reads():
+    # the complements of a normal are filled when first asked, and the
+    # minimal factors test containment first: on C2^6 only the 63 minimal
+    # factors (the order-2 subgroups) are asked, not the 2,825 normals,
+    # and neither the per-side walk nor the pairs view is built
+    g = construct(parse_recipe("P(P(P(P(P(C(2),C(2)),C(2)),C(2)),C(2)),C(2))"))
+    d = generate_subgroup(g, [1])
+    assert is_internal_direct(g, [d, cyclic_max_complement(g, d)])
+    filled = g._cache["complements"]
+    assert len(normal_subgroups(g)) == 2_825
+    assert len(filled) == 63 and all(bits.bit_count() == 2 for bits in filled)
+    assert "sides" not in g._cache and "splittings" not in g._cache
+
+
 def test_constructive_complement_is_revalidated(monkeypatch):
     # a wrong constructive answer raises; nothing searches for another one
     g = construct(Product(Cyclic(4), Cyclic(2)))
@@ -510,6 +534,9 @@ def test_constructive_complement_is_revalidated(monkeypatch):
 
 def test_lattice_accessors_return_the_stored_tuples():
     g = construct(Product(Dihedral(4), Cyclic(2)))
-    for accessor in (all_subgroups, normal_subgroups, all_direct_splittings):
+    for accessor in (all_subgroups, normal_subgroups, all_direct_splittings, splitting_sides):
         first = accessor(g)
         assert isinstance(first, tuple) and accessor(g) is first, accessor.__name__
+    # the complements are the tuples the per-side relation holds
+    for h, comps in splitting_sides(g):
+        assert direct_complements(g, h) is comps

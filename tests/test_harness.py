@@ -1,6 +1,7 @@
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from groupkit.decomposition import (
     is_internal_direct,
     join_bits,
     remak_decomposition,
+    splitting_sides,
 )
 from groupkit.errors import NotPrime, OrderBound
 from groupkit.harness import (
@@ -310,8 +312,9 @@ def test_premise_classes_match_closed_form():
         # the splitting relation the property suite reads: every subgroup
         # of C_p^n is a direct factor, so the sides are all the normals
         splittings = all_direct_splittings(g)
-        oriented = sum(1 for _ in harness._oriented(splittings))
+        oriented = sum(len(comps) for _, comps in splitting_sides(g))
         assert oriented == elementary_abelian_splittings(p, n), (p, n)
+        assert oriented == 2 * len(splittings) - (n == 0), (p, n)
         assert ({s.bits for pair in splittings for s in pair}
                 == {m.bits for m in normal_subgroups(g)}), (p, n)
     assert elementary_abelian_premises(2, 5) == (3_105_954, 374)
@@ -369,12 +372,13 @@ def test_join_meet_is_the_factor_projection(catalog24):
     triples = 0
     for g in groups:
         normals = normal_subgroups(g)
-        for b, c in harness._oriented(all_direct_splittings(g)):
-            proj = projection_by_products(g, b, c)
-            for a in normals:
-                image = bits_of(proj[m] for m in a.members())
-                assert join_bits(g, a, b) & c.bits == image, (g.name, a, b, c)
-                triples += 1
+        for b, comps in splitting_sides(g):
+            for c in comps:
+                proj = projection_by_products(g, b, c)
+                for a in normals:
+                    image = bits_of(proj[m] for m in a.members())
+                    assert join_bits(g, a, b) & c.bits == image, (g.name, a, b, c)
+                    triples += 1
     assert triples == 254_117
 
 
@@ -439,6 +443,65 @@ def test_prop_2_1_fails_on_an_injected_superset(monkeypatch):
     failures = results["prop_2_1"]["failures"]
     assert failures and all(f["l"] == fake.members() for f in failures)
     assert all(v["pass"] for name, v in results.items() if name != "prop_2_1")
+
+
+def test_prop_2_2_fails_on_a_wrong_centre_order(monkeypatch):
+    # a side whose centre is reported with twice its order breaks
+    # |Z(H)|·|Z(K)| = |Z(G)| once per unordered splitting {H, K} that has it.
+    # The bits stay right, and Z(G) = G still has a subgroup of the halved
+    # index meeting Z(H) trivially, so the lemmas on H as an H0 still pass
+    g = construct(parse_recipe(PREMISES32["C4xC2xC2xC2"]))
+    side = next(h for h, comps in splitting_sides(g) if h.order == 2 and len(comps) > 1)
+    real = harness.center_of
+
+    def wrong(group, sub):
+        found = real(group, sub)
+        if sub.bits != side.bits:
+            return found
+        return SimpleNamespace(bits=found.bits, order=2 * found.order)
+
+    monkeypatch.setattr(harness, "center_of", wrong)
+    results = property_suite(g)
+    expected = [{"h": h.members(), "k": k.members()}
+                for h, k in all_direct_splittings(g) if side in (h, k)]
+    assert len(expected) == len(direct_complements(g, side)) > 1
+    assert results["prop_2_2"]["failures"] == expected
+    assert all(v["pass"] for name, v in results.items() if name != "prop_2_2")
+
+
+def test_prop_2_4_fails_when_every_normal_is_called_decomposable(monkeypatch):
+    # with every normal D taken as directly decomposable, prop_2_4 fails once
+    # for each D that the Remak factors Hᵢ do not fill, ∏|Hᵢ∩D| ≠ |D|
+    g = construct(parse_recipe(PREMISES32["D4xC2xC2"]))
+    monkeypatch.setattr(harness, "is_directly_decomposable", lambda group, d, *, cap: True)
+    results = property_suite(g)
+    factors = [set(f.members()) for f in remak_decomposition(g).factors]
+    expected = []
+    for d in normal_subgroups(g):
+        members = set(d.members())
+        product = 1
+        for f in factors:
+            product *= len(f & members)
+        if product != len(members):
+            expected.append({"d": d.members(), "kind": "factor product"})
+    assert expected and results["prop_2_4"]["failures"] == expected
+    assert all(v["pass"] for name, v in results.items() if name != "prop_2_4")
+
+
+def test_verify_one_keeps_no_tuple_of_pairs():
+    # the splitting relation is stored once, per side; verify never builds
+    # the ``all_direct_splittings`` view of unordered pairs
+    g = construct(parse_recipe(PREMISES32["D4xC2xC2"]))
+    out = harness._verify_one(("D4xC2xC2", g, 64))
+    assert (out["instances"], out["properties"]) == (2_146, ALL_PASS)
+
+    def is_pair(x):
+        return isinstance(x, tuple) and len(x) == 2 and all(isinstance(s, Subgroup) for s in x)
+
+    pairs = [key for key, value in g._cache.items()
+             if isinstance(value, tuple) and value and all(map(is_pair, value))]
+    assert pairs == []
+    assert "sides" in g._cache and "splittings" not in g._cache
 
 
 def test_property_suite_set_facts(catalog24):
