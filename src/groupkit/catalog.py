@@ -8,7 +8,6 @@ group-count sequence (checked in the tests), not by trusting the list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     Group,
     Product,
     Recipe,
+    Record,
     Semidirect,
     Symmetric,
     construct,
@@ -121,8 +121,7 @@ _EXTRAS: tuple[tuple[str, Recipe], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     recipe: Recipe
     group: Group

@@ -8,10 +8,12 @@ Conventions fixed across the whole package:
   (first component major), so the identity lands at 0 automatically;
 - quotient cosets are numbered by ascending minimal member index.
 
-Three kernels live here and nowhere else: subgroup closure
-(``closure_bits``), coset numbering (``coset_table``) and per-group caching
-(``memo``).  Every other module calls them rather than re-implementing
-them, so each concept has one place to reason about.
+Four kernels live here and nowhere else: subgroup closure
+(``closure_bits``), coset numbering (``coset_table``), per-group caching
+(``memo``) and the one value-record kernel (``Record``), from which every
+recipe, subgroup and result record derives.  Every other module calls them
+rather than re-implementing them, so each concept has one place to reason
+about.
 
 A table has one representation: a tuple of row tuples of Python ints, as
 ``validate_table`` returns it and ``Group.table`` holds it.  Table code is
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain, permutations
 from numbers import Integral
 
@@ -41,6 +42,82 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 512
+
+
+# ---------------------------------------------------------------------------
+# value records
+
+class _RecordType(type):
+    """Gives each record class one slot per annotated field; the class
+    attribute of a field's name is taken out as its default."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = {field: ns.pop(field) for field in fields if field in ns}
+        ns.setdefault("__slots__", fields)
+        cls = super().__new__(mcls, name, bases, ns)
+        cls._fields, cls._defaults = fields, defaults
+        cls._setters = tuple(getattr(cls, field).__set__ for field in fields)
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """Immutable value record whose fields are its class's own annotations.
+
+    A subclass is built from its fields by position or by name.
+    ``__post_init__`` runs after the fields are set and may normalise them
+    with ``object.__setattr__``; otherwise assigning or deleting a field
+    raises AttributeError.  Records of one class are equal when their fields
+    are, hash as the tuple of their fields and print as
+    ``Name(field=value, ...)``.  Copies and pickles go through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values in order, from ``args``, ``kwargs`` and the defaults."""
+        cls = type(self)
+        fields = cls._fields
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{cls.__name__} takes the fields {fields}, got "
+                            f"{len(args)} by position and {sorted(kwargs)} by name")
+        return [values[name] for name in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +157,7 @@ def _exact_ints(values, what: str) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class Cyclic:
+class Cyclic(Record):
     n: int
 
     def __post_init__(self):
@@ -89,8 +165,7 @@ class Cyclic:
             raise InvalidRecipe(f"Cyclic order must be >= 1, got {self.n}")
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(Record):
     """Dihedral group of order 2m (m rotations, m reflections)."""
 
     m: int
@@ -100,8 +175,7 @@ class Dihedral:
             raise InvalidRecipe(f"Dihedral parameter must be >= 1, got {self.m}")
 
 
-@dataclass(frozen=True)
-class Dicyclic:
+class Dicyclic(Record):
     """Dicyclic group of order 4m; Dicyclic(2) is the quaternion group."""
 
     m: int
@@ -111,8 +185,7 @@ class Dicyclic:
             raise InvalidRecipe(f"Dicyclic parameter must be >= 1, got {self.m}")
 
 
-@dataclass(frozen=True)
-class Symmetric:
+class Symmetric(Record):
     m: int
 
     def __post_init__(self):
@@ -120,14 +193,12 @@ class Symmetric:
             raise InvalidRecipe(f"Symmetric parameter must be in 1..5, got {self.m}")
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     left: "Recipe"
     right: "Recipe"
 
 
-@dataclass(frozen=True)
-class Semidirect:
+class Semidirect(Record):
     """Semidirect product ``acting ⋉ normal``.
 
     ``action`` lists ``(q, perm)`` pairs: element ``q`` of the acting group
@@ -155,8 +226,7 @@ class Semidirect:
             raise InvalidRecipe("Semidirect action must list at least one generator")
 
 
-@dataclass(frozen=True)
-class CentralQuotient:
+class CentralQuotient(Record):
     """Quotient of ``inner`` by the central subgroup generated by ``gens``."""
 
     inner: "Recipe"
@@ -790,7 +860,7 @@ def _part(recipe: Recipe, order_cap: int) -> Group:
         group = _parts[recipe] = Group(_table(recipe, order_cap), recipe=recipe)
     else:
         # a recipe's fields are its parts in build order, then its parameters
-        for sub in vars(recipe).values():
+        for sub in recipe._values():
             if isinstance(sub, Recipe):
                 _part(sub, order_cap)
         if group.order > order_cap:

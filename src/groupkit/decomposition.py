@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .core import Group, closure_bits, element_orders, exponent, is_abelian, memo
+from .core import Group, Record, closure_bits, element_orders, exponent, is_abelian, memo
 from .errors import NotASplitting, NotNormal, PreconditionFailed
 from .iso import IsoCache
 from .subgroups import (
@@ -23,8 +22,7 @@ from .subgroups import (
 )
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(Record):
     """A decomposition of a parent group into internal direct factors."""
 
     parent: Group
@@ -232,8 +230,7 @@ def is_coprime(group1: Group, group2: Group, *, cap: int = DEFAULT_LATTICE_CAP,
         factor_classes(whole_subgroup(group2), cap=cap, cache=cache))
 
 
-@dataclass(frozen=True)
-class CoprimeViolation:
+class CoprimeViolation(Record):
     """Falsification record: coprime direct factors failed to combine."""
 
     parent: Group

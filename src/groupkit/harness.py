@@ -23,12 +23,10 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
 from math import prod
-from multiprocessing import get_context
 
 from .catalog import CatalogEntry, group_to_json_dict
-from .core import Cyclic, Group, Product, Semidirect, construct, memo
+from .core import Cyclic, Group, Product, Record, Semidirect, construct, memo
 from .errors import NotPrime, OrderBound
 from .iso import Iso, IsoCache, find_isomorphism
 from .subgroups import (
@@ -61,8 +59,7 @@ from .decomposition import (
 )
 
 
-@dataclass(frozen=True)
-class ExtensionInstance:
+class ExtensionInstance(Record):
     """Premises of the direct-extension check for one (splitting, H0) choice."""
 
     parent: Group
@@ -73,8 +70,7 @@ class ExtensionInstance:
     iso_k: Iso  # G/H0 -> K (extracted)
 
 
-@dataclass(frozen=True)
-class TheoremResult:
+class TheoremResult(Record):
     instance: ExtensionInstance
     witness: Subgroup | None
 
@@ -83,8 +79,7 @@ class TheoremResult:
         return self.witness is not None
 
 
-@dataclass(frozen=True)
-class Premises:
+class Premises(Record):
     """The premises of one group, joined by isomorphism class and counted.
 
     ``count`` is the number of instances and ``h0s`` the distinct H0s
@@ -266,13 +261,13 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     # has a = b⁻¹c (B and C commute), so π_C(a) = c.  The join is the one
     # prop_2_3 built for the coprime pair.  The trivial factor is left out:
     # its image is 1, a direct factor of every group.  Each side B is walked
-    # once, so its coprime factors are listed once
+    # once, so its coprime factors and their joins with it are taken once
     failures = []
     for b, comps in sides:
-        nontrivial = [a for a in coprime[classes[b.bits]] if a.order > 1]
+        joins = [(a, join_bits(group, a, b)) for a in coprime[classes[b.bits]] if a.order > 1]
         for c in comps:
-            for a in nontrivial:
-                bits = join_bits(group, a, b) & c.bits
+            for a, ab_bits in joins:
+                bits = ab_bits & c.bits
                 if bits not in index:
                     failures.append({"a": a.members(), "b": b.members(),
                                      "c": c.members(), "image": members_of(bits)})
@@ -339,8 +334,7 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
 # ---------------------------------------------------------------------------
 # the split / non-split extension pair
 
-@dataclass(frozen=True)
-class CounterexampleBundle:
+class CounterexampleBundle(Record):
     """One group carrying a split and a non-split extension with equal ends.
 
     checks map names to True/False, or None when a check was skipped
@@ -447,16 +441,14 @@ def counterexample_json_dict(bundle: CounterexampleBundle) -> dict:
 # ---------------------------------------------------------------------------
 # catalog-wide verification
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(Record):
     max_order: int = 16
     lattice_cap: int = DEFAULT_LATTICE_CAP
     jobs: int = 1
     seed: int = 0
 
 
-@dataclass
-class Report:
+class Report(Record):
     status: str
     config: dict
     summary: dict
@@ -522,6 +514,13 @@ def _verify_one(payload: tuple[str, Group, int]) -> dict:
     return out
 
 
+def get_context(method: str):
+    """``multiprocessing.get_context``, imported only when a pool is made."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
+
+
 def verify_catalog(entries: list[CatalogEntry], config: VerifyConfig) -> Report:
     """Run the full premise/theorem/property sweep over catalog entries.
 
@@ -556,5 +555,5 @@ def verify_catalog(entries: list[CatalogEntry], config: VerifyConfig) -> Report:
     status = "PASS" if violations == 0 and prop_failures == 0 else "FAIL"
     # jobs is an execution detail, not verification config: the report must
     # come out byte-identical at any parallelism degree
-    config_dict = {k: v for k, v in asdict(config).items() if k != "jobs"}
+    config_dict = {k: getattr(config, k) for k in config._fields if k != "jobs"}
     return Report(status, config_dict, summary, groups)

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Group, element_orders, exact_ints, exponent, hom_defect, is_abelian, memo
+from .core import Group, Record, element_orders, exact_ints, exponent, hom_defect, is_abelian, memo
 from .errors import OrderBound
 from .subgroups import center, derived_of, derived_subgroup, whole_subgroup
 
 DEFAULT_AUTOMORPHISM_CAP = 64
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Record):
     """Cheap isomorphism invariants; equality is necessary, never sufficient."""
 
     order: int
@@ -24,8 +21,7 @@ class Fingerprint:
     derived_series_length: int
 
 
-@dataclass(frozen=True)
-class Iso:
+class Iso(Record):
     """An index map witnessing source ≅ target."""
 
     source: Group
@@ -46,15 +42,10 @@ def fingerprint(group: Group) -> Fingerprint:
                 break
             series_len += 1
             current = nxt
-        return Fingerprint(
-            order=group.order,
-            order_histogram=tuple(sorted(histogram.items())),
-            center_order=center(group).order,
-            derived_order=derived_subgroup(group).order,
-            exponent=exponent(group),
-            abelian=is_abelian(group),
-            derived_series_length=series_len,
-        )
+        # by position, in field order: the record's fast path
+        return Fingerprint(group.order, tuple(sorted(histogram.items())),
+                           center(group).order, derived_subgroup(group).order,
+                           exponent(group), is_abelian(group), series_len)
 
     return memo(group, "fingerprint", build)
 

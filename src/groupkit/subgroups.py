@@ -8,10 +8,10 @@ union, and equality for free.  Bit 0 (the identity) is always set.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .core import (
     Group,
+    Record,
     bits_of,
     closure_bits,
     coset_table,
@@ -25,12 +25,27 @@ from .errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound, Preconditi
 DEFAULT_LATTICE_CAP = 64
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Membership bitset over a parent group's element indices."""
+class Subgroup(Record):
+    """Membership bitset over a parent group's element indices.
+
+    A lattice walk builds thousands of these, so construction, equality
+    and hashing are spelled out for the two fields, with ``Record``'s results.
+    """
 
     parent: Group
     bits: int
+
+    def __init__(self, parent: Group, bits: int):
+        _set_parent(self, parent)
+        _set_bits(self, bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not Subgroup:
+            return NotImplemented
+        return self.bits == other.bits and self.parent == other.parent
+
+    def __hash__(self):
+        return hash((self.parent, self.bits))
 
     @property
     def order(self) -> int:
@@ -47,8 +62,10 @@ class Subgroup:
         return f"Subgroup(order={self.order}, members={self.members()})"
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+_set_parent, _set_bits = Subgroup._setters
+
+
+class QuotientMap(Record):
     """A quotient group together with the projection from its source."""
 
     source: Group

@@ -234,6 +234,19 @@ def test_numpy_is_not_needed(tmp_path):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256[16]
 
 
+def test_import_leaves_dataclasses_and_multiprocessing_unloaded():
+    # compared before and after, so whatever site preloads does not count
+    path = [str(Path(groupkit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = ("import sys; before = set(sys.modules); import groupkit; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "groupkit.harness" in loaded
+    assert not loaded & {"dataclasses", "inspect", "multiprocessing"}, loaded
+
+
 def test_module_entrypoint_subprocess(tmp_path):
     report = tmp_path / "r.json"
     # the child imports the groupkit this process imported, installed or not

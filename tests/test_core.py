@@ -1,11 +1,13 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from groupkit.catalog import _BUILTIN, _EXTRAS, group_from_json_dict, import_group
+from groupkit.catalog import _BUILTIN, _EXTRAS, builtin_catalog, group_from_json_dict, import_group
 from groupkit.core import (
     CentralQuotient,
     Cyclic,
@@ -13,6 +15,7 @@ from groupkit.core import (
     Dihedral,
     Group,
     Product,
+    Record,
     Semidirect,
     Symmetric,
     _product_table,
@@ -36,7 +39,9 @@ from groupkit.errors import (
     OrderBound,
     TableError,
 )
-from groupkit.iso import find_isomorphism
+from groupkit.harness import VerifyConfig, verify_catalog
+from groupkit.iso import find_isomorphism, fingerprint
+from groupkit.subgroups import Subgroup, normal_subgroups
 
 from conftest import (
     is_associative_by_triples,
@@ -424,3 +429,66 @@ def test_product_and_semidirect_tables_match_entrywise_builders(catalog16):
                 assert phi[acting.table[q1][q2]] == composed
         assert (_semidirect_table(normal, acting, recipe.action)
                 == semidirect_table_by_entries(normal, acting, phi))
+
+
+def test_records_of_equal_parameters_stay_distinct():
+    recipes = [Cyclic(4), Dihedral(4), Dicyclic(4)]
+    assert [a == b for a in recipes for b in recipes] == [True, False, False,
+                                                          False, True, False,
+                                                          False, False, True]
+    assert Cyclic(4).__eq__(Dihedral(4)) is NotImplemented
+    assert Cyclic(4) != (4,)
+    # construct keeps one group per part, keyed by the recipe's eq and hash
+    assert [construct(Product(r, Cyclic(1))).order for r in recipes] == [4, 8, 16]
+    assert [construct(r).order for r in recipes] == [4, 8, 16]
+
+
+def test_record_fields_hash_repr_and_immutability():
+    g = construct(Product(Cyclic(2), Cyclic(4)))
+    sub = normal_subgroups(g)[1]
+    records = [Cyclic(4), Product(Cyclic(2), Cyclic(4)), VerifyConfig(jobs=3),
+               fingerprint(g), sub]
+    for r in records:
+        assert isinstance(r, Record) and not hasattr(r, "__dict__")
+        assert hash(r) == hash(tuple(getattr(r, name) for name in r._fields))
+        assert r == copy.copy(r)
+        with pytest.raises(AttributeError):
+            setattr(r, r._fields[0], None)
+        with pytest.raises(AttributeError):
+            delattr(r, r._fields[0])
+        with pytest.raises(AttributeError):
+            r.unlisted = 1
+    assert sub._fields == ("parent", "bits")
+    assert sub.__eq__(Cyclic(4)) is NotImplemented
+    assert sub == Subgroup(g, sub.bits) != Subgroup(g, 1)
+    assert repr(VerifyConfig()) == "VerifyConfig(max_order=16, lattice_cap=64, jobs=1, seed=0)"
+    assert repr(Product(Cyclic(2), Cyclic(4))) == "Product(left=Cyclic(n=2), right=Cyclic(n=4))"
+    assert VerifyConfig(24, jobs=2) == VerifyConfig(max_order=24, lattice_cap=64, jobs=2, seed=0)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),                     # missing
+    ((), {"m": 4}),               # unexpected
+    ((4, 5), {}),                 # extra
+    ((4,), {"n": 4}),             # given twice
+    ((), {"n": 4, "m": 4}),       # unexpected beside a good one
+])
+def test_record_rejects_wrong_fields(args, kwargs):
+    with pytest.raises(TypeError):
+        Cyclic(*args, **kwargs)
+
+
+def test_records_survive_copy_and_pickle():
+    g = construct(Product(Cyclic(2), Cyclic(4)))
+    sub = normal_subgroups(g)[2]
+    recipe = Product(Cyclic(2), Semidirect(Cyclic(3), Cyclic(2), ((1, (0, 2, 1)),)))
+    report = verify_catalog(builtin_catalog(4), VerifyConfig(max_order=4))
+    for r in (sub, recipe, VerifyConfig(max_order=8, seed=5), fingerprint(g), report):
+        assert copy.copy(r) == r
+        assert copy.deepcopy(r).__class__ is r.__class__
+    for r in (recipe, VerifyConfig(max_order=8, seed=5), fingerprint(g), report):
+        assert pickle.loads(pickle.dumps(r)) == r
+    # a group compares by identity, so a subgroup is compared on its own copy
+    g2, sub2 = pickle.loads(pickle.dumps((g, sub)))
+    assert sub2.parent is g2 and g2.table == g.table
+    assert sub2 == Subgroup(g2, sub.bits) and sub2.bits == sub.bits

@@ -406,10 +406,12 @@ def test_property_suite_joins_each_coprime_pair_once(monkeypatch):
 
 
 def test_cor_2_1_join_counts_and_a_wrong_join(monkeypatch):
-    # cor_2_1 reads one join per oriented splitting (B, C) and nontrivial
-    # factor A coprime to B, all among the joins prop_2_3 made per coprime pair
+    # cor_2_1 reads one join per side B and nontrivial factor A coprime to
+    # B, all among the joins prop_2_3 made per coprime pair, and checks it
+    # against every complement C of B: one check per (A, B, C)
     real = harness.join_bits
-    for name, calls, pairs in (("C4xC2xC2xC2", 8_293, 502), ("D4xC2xC2", 2_471, 200)):
+    for name, calls, triples, pairs in (("C4xC2xC2xC2", 901, 8_293, 502),
+                                        ("D4xC2xC2", 359, 2_471, 200)):
         g = construct(parse_recipe(PREMISES32[name]))
         seen = []
 
@@ -420,6 +422,8 @@ def test_cor_2_1_join_counts_and_a_wrong_join(monkeypatch):
         monkeypatch.setattr(harness, "join_bits", counting)
         assert all(v["pass"] for v in property_suite(g).values()), name
         assert (len(seen), len(g._cache["joins"])) == (calls, pairs), name
+        assert len(set(seen)) == calls, name
+        assert sum(len(direct_complements(g, b)) for _, b in seen) == triples, name
     # a wrong join for one pair fails cor_2_1 once per complement C of B
     a, b = seen[0]
     monkeypatch.setattr(harness, "join_bits",
