@@ -58,6 +58,9 @@ class _RecordType(type):
         cls = super().__new__(mcls, name, bases, ns)
         cls._fields, cls._defaults = fields, defaults
         cls._setters = tuple(getattr(cls, field).__set__ for field in fields)
+        # the field values as one tuple; attrgetter gives a bare value for one field
+        get = operator.attrgetter(*fields) if fields else lambda record: ()
+        cls._values_of = staticmethod(get if len(fields) != 1 else lambda record: (get(record),))
         return cls
 
 
@@ -101,19 +104,16 @@ class Record(metaclass=_RecordType):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values_of(self) == other._values_of(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values_of(self))
 
     def __reduce__(self):
-        return (type(self), self._values())
+        return (type(self), self._values_of(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -518,7 +518,7 @@ class Group:
     per group through ``memo``.
     """
 
-    __slots__ = ("order", "table", "inv", "name", "recipe", "_cache")
+    __slots__ = ("order", "table", "inv", "name", "recipe", "_cache", "__weakref__")
 
     def __init__(self, table, *, name: str | None = None, recipe: Recipe | None = None):
         self.table = validate_table(table)
@@ -564,14 +564,8 @@ def bits_of(members) -> int:
 
 
 def members_of(bits: int) -> list[int]:
-    out = []
-    i = 0
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return out
+    """The set bits of ``bits`` in ascending order, read off its binary digits."""
+    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
 
 
 def closure_bits(table, gens, bits: int = 1, members=(0,)) -> int:
@@ -860,7 +854,7 @@ def _part(recipe: Recipe, order_cap: int) -> Group:
         group = _parts[recipe] = Group(_table(recipe, order_cap), recipe=recipe)
     else:
         # a recipe's fields are its parts in build order, then its parameters
-        for sub in recipe._values():
+        for sub in recipe._values_of(recipe):
             if isinstance(sub, Recipe):
                 _part(sub, order_cap)
         if group.order > order_cap:

@@ -176,9 +176,9 @@ class IsoCache:
     """Memoized isomorphism lookups keyed by multiplication tables.
 
     Extracted subgroups and quotients with the same table are one object
-    per parent (see ``subgroups.subgroup_as_group``), and the same tables
-    recur across parents, so callers doing bulk premise enumeration share
-    one cache per run.
+    across all live groups (see ``subgroups._derived_group``), and the
+    lookups by table recur across parents, so callers doing bulk premise
+    enumeration share one cache per run.
 
     ``class_of`` numbers isomorphism classes: two groups get the same id
     exactly when they are isomorphic.  A group is compared only with the

@@ -8,6 +8,7 @@ union, and equality for free.  Bit 0 (the identity) is always set.
 from __future__ import annotations
 
 from collections import deque
+from weakref import WeakValueDictionary
 
 from .core import (
     Group,
@@ -242,9 +243,10 @@ def commutator(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
     table = group.table
     inv = group.inv
     gens = set()
+    b_members = b.members()
     for x in a.members():
         ix = inv[x]
-        for y in b.members():
+        for y in b_members:
             gens.add(table[table[ix][inv[y]]][table[x][y]])
     return generate_subgroup(group, sorted(gens))
 
@@ -259,27 +261,30 @@ def derived_subgroup(group: Group) -> Subgroup:
     return derived_of(group, whole_subgroup(group))
 
 
-def _derived_group(parent: Group, table) -> Group:
-    """The ``Group`` of a table derived from ``parent``, one per distinct table.
+_derived_groups: WeakValueDictionary[tuple, Group] = WeakValueDictionary()
 
-    Subgroups and quotients of a parent repeat tables often (every subgroup
-    of order 2 extracts as ``((0, 1), (1, 0))``), so each distinct table is
-    built, and so validated, once; later requests return the same object.
-    The dict lives in the parent's memo and dies with it.
+
+def _derived_group(table) -> Group:
+    """The ``Group`` of a subgroup or quotient table, one per distinct table.
+
+    Subgroups and quotients repeat tables often, within a parent and across
+    parents (every subgroup of order 2 extracts as ``((0, 1), (1, 0))``), so
+    each distinct table is built, and so validated, once; later requests
+    from any live group return the same object.  The intern holds it weakly:
+    it lives as long as some parent's ``as_group`` or ``quotient`` memo does.
     """
     key = tuple(map(tuple, table))
-    groups = memo(parent, "derived_groups", dict)
-    found = groups.get(key)
+    found = _derived_groups.get(key)
     if found is None:
-        found = groups[key] = Group(key)
+        found = _derived_groups[key] = Group(key)
     return found
 
 
 def quotient(group: Group, normal: Subgroup) -> QuotientMap:
     """Quotient by a normal subgroup; cosets numbered by minimal member.
 
-    The target is shared by every normal of ``group`` whose quotient has
-    the same table, and with any subgroup that extracts to that table.
+    The target is shared with every quotient and extracted subgroup of any
+    live group that has the same table (see ``_derived_group``).
     Normality is tested unless ``normal_subgroups`` already listed it.
     """
     check_parent(group, normal)
@@ -288,7 +293,7 @@ def quotient(group: Group, normal: Subgroup) -> QuotientMap:
         if not _listed_normal(group, normal.bits) and not is_normal_bits(group, normal.bits):
             raise NotNormal("cannot form a quotient by a non-normal subgroup")
         qtable, coset_of = coset_table(group.table, normal.members())
-        return QuotientMap(group, _derived_group(group, qtable), tuple(coset_of))
+        return QuotientMap(group, _derived_group(qtable), tuple(coset_of))
 
     return memo(group, ("quotient", normal.bits), build)
 
@@ -374,8 +379,8 @@ def subgroup_as_group(sub: Subgroup) -> tuple[Group, tuple[int, ...]]:
 
     Returns the new group and the member list mapping new indices to parent
     indices (ascending, so the identity stays at 0).  Cached on the parent;
-    the group is shared by every subgroup of the parent with the same
-    extracted table, and with any quotient of the parent that has it.  It
+    the group is shared with every extracted subgroup and quotient of any
+    live group that has the same table (see ``_derived_group``).  It
     serves isomorphism-class lookups and witnesses; lattice work on a
     subgroup stays in the parent's indices.
     """
@@ -386,6 +391,6 @@ def subgroup_as_group(sub: Subgroup) -> tuple[Group, tuple[int, ...]]:
         pos = {m: i for i, m in enumerate(members)}
         table = parent.table
         new_table = [[pos[table[x][y]] for y in members] for x in members]
-        return _derived_group(parent, new_table), tuple(members)
+        return _derived_group(new_table), tuple(members)
 
     return memo(parent, ("as_group", sub.bits), build)

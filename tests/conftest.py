@@ -9,7 +9,6 @@ import pytest
 from groupkit import builtin_catalog
 from groupkit.core import Group
 from groupkit.iso import IsoCache
-from groupkit.subgroups import members_of
 
 
 # the order-32 premise workload of the benchmark, as recipe DSL
@@ -38,6 +37,11 @@ def iso_cache():
 
 # ---------------------------------------------------------------------------
 # independent oracles (kept deliberately naive)
+
+def members_of(bits: int) -> list[int]:
+    """The members of a bitset, one bit test per position."""
+    return [i for i in range(bits.bit_length()) if (bits >> i) & 1]
+
 
 def closed_subset(group: Group, bits: int) -> bool:
     """Subset-closure check used by the 2^n subgroup oracle."""
@@ -259,15 +263,22 @@ def abelian_invariants(orders: list[int]) -> list[int]:
     return sorted(out)
 
 
-def derived_bits_by_commutators(group: Group) -> int:
-    """G′: the closure of every commutator x⁻¹y⁻¹xy, inverses read off the table."""
+def commutator_bits_by_products(group: Group, a_bits: int, b_bits: int) -> int:
+    """[A, B]: the closure of every x⁻¹y⁻¹xy with x in A and y in B,
+    inverses read off the table."""
     table = group.table
     inv = [row.index(0) for row in table]
     bits = 0
-    for x in range(group.order):
-        for y in range(group.order):
+    for x in members_of(a_bits):
+        for y in members_of(b_bits):
             bits |= 1 << table[table[inv[x]][inv[y]]][table[x][y]]
     return closure_by_products(group, bits)
+
+
+def derived_bits_by_commutators(group: Group) -> int:
+    """G′ = [G, G] by ``commutator_bits_by_products``."""
+    whole = (1 << group.order) - 1
+    return commutator_bits_by_products(group, whole, whole)
 
 
 def complement_count_by_homs(group: Group, n_bits: int, derived_bits: int) -> int:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -14,7 +15,7 @@ from groupkit.core import (
     Symmetric,
     construct,
 )
-from groupkit import decomposition, harness
+from groupkit import decomposition, harness, subgroups
 from groupkit.core import parse_recipe
 from groupkit.decomposition import (
     all_direct_splittings,
@@ -42,6 +43,7 @@ from groupkit.subgroups import (
     all_subgroups,
     bits_of,
     center,
+    center_of,
     commutator,
     derived_of,
     derived_subgroup,
@@ -55,6 +57,7 @@ from groupkit.iso import fingerprint
 
 from conftest import (
     PREMISES32,
+    commutator_bits_by_products,
     elementary_abelian_premises,
     elementary_abelian_splittings,
     projection_by_products,
@@ -449,6 +452,12 @@ def test_prop_2_1_fails_on_an_injected_superset(monkeypatch):
     assert all(v["pass"] for name, v in results.items() if name != "prop_2_1")
 
 
+def _fails_only(results: dict, name: str, expected: list) -> None:
+    assert results[name]["failures"] == expected
+    assert len(results) == 10
+    assert all(v["pass"] for other, v in results.items() if other != name)
+
+
 def test_prop_2_2_fails_on_a_wrong_centre_order(monkeypatch):
     # a side whose centre is reported with twice its order breaks
     # |Z(H)|·|Z(K)| = |Z(G)| once per unordered splitting {H, K} that has it.
@@ -469,8 +478,7 @@ def test_prop_2_2_fails_on_a_wrong_centre_order(monkeypatch):
     expected = [{"h": h.members(), "k": k.members()}
                 for h, k in all_direct_splittings(g) if side in (h, k)]
     assert len(expected) == len(direct_complements(g, side)) > 1
-    assert results["prop_2_2"]["failures"] == expected
-    assert all(v["pass"] for name, v in results.items() if name != "prop_2_2")
+    _fails_only(results, "prop_2_2", expected)
 
 
 def test_prop_2_4_fails_when_every_normal_is_called_decomposable(monkeypatch):
@@ -488,8 +496,100 @@ def test_prop_2_4_fails_when_every_normal_is_called_decomposable(monkeypatch):
             product *= len(f & members)
         if product != len(members):
             expected.append({"d": d.members(), "kind": "factor product"})
-    assert expected and results["prop_2_4"]["failures"] == expected
-    assert all(v["pass"] for name, v in results.items() if name != "prop_2_4")
+    assert expected
+    _fails_only(results, "prop_2_4", expected)
+
+
+def test_prop_2_5_fails_when_g_derived_is_called_indecomposable(monkeypatch):
+    # D4×C2 has G′ = Z(D4) = T′ for each of its normals T ⊇ G′ with
+    # T′ = T∩G′; with G′ taken as not directly decomposable, prop_2_5 fails
+    # once for each such T.  prop_2_4 only checks the decomposable normals
+    g = construct(Product(Dihedral(4), Cyclic(2)))
+    g_derived = derived_subgroup(g)
+    real = harness.is_directly_decomposable
+    monkeypatch.setattr(harness, "is_directly_decomposable",
+                        lambda group, d, *, cap: d != g_derived and real(group, d, cap=cap))
+    expected = []
+    for t in normal_subgroups(g):
+        t_derived = commutator_bits_by_products(g, t.bits, t.bits)
+        if t_derived == t.bits & g_derived.bits == g_derived.bits:
+            expected.append({"t": t.members(), "t_derived": g_derived.members()})
+    assert len(expected) == 5
+    _fails_only(property_suite(g), "prop_2_5", expected)
+
+
+def _d4xc2_h0s():
+    """D4×C2 and its H0s: 1, two central C2s outside G′, four copies of D4
+    and G.  Each lemma test patches one H0 after the first."""
+    g = construct(Product(Dihedral(4), Cyclic(2)))
+    h0s = premise_classes(g).h0s
+    assert [h0.order for h0 in h0s] == [1, 2, 2, 8, 8, 8, 8, 16]
+    return g, h0s
+
+
+def test_lemma_4_1a_fails_on_a_wrong_derived_subgroup(monkeypatch):
+    # H0′ of a central C2 reported as H0 itself, with its true order 1:
+    # H0′ ≠ H0∩G′, while a normal of order |G:H0| still meets H0 in the
+    # reported H0′, and the side orders of prop_2_2 are unchanged
+    g, h0s = _d4xc2_h0s()
+    h0 = h0s[2]
+    real = harness.derived_of
+    monkeypatch.setattr(harness, "derived_of", lambda group, sub: SimpleNamespace(
+        bits=sub.bits, order=1) if sub == h0 else real(group, sub))
+    _fails_only(property_suite(g), "lemma_4_1a", [{"h0": h0.members()}])
+
+
+def test_lemma_4_1b_fails_without_a_supplement_of_h0(monkeypatch):
+    # for H0 = G the normals of order |G:H0|·|H0′| = 2 lose G′, the one
+    # meeting H0 in H0′, so lemma_4_1b finds no M for this H0 alone; the
+    # lemma_4_2b complements of order 2 are the other central C2s
+    g, h0s = _d4xc2_h0s()
+    h0 = h0s[-1]
+    h0_derived = derived_of(g, h0)
+    key = g.order // h0.order * h0_derived.order
+    real = harness._normals_of_order
+
+    def without_witnesses(group, *, cap):
+        by_order = dict(real(group, cap=cap))
+        by_order[key] = [m for m in by_order[key] if m.bits & h0.bits != h0_derived.bits]
+        return by_order
+
+    monkeypatch.setattr(harness, "_normals_of_order", without_witnesses)
+    _fails_only(property_suite(g), "lemma_4_1b", [{"h0": h0.members()}])
+
+
+def test_lemma_4_2a_fails_on_a_wrong_centre(monkeypatch):
+    # Z(H0) of a central C2 reported as another central subgroup of its
+    # order: Z(H0) ≠ H0∩Z(G), while it still lies in Z(G) and has a
+    # complement there
+    g, h0s = _d4xc2_h0s()
+    h0 = h0s[2]
+    other = next(m for m in normal_subgroups(g)
+                 if m.order == h0.order and m != h0 and not m.bits & ~center(g).bits)
+    real = harness.center_of
+    monkeypatch.setattr(harness, "center_of",
+                        lambda group, sub: other if sub == h0 else real(group, sub))
+    _fails_only(property_suite(g), "lemma_4_2a", [{"h0": h0.members()}])
+
+
+def test_lemma_4_2b_fails_without_a_central_complement(monkeypatch):
+    # for H0 = G the normals of order |Z(G)|/|Z(H0)| = 1 lose the trivial
+    # subgroup, so lemma_4_2b finds no complement for this H0 alone;
+    # lemma_4_1b never looks up order 1 here
+    g, h0s = _d4xc2_h0s()
+    h0 = h0s[-1]
+    z, h0_center = center(g), center_of(g, h0)
+    key = z.order // h0_center.order
+    real = harness._normals_of_order
+
+    def without_complements(group, *, cap):
+        by_order = dict(real(group, cap=cap))
+        by_order[key] = [m for m in by_order[key]
+                         if m.bits & h0_center.bits != 1 or m.bits & ~z.bits]
+        return by_order
+
+    monkeypatch.setattr(harness, "_normals_of_order", without_complements)
+    _fails_only(property_suite(g), "lemma_4_2b", [{"h0": h0.members()}])
 
 
 def test_verify_one_keeps_no_tuple_of_pairs():
@@ -498,6 +598,8 @@ def test_verify_one_keeps_no_tuple_of_pairs():
     g = construct(parse_recipe(PREMISES32["D4xC2xC2"]))
     out = harness._verify_one(("D4xC2xC2", g, 64))
     assert (out["instances"], out["properties"]) == (2_146, ALL_PASS)
+    # the H0s the lemmas walk
+    assert len(premise_classes(g).h0s) == 40
 
     def is_pair(x):
         return isinstance(x, tuple) and len(x) == 2 and all(isinstance(s, Subgroup) for s in x)
@@ -538,6 +640,9 @@ def test_premise_classes_classify_each_normal_once():
 
 
 def test_premise_classes_build_one_group_per_derived_table(monkeypatch):
+    # the four groups stay alive together, so each table derived from any of
+    # them is built once for all of them; ``before`` keeps the groups other
+    # live parents had already interned alive, and those are not rebuilt
     built = []
     init = Group.__init__
 
@@ -545,21 +650,44 @@ def test_premise_classes_build_one_group_per_derived_table(monkeypatch):
         init(self, table, **kwargs)
         built.append(self.table)
 
-    for name, dsl in PREMISES32.items():
-        g = construct(parse_recipe(dsl))
-        built.clear()
-        with monkeypatch.context() as m:
-            m.setattr(Group, "__init__", counting_init)
+    groups = [construct(parse_recipe(dsl)) for dsl in PREMISES32.values()]
+    before = dict(subgroups._derived_groups)
+    with monkeypatch.context() as m:
+        m.setattr(Group, "__init__", counting_init)
+        for g in groups:
             premise_classes(g)
+    derived = {}
+    for name, g in zip(PREMISES32, groups):
         sides = {s.order for pair in all_direct_splittings(g) for s in pair}
         classified = [n for n in normal_subgroups(g) if n.order in sides]
         extracted = [subgroup_as_group(n)[0] for n in classified]
-        derived = {h.table for h in extracted} | {quotient(g, n).target.table for n in classified}
-        assert sorted(built) == sorted(derived), name
-        # normals that extract to equal tables share one Group
-        first = {}
-        assert all(first.setdefault(h.table, h) is h for h in extracted), name
-        assert len(first) < len(classified), name
+        # normals that extract to equal tables share one Group, across parents too
+        assert len({h.table for h in extracted}) < len(classified), name
+        for h in extracted + [quotient(g, n).target for n in classified]:
+            assert derived.setdefault(h.table, h) is h, name
+    assert sorted(built) == sorted(derived.keys() - before.keys())
+    # a fresh parent of the same recipe builds no derived group at all
+    fresh = construct(parse_recipe(PREMISES32["D4xC2xC2"]))
+    built.clear()
+    with monkeypatch.context() as m:
+        m.setattr(Group, "__init__", counting_init)
+        premise_classes(fresh)
+    assert built == []
+
+
+def test_derived_groups_die_with_their_parents():
+    # the intern holds its groups weakly: once every parent is gone, so are
+    # the groups that only they derived
+    gc.collect()
+    before = dict(subgroups._derived_groups)
+    groups = [construct(parse_recipe(dsl)) for dsl in PREMISES32.values()]
+    for g in groups:
+        premise_classes(g)
+    added = subgroups._derived_groups.keys() - before.keys()
+    assert added
+    del g, groups
+    gc.collect()
+    assert added.isdisjoint(subgroups._derived_groups.keys())
 
 
 def test_premise_counts_match_benchmark_reference():
@@ -618,15 +746,18 @@ def test_central_complements_match_extracted_center(catalog24):
 
 
 def test_verify_builds_one_lattice_per_group():
-    # fresh groups: no other test has filled their memos
+    # fresh groups: no other test has filled their memos.  Derived groups are
+    # shared with other live parents, so only lattices built by this run count
     entries = []
     for e in builtin_catalog(24):
         group = construct(e.recipe, name=e.name)
         entries.append(CatalogEntry(e.name, e.recipe, group, fingerprint(group)))
+    had_lattice = {h for h in list(subgroups._derived_groups.values())
+                   if "all_subgroups" in h._cache}
     verify_catalog(entries, VerifyConfig(max_order=24, jobs=1))
     for e in entries:
         assert "all_subgroups" in e.group._cache, e.name
         for key, value in e.group._cache.items():
             if isinstance(key, tuple) and key[0] in ("as_group", "quotient"):
                 held = value[0] if key[0] == "as_group" else value.target
-                assert "all_subgroups" not in held._cache, (e.name, key)
+                assert held in had_lattice or "all_subgroups" not in held._cache, (e.name, key)

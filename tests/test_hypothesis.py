@@ -6,12 +6,14 @@ the same examples each time.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from groupkit import core
 from groupkit.core import Cyclic, Dicyclic, Dihedral, Product, construct, parse_recipe, recipe_dsl
 from groupkit.decomposition import project_onto_factor, splitting_sides
 from groupkit.subgroups import all_subgroups, bits_of
 
+import conftest
 from conftest import projection_by_products
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -49,3 +51,10 @@ def test_project_onto_factor_matches_products(orders, data):
     x = data.draw(st.sampled_from(all_subgroups(g)))
     proj = projection_by_products(g, h, k)
     assert project_onto_factor(g, (h, k), x).bits == bits_of(proj[m] for m in x.members())
+
+
+@DETERMINISTIC
+@given(st.integers(min_value=0, max_value=(1 << 512) - 1))
+@example(0)
+def test_members_of_matches_bit_tests(bits):
+    assert core.members_of(bits) == conftest.members_of(bits)

@@ -41,6 +41,7 @@ from groupkit.subgroups import (
 
 from conftest import (
     closure_by_products,
+    commutator_bits_by_products,
     elementary_abelian_covers,
     gaussian_binomial,
     subgroups_by_subset_filter,
@@ -198,6 +199,17 @@ def test_commutator_examples():
     assert derived_subgroup(construct(Symmetric(3))).order == 3
     d4 = construct(Dihedral(4))
     assert derived_subgroup(d4).members() == [0, 2]
+
+
+def test_commutator_of_distinct_normals_matches_products(catalog16):
+    for entry in catalog16:
+        g = entry.group
+        normals = normal_subgroups(g)
+        for a in normals:
+            for b in normals:
+                if a != b:
+                    assert commutator(g, a, b).bits == commutator_bits_by_products(
+                        g, a.bits, b.bits), (entry.name, a, b)
 
 
 def test_quotient_by_trivial_and_whole():
