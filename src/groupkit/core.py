@@ -18,7 +18,8 @@ about.
 A table has one representation: a tuple of row tuples of Python ints, as
 ``validate_table`` returns it and ``Group.table`` holds it.  Table code is
 plain Python; arrays are accepted as input (anything with a ``dtype`` and
-``tolist``) but no array library is imported.
+``tolist``) but no array library is imported.  Byte rows live only inside
+``validate_table``'s checks.
 """
 
 from __future__ import annotations
@@ -411,6 +412,12 @@ def validate_table(table) -> tuple[tuple[int, ...], ...]:
     generators checks every element.  The generators are picked greedily by
     ``closure_bits``, which only ever adds products of elements it has
     already reached and a generator.
+
+    Up to order 256, a byte's width, the fast path checks ``bytes`` rows:
+    ``bytes`` proves every entry is in 0..255, and ``translate`` deleting
+    0..n-1 from the joined rows leaves nothing only if all are below n.
+    Row x of x·(g·y) is then row g translated through row x (padded to 256
+    bytes); larger tables gather it through the columns.
     """
     dtype = getattr(table, "dtype", None)
     typed = dtype is None or dtype.kind in "iu"
@@ -436,17 +443,31 @@ def _group_rows(table) -> tuple[tuple[int, ...], ...] | None:
         return None
     t = tuple(map(tuple, table))
     n = len(t)
-    ident = list(range(n))
-    if (not t or set(map(type, chain.from_iterable(t))) != {int}
-            or set(map(len, t)) != {n} or not set(ident).issuperset(chain.from_iterable(t))
-            or list(t[0]) != ident or [row[0] for row in t] != ident
-            or not all(0 in row for row in t)):
+    if not t or set(map(type, chain.from_iterable(t))) != {int} or set(map(len, t)) != {n}:
         return None
-    cols = tuple(zip(*t))
-    for g in _light_generators(t):
+    if n <= 256:
+        try:
+            rows = tuple(map(bytes, t))  # ValueError: an entry outside 0..255
+        except ValueError:
+            return None
+        ident, joined = bytes(range(n)), b"".join(rows)
+        # translate deletes every 0..n-1, so only an entry >= n survives
+        if joined.translate(None, ident) or joined[::n] != ident:
+            return None
+        padded = [row.ljust(256, b"\0") for row in rows]  # row x as a translate map
+    else:
+        rows, ident, cols = t, tuple(range(n)), tuple(zip(*t))
+        if not set(ident).issuperset(chain.from_iterable(t)) or cols[0] != ident:
+            return None
+    if rows[0] != ident or not all(0 in row for row in rows):
+        return None
+    for g in _light_generators(rows):
         # row x of each side: (x·g)·y over y, and x·(g·y) over y
-        right = zip(*operator.itemgetter(*t[g])(cols))
-        if operator.itemgetter(*cols[g])(t) != tuple(right):
+        if n <= 256:
+            column, right = joined[g::n], map(rows[g].translate, padded)
+        else:
+            column, right = cols[g], zip(*operator.itemgetter(*rows[g])(cols))
+        if operator.itemgetter(*column)(rows) != tuple(right):
             return None
     return t
 

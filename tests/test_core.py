@@ -7,7 +7,15 @@ import pickle
 import numpy as np
 import pytest
 
-from groupkit.catalog import _BUILTIN, _EXTRAS, builtin_catalog, group_from_json_dict, import_group
+from groupkit import core
+from groupkit.catalog import (
+    _BUILTIN,
+    _EXTRAS,
+    builtin_catalog,
+    group_from_json_dict,
+    group_to_json_dict,
+    import_group,
+)
 from groupkit.core import (
     CentralQuotient,
     Cyclic,
@@ -18,6 +26,8 @@ from groupkit.core import (
     Record,
     Semidirect,
     Symmetric,
+    _checked_rows,
+    _group_rows,
     _product_table,
     _resolve_action,
     _semidirect_table,
@@ -391,6 +401,65 @@ def test_every_order_is_checked_for_associativity(tmp_path):
     path.write_text(json.dumps({"order": 512, "table": _cyclic_with_intercalate(512)}))
     with pytest.raises(NotAssociative):
         import_group(path)
+
+
+def test_fast_path_proves_every_workload_table(catalog16, monkeypatch):
+    """Every valid table the workloads build is proved on the fast path:
+    the byte rows up to order 256, the column gather above it."""
+    def fall_back(table, typed):
+        raise AssertionError("validate_table left its fast path")
+
+    monkeypatch.setattr(core, "_checked_rows", fall_back)
+    products = [construct(Product(a.recipe, b.recipe)) for a in catalog16 for b in catalog16
+                if a.group.order * b.group.order == 128 and a.name <= b.name]
+    assert len(products) == 70
+    for group in products:
+        back = group_from_json_dict(json.loads(json.dumps(group_to_json_dict(group))))
+        assert back.table == group.table == validate_table(group.table)
+    c2_9 = Cyclic(2)
+    for _ in range(8):
+        c2_9 = Product(c2_9, Cyclic(2))
+    for recipe in (Cyclic(256), parse_recipe("P(S(5),C(3))"), c2_9):
+        group = construct(recipe)
+        assert validate_table([list(row) for row in group.table]) == group.table
+
+
+def _cyclic_with_entry(n: int, row: int, col: int, value: int) -> list[list[int]]:
+    """C_n's table with one entry replaced."""
+    table = [list(line) for line in construct(Cyclic(n)).table]
+    table[row][col] = value
+    return table
+
+
+def test_byte_row_boundaries_agree_with_the_checked_path(catalog16):
+    for n in (255, 256, 257):
+        rows = construct(Cyclic(n)).table
+        table = [list(row) for row in rows]
+        assert _group_rows(table) == _checked_rows(table, True) == rows
+    entries = {entry.name: entry for entry in catalog16}
+    swapped = [list(row) for row in
+               construct(Product(entries["D4"].recipe, entries["Dic4"].recipe)).table]
+    # the intercalate on rows 90, 94 and columns 96, 100 of D4×Dic4
+    a, b = swapped[90][96], swapped[94][96]
+    assert (swapped[94][100], swapped[90][100]) == (a, b)
+    swapped[90][96], swapped[90][100], swapped[94][96], swapped[94][100] = b, a, a, b
+    for table, expected in (
+        (_cyclic_with_intercalate(256),
+         ("NotAssociative", {"witness": (1, 1, 2)}, "(g1*g1)*g2 != g1*(g1*g2)")),
+        (_cyclic_with_intercalate(258),
+         ("NotAssociative", {"witness": (1, 1, 2)}, "(g1*g1)*g2 != g1*(g1*g2)")),
+        (swapped,
+         ("NotAssociative", {"witness": (90, 1, 99)}, "(g90*g1)*g99 != g90*(g1*g99)")),
+        # in [n, 256): a byte, but not an element
+        (_cyclic_with_entry(200, 3, 5, 230),
+         ("MalformedTable", {}, "row 3 entry 230 out of range [0, 200)")),
+        (_cyclic_with_entry(256, 5, 9, 256),
+         ("MalformedTable", {}, "row 5 entry 256 out of range [0, 256)")),
+        (_cyclic_with_entry(200, 4, 2, -1),
+         ("MalformedTable", {}, "row 4 entry -1 out of range [0, 200)")),
+    ):
+        assert _group_rows(table) is None
+        assert _failure(table) == _failure(table, lambda t: _checked_rows(t, True)) == expected
 
 
 @pytest.mark.parametrize("entry", [1.7, 1.0, True, "1", None])
