@@ -28,20 +28,17 @@ from .core import (
 )
 from .errors import MalformedTable, OrderBound
 from .iso import Fingerprint, IsoCache, fingerprint
+from .subgroups import _is_prime
 
 # number-of-groups function for orders 1..16
 GROUP_COUNTS_UP_TO_16 = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14)
 
 
-def _chain_product(parts: list[Recipe]) -> Recipe:
-    out = parts[0]
-    for part in parts[1:]:
-        out = Product(out, part)
-    return out
-
-
 def _cyclics(*orders: int) -> Recipe:
-    return _chain_product([Cyclic(n) for n in orders])
+    out = Cyclic(orders[0])
+    for n in orders[1:]:
+        out = Product(out, Cyclic(n))
+    return out
 
 
 # Handy semidirect actions, written as full index permutations of the
@@ -131,11 +128,11 @@ class CatalogEntry(Record):
 _catalogs: dict[int, list[CatalogEntry]] = {}
 
 
-def builtin_catalog(max_order: int, *, order_cap: int = 512) -> list[CatalogEntry]:
+def builtin_catalog(max_order: int) -> list[CatalogEntry]:
     """All isomorphism classes of order <= min(max_order, 16), plus curated
     larger entries up to max_order; deduplicated by isomorphism testing."""
-    if max_order > order_cap:
-        raise OrderBound(max_order, order_cap, "catalog max order")
+    if max_order > DEFAULT_ORDER_CAP:
+        raise OrderBound(max_order, DEFAULT_ORDER_CAP, "catalog max order")
     cached = _catalogs.get(max_order)
     if cached is None:
         cache = IsoCache()
@@ -176,7 +173,7 @@ def abelian_p_group_catalog(max_order: int = 64) -> list[CatalogEntry]:
     """Every abelian p-group of order <= max_order (one per partition)."""
     out = []
     for p in range(2, max_order + 1):
-        if any(p % d == 0 for d in range(2, p)):
+        if not _is_prime(p):
             continue
         k = 1
         while p ** (k + 1) <= max_order:
@@ -215,10 +212,15 @@ def group_from_json_dict(data: dict) -> Group:
     return Group(table, name=data.get("name"), recipe=recipe)
 
 
+def canonical_json(data: dict | list) -> str:
+    """The one JSON form of every file groupkit writes: sorted keys, indent
+    2, a trailing newline, so equal data gives equal bytes."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 def export_group(obj, path) -> None:
     group = obj.group if isinstance(obj, CatalogEntry) else obj
-    text = json.dumps(group_to_json_dict(group), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(canonical_json(group_to_json_dict(group)), encoding="utf-8")
 
 
 def import_group(path) -> Group:

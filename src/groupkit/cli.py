@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .catalog import (
     builtin_catalog,
+    canonical_json,
     group_from_json_dict,
     group_to_json_dict,
 )
@@ -54,7 +55,7 @@ def _env_flag(name: str) -> bool:
 
 
 def _write_json(data: dict | list, path: str | None) -> None:
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    text = canonical_json(data)
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -74,18 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, jobs: bool = True):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--max-order", type=int,
                        default=_env_default("MAX_ORDER", 16),
                        help="catalog cutoff (complete classes up to 16)")
         p.add_argument("--lattice-cap", type=int,
                        default=_env_default("LATTICE_CAP", DEFAULT_LATTICE_CAP),
                        help="largest order for subgroup-lattice work")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=_env_default("JOBS", 1),
-                           help="parallel workers (output is identical for any value)")
-            p.add_argument("--seed", type=int, default=_env_default("SEED", 0),
-                           help="seed recorded in the report config")
+        p.add_argument("--jobs", type=int, default=_env_default("JOBS", 1),
+                       help="parallel workers (output is identical for any value)")
+        p.add_argument("--seed", type=int, default=_env_default("SEED", 0),
+                       help="seed recorded in the report config")
 
     p_catalog = sub.add_parser("catalog", help="write the built-in group catalog")
     p_catalog.add_argument("--max-order", type=int, default=_env_default("MAX_ORDER", 16))

@@ -670,35 +670,15 @@ def _cyclic_table(n: int) -> list[list[int]]:
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
-def _dihedral_table(m: int) -> list[list[int]]:
-    # index = j*m + i for a^i b^j, j in {0,1}; b a b^-1 = a^-1
-    n = 2 * m
-    table = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(2):
-            for k in range(m):
-                for l in range(2):
-                    rot = (i + k) % m if j == 0 else (i - k) % m
-                    table[j * m + i][l * m + k] = ((j + l) % 2) * m + rot
-    return table
+def _inverting_table(m: int, s: int) -> list[list[int]]:
+    """⟨a, b | aᵐ = 1, b² = aˢ, b·a·b⁻¹ = a⁻¹⟩, with aⁱbʲ at index j·m + i.
 
-
-def _dicyclic_table(m: int) -> list[list[int]]:
-    # index = j*2m + i for a^i b^j; a^(2m)=1, b^2=a^m, b a b^-1 = a^-1
-    n = 4 * m
-    table = [[0] * n for _ in range(n)]
-    for i in range(2 * m):
-        for j in range(2):
-            for k in range(2 * m):
-                for l in range(2):
-                    if j == 0:
-                        rot, ref = (i + k) % (2 * m), l
-                    elif l == 0:
-                        rot, ref = (i - k) % (2 * m), 1
-                    else:
-                        rot, ref = (i - k + m) % (2 * m), 0
-                    table[j * 2 * m + i][l * 2 * m + k] = ref * 2 * m + rot
-    return table
+    Only s ∈ {0, m/2} is valid: b commutes with b² = aˢ, which b inverts, so
+    a²ˢ = 1.  Dihedral(m) is (m, 0) and Dicyclic(m) is (2m, m).
+    """
+    return [[((j + l) % 2) * m + (i + k if j == 0 else i - k + s * l) % m
+             for l in range(2) for k in range(m)]
+            for j in range(2) for i in range(m)]
 
 
 def _symmetric_table(m: int) -> list[list[int]]:
@@ -832,10 +812,10 @@ def _table(recipe: Recipe, order_cap: int) -> list[list[int]]:
         table = _cyclic_table(check(recipe.n))
     elif isinstance(recipe, Dihedral):
         check(2 * recipe.m)
-        table = _dihedral_table(recipe.m)
+        table = _inverting_table(recipe.m, 0)
     elif isinstance(recipe, Dicyclic):
         check(4 * recipe.m)
-        table = _dicyclic_table(recipe.m)
+        table = _inverting_table(2 * recipe.m, recipe.m)
     elif isinstance(recipe, Symmetric):
         check(math.factorial(recipe.m))
         table = _symmetric_table(recipe.m)
@@ -856,30 +836,27 @@ def _table(recipe: Recipe, order_cap: int) -> list[list[int]]:
     return table
 
 
-# validated group of every recipe part built so far, for the life of the process
-_parts: dict[Recipe, Group] = {}
+# validated group of every recipe part built so far, by (recipe, cap), for
+# the life of the process
+_parts: dict[tuple[Recipe, int], Group] = {}
 
 
 def _part(recipe: Recipe, order_cap: int) -> Group:
-    """The group of a part of a recipe, built and validated once per process.
+    """The group of a part of a recipe, built and validated once per process
+    and cap.
 
-    A reused part meets the cap as a rebuilt one would: its own parts, then
-    its own order, are checked again, so the same OrderBound is raised.
-    Part groups never leave ``construct``.
+    A part is reused only under the cap it was built under, so it met that
+    cap when it was built; under a new cap it is built again, checked
+    bottom-up, and raises the same OrderBound.  Part groups never leave
+    ``construct``.
     """
+    key = (recipe, order_cap)
     try:
-        group = _parts.get(recipe)
+        group = _parts.get(key)
     except TypeError:  # a part that is no recipe, somewhere inside
         raise InvalidRecipe(f"unknown recipe object {recipe!r}") from None
     if group is None:
-        group = _parts[recipe] = Group(_table(recipe, order_cap), recipe=recipe)
-    else:
-        # a recipe's fields are its parts in build order, then its parameters
-        for sub in recipe._values_of(recipe):
-            if isinstance(sub, Recipe):
-                _part(sub, order_cap)
-        if group.order > order_cap:
-            raise OrderBound(group.order, order_cap)
+        group = _parts[key] = Group(_table(recipe, order_cap), recipe=recipe)
     return group
 
 
@@ -891,6 +868,6 @@ def construct(recipe: Recipe, *, name: str | None = None,
     recipes always produce identical tables.  Orders are checked against the
     cap bottom-up, before any combined table is filled in.  The parts of a
     Product, Semidirect or CentralQuotient are built once per process and
-    reused (``_part``).
+    cap, and reused under that cap (``_part``).
     """
     return Group(_table(recipe, order_cap), name=name, recipe=recipe)

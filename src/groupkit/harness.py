@@ -20,13 +20,12 @@ The property suite walks the same per-side relation.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from math import prod
 
-from .catalog import CatalogEntry, group_to_json_dict
-from .core import Cyclic, Group, Product, Record, Semidirect, construct, memo
+from .catalog import CatalogEntry, canonical_json, group_to_json_dict
+from .core import DEFAULT_ORDER_CAP, Cyclic, Group, Product, Record, Semidirect, construct, memo
 from .errors import NotPrime, OrderBound
 from .iso import Iso, IsoCache, find_isomorphism
 from .subgroups import (
@@ -353,7 +352,7 @@ class CounterexampleBundle(Record):
         return all(v for v in self.checks.values() if v is not None)
 
 
-def build_split_counterexample(p: int, *, order_cap: int = 512,
+def build_split_counterexample(p: int, *,
                                lattice_cap: int = DEFAULT_LATTICE_CAP) -> CounterexampleBundle:
     """Build (A ⋉ (B×C)) × D with all four parts cyclic of order p.
 
@@ -362,8 +361,8 @@ def build_split_counterexample(p: int, *, order_cap: int = 512,
     same kernel and quotient type.
     """
     # the bound first: trial division would never finish on a huge prime
-    if p ** 4 > order_cap:
-        raise OrderBound(p ** 4, order_cap)
+    if p ** 4 > DEFAULT_ORDER_CAP:
+        raise OrderBound(p ** 4, DEFAULT_ORDER_CAP)
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     shear = tuple(b * p + (c + b) % p for b in range(p) for c in range(p))
@@ -421,8 +420,8 @@ def build_split_counterexample(p: int, *, order_cap: int = 512,
         find_isomorphism(subgroup_as_group(n_split)[0], cp2) is not None
         and find_isomorphism(q_split.target, cp2) is not None
         and find_isomorphism(subgroup_as_group(n_nonsplit)[0], cp2) is not None
-        and find_isomorphism(q_nonsplit.target, cp2) is not None
-        and find_isomorphism(group, construct(Product(cp2.recipe, cp2.recipe))) is None
+        and checks["nonsplit_quotient_elementary"]
+        and checks["not_isomorphic_to_elementary"]
     )
     return CounterexampleBundle(p, group, n_split, t_split, n_nonsplit, checks)
 
@@ -469,9 +468,7 @@ class Report(Record):
         }
 
     def json_bytes(self, *, include_timings: bool = False) -> bytes:
-        text = json.dumps(self.json_dict(include_timings=include_timings),
-                          sort_keys=True, indent=2)
-        return (text + "\n").encode("utf-8")
+        return canonical_json(self.json_dict(include_timings=include_timings)).encode("utf-8")
 
 
 def _instance_json_dict(inst: ExtensionInstance) -> dict:

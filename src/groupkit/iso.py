@@ -1,6 +1,14 @@
-"""Isomorphism testing, automorphism enumeration, and invariant fingerprints."""
+"""Isomorphism testing, automorphism enumeration, and invariant fingerprints.
+
+One lazy search, ``_search_isomorphisms``, yields the isomorphisms between
+two tables in lexicographic order of their map arrays.  ``find_isomorphism``
+takes its first map, ``automorphisms`` runs it out, and ``IsoCache`` reaches
+it through ``find_isomorphism``.
+"""
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .core import Group, Record, element_orders, exact_ints, exponent, hom_defect, is_abelian, memo
 from .errors import OrderBound
@@ -60,12 +68,13 @@ def is_isomorphism(source: Group, target: Group, mapping) -> bool:
     return hom_defect(source.table, target.table, mapping) is None
 
 
-def _search_isomorphisms(source: Group, target: Group, *, find_all: bool) -> list[tuple[int, ...]]:
+def _search_isomorphisms(source: Group, target: Group) -> Iterator[tuple[int, ...]]:
     """Backtracking generator-image search; yields maps in lexicographic order.
 
     The next generator is always the least element outside the current span
-    and its candidate images are tried ascending, so the first solution found
-    is the lexicographically least map array.
+    and its candidate images are tried ascending, so the maps come out in
+    lexicographic order of their arrays, each found lazily: taking only the
+    first runs the search no further than that map.
     """
     n = source.order
     stab = source.table
@@ -77,13 +86,12 @@ def _search_isomorphisms(source: Group, target: Group, *, find_all: bool) -> lis
         by_order.setdefault(torder[t], []).append(t)
     for k in set(sorder):
         if len(by_order.get(k, ())) != sorder.count(k):
-            return []
+            return
 
     mapping = [-1] * n
     mapping[0] = 0
     used = 1
     span = [0]
-    results: list[tuple[int, ...]] = []
 
     def undo(added: list[int]) -> None:
         nonlocal used
@@ -96,18 +104,14 @@ def _search_isomorphisms(source: Group, target: Group, *, find_all: bool) -> lis
         nonlocal used
         added: list[int] = []
         pending = [(s, t)]
-        ok = True
         while pending:
             x, y = pending.pop()
             mx = mapping[x]
-            if mx != -1:
-                if mx != y:
-                    ok = False
-                    break
+            if mx == y:
                 continue
-            if (used >> y) & 1:
-                ok = False
-                break
+            if mx != -1 or (used >> y) & 1:  # x taken elsewhere, or y taken
+                undo(added)
+                return None
             mapping[x] = y
             used |= 1 << y
             span.append(x)
@@ -117,58 +121,49 @@ def _search_isomorphisms(source: Group, target: Group, *, find_all: bool) -> lis
                 me = mapping[e]
                 pending.append((xrow[e], yrow[me]))
                 pending.append((stab[e][x], ttab[me][y]))
-        if ok:
-            return added
-        undo(added)
-        return None
+        return added
 
-    def dfs() -> bool:
+    def dfs() -> Iterator[tuple[int, ...]]:
         s = -1
         for i in range(1, n):
             if mapping[i] == -1:
                 s = i
                 break
         if s == -1:
-            results.append(tuple(mapping))
-            return not find_all
+            yield tuple(mapping)
+            return
         for t in by_order[sorder[s]]:
             if (used >> t) & 1:
                 continue
             added = try_extend(s, t)
             if added is None:
                 continue
-            done = dfs()
+            yield from dfs()
             undo(added)
-            if done:
-                return True
-        return False
 
-    dfs()
-    return results
+    yield from dfs()
 
 
 def find_isomorphism(source: Group, target: Group) -> Iso | None:
     """An isomorphism witness, or None.
 
     Deterministic: when isomorphisms exist the one with the lexicographically
-    least map array is returned.
+    least map array is returned, the first map of the lazy search.
     """
     if source.order != target.order:
         return None
     if fingerprint(source) != fingerprint(target):
         return None
-    found = _search_isomorphisms(source, target, find_all=False)
-    if not found:
-        return None
-    return Iso(source, target, found[0])
+    found = next(_search_isomorphisms(source, target), None)
+    return None if found is None else Iso(source, target, found)
 
 
 def automorphisms(group: Group, *, cap: int = DEFAULT_AUTOMORPHISM_CAP) -> list[Iso]:
-    """All isomorphisms G -> G, ordered by map array."""
+    """All isomorphisms G -> G, ordered by map array: the lazy search run out."""
     if group.order > cap:
         raise OrderBound(group.order, cap, "automorphism-search order")
     return list(memo(group, "automorphisms", lambda: [
-        Iso(group, group, m) for m in _search_isomorphisms(group, group, find_all=True)
+        Iso(group, group, m) for m in _search_isomorphisms(group, group)
     ]))
 
 

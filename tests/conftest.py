@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import pytest
 
@@ -166,6 +167,39 @@ def semidirect_table_by_entries(normal: Group, acting: Group, phi) -> list[list[
             q2_inv = next(q for q in range(acting.order) if acting.table[q2][q] == 0)
             row.append(acting.table[q1][q2] * nn + normal.table[phi[q2_inv][n1]][n2])
         out.append(row)
+    return out
+
+
+def inverting_table_by_rules(m: int, s: int) -> list[list[int]]:
+    """⟨a, b | aᵐ = 1, b² = aˢ, b·a·b⁻¹ = a⁻¹⟩ one entry at a time, with aⁱbʲ
+    at j·m + i: the word aⁱbʲ·aᵏbˡ is rewritten to normal form by moving aᵏ
+    left past bʲ (b·a = a⁻¹·b), then replacing b² by aˢ."""
+    def times(x, y):
+        (i, j), (k, l) = x, y
+        for _ in range(j):
+            k = -k
+        i, j = i + k, j + l
+        if j == 2:
+            i, j = i + s, 0
+        return i % m, j
+
+    elements = [(i, j) for j in range(2) for i in range(m)]
+    index = {x: n for n, x in enumerate(elements)}
+    return [[index[times(x, y)] for y in elements] for x in elements]
+
+
+def isomorphisms_by_bijections(source: Group, target: Group) -> list[tuple[int, ...]]:
+    """Every bijection fixing 0 that carries source's table onto target's,
+    in lexicographic order, by trying all (n-1)! of them."""
+    n = source.order
+    if target.order != n:
+        return []
+    s, t = source.table, target.table
+    out = []
+    for rest in permutations(range(1, n)):  # lexicographic, as the input is sorted
+        perm = (0,) + rest
+        if all(perm[s[x][y]] == t[perm[x]][perm[y]] for x in range(n) for y in range(n)):
+            out.append(perm)
     return out
 
 

@@ -54,6 +54,7 @@ from groupkit.iso import find_isomorphism, fingerprint
 from groupkit.subgroups import Subgroup, normal_subgroups
 
 from conftest import (
+    inverting_table_by_rules,
     is_associative_by_triples,
     order_by_powering,
     product_table_by_entries,
@@ -311,6 +312,14 @@ def test_dicyclic2_is_quaternion():
     assert q8.order == 8
     orders = sorted(element_order(q8, x) for x in range(8))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_dihedral_and_dicyclic_tables_match_presentation_rules():
+    for m in range(1, 41):
+        assert construct(Dihedral(m)).table == tuple(map(tuple, inverting_table_by_rules(m, 0)))
+    for m in range(1, 21):
+        assert (construct(Dicyclic(m)).table
+                == tuple(map(tuple, inverting_table_by_rules(2 * m, m))))
 
 
 def test_all_catalog_groups_validate(catalog16):

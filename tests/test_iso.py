@@ -1,5 +1,4 @@
 import math
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from groupkit.core import (
     Dicyclic,
     Dihedral,
     Product,
+    Semidirect,
     Symmetric,
     construct,
 )
@@ -21,6 +21,8 @@ from groupkit.iso import (
     fingerprint,
     is_isomorphism,
 )
+
+from conftest import isomorphisms_by_bijections
 
 
 def test_fingerprint_trivial():
@@ -105,24 +107,31 @@ def test_automorphism_counts():
     for n in (3, 4, 5, 6, 8, 12):
         units = sum(1 for k in range(1, n) if math.gcd(k, n) == 1)
         assert len(automorphisms(construct(Cyclic(n)))) == units, n
+    # closed forms: |GL(3,2)|, |GL(2,3)|, Aut(D4) ≅ D4, Aut(Q8) ≅ S4,
+    # Aut(A4) ≅ Aut(S4) ≅ S4, Aut(D5) ≅ C5 ⋊ C4
+    c2 = Cyclic(2)
+    a4 = Semidirect(Product(c2, c2), Cyclic(3), ((1, (0, 3, 1, 2)),))
+    for recipe, count in ((Product(Product(c2, c2), c2), 168),
+                          (Product(Cyclic(3), Cyclic(3)), 48), (Dihedral(4), 8),
+                          (Dicyclic(2), 24), (a4, 24), (Symmetric(4), 24), (Dihedral(5), 20)):
+        assert len(automorphisms(construct(recipe))) == count, recipe
 
 
-def test_v4_automorphisms_against_bijection_oracle():
-    v4 = construct(Product(Cyclic(2), Cyclic(2)))
-    table = v4.table
-    expected = []
-    for perm in permutations(range(4)):
-        if perm[0] != 0:
-            continue
-        if all(
-            perm[table[i][j]] == table[perm[i]][perm[j]]
-            for i in range(4)
-            for j in range(4)
-        ):
-            expected.append(perm)
-    got = [a.map for a in automorphisms(v4)]
-    assert got == sorted(expected)
-    assert len(got) == 6
+def test_search_against_bijection_oracle(catalog16):
+    # every catalog group of order <= 8: the automorphism list is every
+    # table-preserving bijection fixing 0, and find_isomorphism's map is the
+    # lexicographically least one, against every group of the same order
+    small = [e.group for e in catalog16 if e.group.order <= 8]
+    assert len(small) == 14
+    for g in small:
+        assert [a.map for a in automorphisms(g)] == isomorphisms_by_bijections(g, g), g.name
+        for h in small:
+            if h.order == g.order:
+                found = find_isomorphism(g, h)
+                least = next(iter(isomorphisms_by_bijections(g, h)), None)
+                assert (found.map if found else None) == least, (g.name, h.name)
+    v4 = next(g for g in small if g.name == "C2xC2")
+    assert len(automorphisms(v4)) == 6
 
 
 def test_automorphisms_sorted_and_group_closed(catalog16):
