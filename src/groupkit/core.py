@@ -18,8 +18,9 @@ about.
 A table has one representation: a tuple of row tuples of Python ints, as
 ``validate_table`` returns it and ``Group.table`` holds it.  Table code is
 plain Python; arrays are accepted as input (anything with a ``dtype`` and
-``tolist``) but no array library is imported.  Byte rows live only inside
-``validate_table``'s checks.
+``tolist``) but no array library is imported.  Up to order 256 the
+Product and Semidirect builders emit ``bytes`` rows, which only
+``validate_table`` reads.
 """
 
 from __future__ import annotations
@@ -418,7 +419,19 @@ def validate_table(table) -> tuple[tuple[int, ...], ...]:
     0..n-1 from the joined rows leaves nothing only if all are below n.
     Row x of x·(g·y) is then row g translated through row x (padded to 256
     bytes); larger tables gather it through the columns.
+
+    Rows given as ``bytes``, as the Product and Semidirect builders make
+    them up to order 256, skip the type scan and the copy: when every row is
+    exactly ``bytes`` and n <= 256, the type proves each entry an exact int
+    in 0..255.  Other tables with ``bytes`` rows take the checked path, which
+    reads such a row as ints, so each raises what its list form raises.
+    Lists (as from JSON) keep the scan: nothing at C level tells True from 1.
     """
+    return _proved(table)[0]
+
+
+def _proved(table) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``validate_table``'s rows, and the inverse of every element."""
     dtype = getattr(table, "dtype", None)
     typed = dtype is None or dtype.kind in "iu"
     if dtype is not None:
@@ -436,18 +449,25 @@ def _light_generators(rows) -> list[int]:
     return gens
 
 
-def _group_rows(table) -> tuple[tuple[int, ...], ...] | None:
-    """``table`` as rows when the fast path proves it a group, else None."""
-    sequence = list | tuple
-    if not isinstance(table, sequence) or not all(isinstance(row, sequence) for row in table):
+def _group_rows(table) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+    """``table`` as rows, with every element's inverse, when the fast path
+    proves it a group, else None."""
+    if not isinstance(table, list | tuple) or not table:
         return None
-    t = tuple(map(tuple, table))
-    n = len(t)
-    if not t or set(map(type, chain.from_iterable(t))) != {int} or set(map(len, t)) != {n}:
+    n, t = len(table), None
+    if n <= 256 and set(map(type, table)) == {bytes}:
+        rows = tuple(table)  # every entry an exact int in 0..255 by the row's type
+    elif all(isinstance(row, list | tuple) for row in table):
+        rows = t = tuple(map(tuple, table))
+        if set(map(type, chain.from_iterable(t))) != {int}:
+            return None
+    else:
+        return None
+    if set(map(len, rows)) != {n}:
         return None
     if n <= 256:
         try:
-            rows = tuple(map(bytes, t))  # ValueError: an entry outside 0..255
+            rows = rows if t is None else tuple(map(bytes, t))  # ValueError: outside 0..255
         except ValueError:
             return None
         ident, joined = bytes(range(n)), b"".join(rows)
@@ -456,10 +476,14 @@ def _group_rows(table) -> tuple[tuple[int, ...], ...] | None:
             return None
         padded = [row.ljust(256, b"\0") for row in rows]  # row x as a translate map
     else:
-        rows, ident, cols = t, tuple(range(n)), tuple(zip(*t))
+        ident, cols = tuple(range(n)), tuple(zip(*t))
         if not set(ident).issuperset(chain.from_iterable(t)) or cols[0] != ident:
             return None
-    if rows[0] != ident or not all(0 in row for row in rows):
+    if rows[0] != ident:
+        return None
+    try:
+        inv = tuple(row.index(0) for row in rows)  # ValueError: a row without 0
+    except ValueError:
         return None
     for g in _light_generators(rows):
         # row x of each side: (x·g)·y over y, and x·(g·y) over y
@@ -469,22 +493,24 @@ def _group_rows(table) -> tuple[tuple[int, ...], ...] | None:
             column, right = cols[g], zip(*operator.itemgetter(*rows[g])(cols))
         if operator.itemgetter(*column)(rows) != tuple(right):
             return None
-    return t
+    return (tuple(map(tuple, rows)) if t is None else t), inv
 
 
-def _shape(x) -> tuple[int, ...]:
+def _shape(x, sequence=list | tuple) -> tuple[int, ...]:
     """The shape of nested lists and tuples, arrays among them read as
-    sequences (as an array library reads them); ValueError when ragged."""
-    if not isinstance(x, list | tuple) and not getattr(x, "ndim", 0):
+    sequences (as an array library reads them) and a ``bytes`` row as a row
+    of ints; ValueError when ragged."""
+    if not isinstance(x, sequence) and not getattr(x, "ndim", 0):
         return ()
-    inner = {_shape(item) for item in x}
+    inner = {_shape(item, list | tuple | bytes) for item in x}
     if len(inner) > 1:
         raise ValueError("ragged")
     return (len(x), *(inner.pop() if inner else ()))
 
 
-def _checked_rows(table, typed: bool) -> tuple[tuple[int, ...], ...]:
-    """``validate_table``'s checks one at a time, in its documented order."""
+def _checked_rows(table, typed: bool) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``validate_table``'s checks one at a time, in its documented order;
+    the rows and every element's inverse."""
     try:
         shape = _shape(table)
     except ValueError:
@@ -515,8 +541,9 @@ def _checked_rows(table, typed: bool) -> tuple[tuple[int, ...], ...]:
                 raise NotLatin(axis, i, next(a for a, b in zip(ordered, ordered[1:]) if a == b))
 
     # each row now holds exactly one 0; invertibility needs it two-sided
-    for x, row in enumerate(t):
-        if t[row.index(0)][x] != 0:
+    inv = tuple(row.index(0) for row in t)
+    for x, y in enumerate(inv):
+        if t[y][x] != 0:
             raise NotInvertible(x)
 
     for g in _light_generators(t):
@@ -525,7 +552,7 @@ def _checked_rows(table, typed: bool) -> tuple[tuple[int, ...], ...]:
             for y, gy in enumerate(t[g]):
                 if left[y] != row[gy]:  # (x·g)·y against x·(g·y)
                     raise NotAssociative(x, g, y)
-    return t
+    return t, inv
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +569,8 @@ class Group:
     __slots__ = ("order", "table", "inv", "name", "recipe", "_cache", "__weakref__")
 
     def __init__(self, table, *, name: str | None = None, recipe: Recipe | None = None):
-        self.table = validate_table(table)
+        self.table, self.inv = _proved(table)
         self.order = len(self.table)
-        self.inv = tuple(row.index(0) for row in self.table)
         self.name = name
         self.recipe = recipe
         self._cache = {}
@@ -690,19 +716,23 @@ def _symmetric_table(m: int) -> list[list[int]]:
     return table
 
 
-def _product_table(a: Group, b: Group) -> list[list[int]]:
+def _shifted_rows(part: Group, count: int):
+    """Row r of ``part`` plus c·|part| at ``[r][c]`` for c < count, and the
+    join that makes one table row of such blocks: ``bytes`` up to order
+    |part|·count = 256, lists above it."""
+    m = part.order
+    if m * count <= 256:
+        shifts = [bytes(range(c * m, c * m + m)).ljust(256, b"\0") for c in range(count)]
+        return [list(map(bytes(row).translate, shifts)) for row in part.table], b"".join
+    return ([[[c * m + v for v in row] for c in range(count)] for row in part.table],
+            lambda blocks: list(chain.from_iterable(blocks)))
+
+
+def _product_table(a: Group, b: Group) -> list:
     # entry [(a1, b1), (a2, b2)] = (a1·a2, b1·b2), pair (x, y) -> x*|B| + y;
     # row (a1, b1) joins, for each c = a1·a2, row b1 of B shifted by c*|B|
-    nb = b.order
-    shifted = [[[c * nb + v for v in rb] for c in range(a.order)] for rb in b.table]
-    table = []
-    for ra in a.table:
-        for blocks in shifted:
-            row = []
-            for c in ra:
-                row += blocks[c]
-            table.append(row)
-    return table
+    shifted, join = _shifted_rows(b, a.order)
+    return [join(map(blocks.__getitem__, ra)) for ra in a.table for blocks in shifted]
 
 
 def hom_defect(source, target, mapping) -> tuple[int, int] | None:
@@ -764,21 +794,15 @@ def _resolve_action(normal: Group, acting: Group,
 
 
 def _semidirect_table(normal: Group, acting: Group,
-                      action: tuple[tuple[int, tuple[int, ...]], ...]) -> list[list[int]]:
+                      action: tuple[tuple[int, tuple[int, ...]], ...]) -> list:
     # (q1,n1)(q2,n2) = (q1 q2, phi(q2^-1)(n1) * n2); pair (q,n) -> q*|N| + n;
     # row (q1, n1) joins, for each q2, row phi(q2^-1)(n1) of N shifted by (q1 q2)*|N|
     phi = _resolve_action(normal, acting, action)
-    nn = normal.order
-    shifted = [[[c * nn + v for v in rn] for rn in normal.table] for c in range(acting.order)]
+    shifted, join = _shifted_rows(normal, acting.order)
     twist = [phi[q] for q in acting.inv]  # [q2][n1] -> phi(q2^-1)(n1)
-    table = []
-    for rq in acting.table:
-        for n1 in range(nn):
-            row = []
-            for c, tw in zip(rq, twist):
-                row += shifted[c][tw[n1]]
-            table.append(row)
-    return table
+    # [n1][q2] -> the shifted copies of row phi(q2^-1)(n1) of N
+    picks = [[shifted[tw[n1]] for tw in twist] for n1 in range(normal.order)]
+    return [join(map(list.__getitem__, blocks, rq)) for rq in acting.table for blocks in picks]
 
 
 def _central_quotient_table(inner: Group, gens: tuple[int, ...]) -> list[list[int]]:
@@ -797,7 +821,7 @@ def _central_quotient_table(inner: Group, gens: tuple[int, ...]) -> list[list[in
     return coset_table(table, members)[0]
 
 
-def _table(recipe: Recipe, order_cap: int) -> list[list[int]]:
+def _table(recipe: Recipe, order_cap: int) -> list:
     """The table a recipe describes, its parts taken from ``_part``.
 
     Orders are checked against the cap bottom-up, before any combined table

@@ -156,6 +156,17 @@ def product_table_by_entries(a: Group, b: Group) -> list[list[int]]:
             for x1, y1 in pairs]
 
 
+def inverses_by_scan(table) -> tuple[int, ...]:
+    """For each x, the y with x·y = 0, found by scanning row x entry by entry."""
+    out = []
+    for row in table:
+        for y, value in enumerate(row):
+            if value == 0:
+                out.append(y)
+                break
+    return tuple(out)
+
+
 def semidirect_table_by_entries(normal: Group, acting: Group, phi) -> list[list[int]]:
     """(q1, n1)(q2, n2) = (q1·q2, phi(q2⁻¹)(n1)·n2), one entry at a time."""
     nn = normal.order

@@ -54,6 +54,7 @@ from groupkit.iso import find_isomorphism, fingerprint
 from groupkit.subgroups import Subgroup, normal_subgroups
 
 from conftest import (
+    inverses_by_scan,
     inverting_table_by_rules,
     is_associative_by_triples,
     order_by_powering,
@@ -440,11 +441,9 @@ def _cyclic_with_entry(n: int, row: int, col: int, value: int) -> list[list[int]
     return table
 
 
-def test_byte_row_boundaries_agree_with_the_checked_path(catalog16):
-    for n in (255, 256, 257):
-        rows = construct(Cyclic(n)).table
-        table = [list(row) for row in rows]
-        assert _group_rows(table) == _checked_rows(table, True) == rows
+def _boundary_failures(catalog16) -> list:
+    """Tables the fast path refuses near the byte boundary, each with the
+    (class, fields, message) pinned from the parent's ``validate_table``."""
     entries = {entry.name: entry for entry in catalog16}
     swapped = [list(row) for row in
                construct(Product(entries["D4"].recipe, entries["Dic4"].recipe)).table]
@@ -452,23 +451,93 @@ def test_byte_row_boundaries_agree_with_the_checked_path(catalog16):
     a, b = swapped[90][96], swapped[94][96]
     assert (swapped[94][100], swapped[90][100]) == (a, b)
     swapped[90][96], swapped[90][100], swapped[94][96], swapped[94][100] = b, a, a, b
-    for table, expected in (
+    return [
         (_cyclic_with_intercalate(256),
          ("NotAssociative", {"witness": (1, 1, 2)}, "(g1*g1)*g2 != g1*(g1*g2)")),
         (_cyclic_with_intercalate(258),
          ("NotAssociative", {"witness": (1, 1, 2)}, "(g1*g1)*g2 != g1*(g1*g2)")),
         (swapped,
          ("NotAssociative", {"witness": (90, 1, 99)}, "(g90*g1)*g99 != g90*(g1*g99)")),
-        # in [n, 256): a byte, but not an element
+        # in [n, 256): a byte, but not an element; the second lies in the
+        # column of Light's generator 1, where the proof would index by it
         (_cyclic_with_entry(200, 3, 5, 230),
+         ("MalformedTable", {}, "row 3 entry 230 out of range [0, 200)")),
+        (_cyclic_with_entry(200, 3, 1, 230),
          ("MalformedTable", {}, "row 3 entry 230 out of range [0, 200)")),
         (_cyclic_with_entry(256, 5, 9, 256),
          ("MalformedTable", {}, "row 5 entry 256 out of range [0, 256)")),
         (_cyclic_with_entry(200, 4, 2, -1),
          ("MalformedTable", {}, "row 4 entry -1 out of range [0, 200)")),
-    ):
+    ]
+
+
+def test_byte_row_boundaries_agree_with_the_checked_path(catalog16):
+    # both paths give the rows and every element's inverse
+    for n in (255, 256, 257):
+        table = [list(row) for row in construct(Cyclic(n)).table]
+        proved = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        inverses = tuple(-i % n for i in range(n))
+        assert _group_rows(table) == _checked_rows(table, True) == (proved, inverses)
+    for table, expected in _boundary_failures(catalog16):
         assert _group_rows(table) is None
         assert _failure(table) == _failure(table, lambda t: _checked_rows(t, True)) == expected
+
+
+def test_byte_row_tables_prove_as_their_list_form(catalog16):
+    entries = {entry.name: entry for entry in catalog16}
+    groups = [entry.group for entry in catalog16] + [
+        construct(Cyclic(255)), construct(Cyclic(256)),
+        construct(Product(entries["D4"].recipe, entries["Dic4"].recipe))]
+    for group in groups:
+        rows = [bytes(row) for row in group.table]
+        assert _group_rows(rows) == (group.table, group.inv)
+        assert validate_table(rows) == validate_table(tuple(rows)) == group.table
+        built = Group(rows)
+        assert (built.table, built.inv) == (group.table, group.inv)
+    # rows of both kinds are proved on the checked path
+    mixed = [bytes(row) if x % 2 else list(row) for x, row in enumerate(groups[-1].table)]
+    assert validate_table(mixed) == groups[-1].table
+
+    # a failure that fits in bytes is the one its list form raises
+    fitting = [(table, expected) for table, expected in _boundary_failures(catalog16)
+               if len(table) <= 256 and all(0 <= v < 256 for row in table for v in row)]
+    assert [expected[2] for _, expected in fitting] == [
+        "(g1*g1)*g2 != g1*(g1*g2)", "(g90*g1)*g99 != g90*(g1*g99)",
+        "row 3 entry 230 out of range [0, 200)", "row 3 entry 230 out of range [0, 200)"]
+    for table, expected in fitting:
+        rows = [bytes(row) for row in table]
+        assert _group_rows(rows) is None
+        assert _failure(rows) == _failure(rows, Group) == _failure(table) == expected
+
+    # ragged byte rows and byte rows of order > 256 go to the checked path.
+    # The ragged rows join to C4's bytes: row 2 hands its last byte to row 3
+    c4 = b"".join(bytes(row) for row in construct(Cyclic(4)).table)
+    ragged = [c4[:4], c4[4:8], c4[8:11], c4[11:]]
+    wide = [bytes(v % 256 for v in row) for row in construct(Cyclic(257)).table]
+    for rows, expected in ((ragged, ("MalformedTable", {}, "table rows differ in length")),
+                           (wide, ("NoIdentity", {}, "index 0 is not a two-sided identity"))):
+        assert _group_rows(rows) is None
+        assert _failure(rows) == _failure([list(row) for row in rows]) == expected
+
+
+def test_inverses_match_the_row_scan(catalog16, catalog24):
+    """``Group.inv`` on every path: the byte rows, the column gather above
+    order 256, and an array."""
+    for entry in catalog24:
+        assert entry.group.inv == inverses_by_scan(entry.group.table), entry.name
+    products = [construct(Product(a.recipe, b.recipe)) for a in catalog16 for b in catalog16
+                if a.group.order * b.group.order == 128 and a.name <= b.name]
+    assert len(products) == 70
+    for group in products:
+        back = group_from_json_dict(json.loads(json.dumps(group_to_json_dict(group))))
+        assert back.inv == group.inv == inverses_by_scan(group.table)
+    c2_9 = Cyclic(2)
+    for _ in range(8):
+        c2_9 = Product(c2_9, Cyclic(2))
+    group = construct(c2_9)
+    assert group.order == 512 and group.inv == inverses_by_scan(group.table)
+    table = construct(Product(Dicyclic(3), Cyclic(3))).table
+    assert Group(np.array(table, dtype=np.int16)).inv == inverses_by_scan(table)
 
 
 @pytest.mark.parametrize("entry", [1.7, 1.0, True, "1", None])
@@ -492,12 +561,25 @@ def test_array_dtype_answers_the_type_check():
 
 
 def test_product_and_semidirect_tables_match_entrywise_builders(catalog16):
+    def rows(table):
+        return [tuple(row) for row in table]
+
     small = [e.group for e in catalog16 if e.group.order <= 8]
     for a in small:
         for b in small:
-            assert _product_table(a, b) == product_table_by_entries(a, b)
+            assert rows(_product_table(a, b)) == rows(product_table_by_entries(a, b))
+    # byte rows up to order 256, list rows above it
+    for left, right, order, kind in ((Cyclic(16), Dihedral(8), 256, bytes),
+                                     (Symmetric(4), Cyclic(12), 288, list)):
+        a, b = construct(left), construct(right)
+        table = _product_table(a, b)
+        assert (len(table), {type(row) for row in table}) == (order, {kind})
+        assert rows(table) == rows(product_table_by_entries(a, b))
     semidirects = [r for _, r in _BUILTIN + _EXTRAS if isinstance(r, Semidirect)]
     assert len(semidirects) >= 6
+    # C2 inverting C128 and C129: the dihedral groups of order 256 and 258
+    for m in (128, 129):
+        semidirects.append(Semidirect(Cyclic(m), Cyclic(2), ((1, tuple(-x % m for x in range(m))),)))
     for recipe in semidirects:
         normal, acting = construct(recipe.normal), construct(recipe.acting)
         phi = _resolve_action(normal, acting, recipe.action)
@@ -505,8 +587,8 @@ def test_product_and_semidirect_tables_match_entrywise_builders(catalog16):
             for q2 in range(acting.order):
                 composed = tuple(phi[q1][phi[q2][x]] for x in range(normal.order))
                 assert phi[acting.table[q1][q2]] == composed
-        assert (_semidirect_table(normal, acting, recipe.action)
-                == semidirect_table_by_entries(normal, acting, phi))
+        assert (rows(_semidirect_table(normal, acting, recipe.action))
+                == rows(semidirect_table_by_entries(normal, acting, phi)))
 
 
 def test_records_of_equal_parameters_stay_distinct():

@@ -57,6 +57,31 @@ MUTANTS = (
     ("lemma_4_2a_never_fails", "harness.py",
      "        if h0_center.bits != h0.bits & g_center.bits:\n            fail_c",
      "        if False:\n            fail_c"),
+    # prop_2_3 walks no coprime pair
+    ("prop_2_3_no_pairs", "harness.py",
+     "for b in coprime[classes[a.bits]]:", "for b in coprime[classes[a.bits]][:0]:"),
+    # prop_2_4 sees only the first normal subgroup
+    ("prop_2_4_first_normal", "harness.py",
+     "    for d in normals:\n        if not is_directly_decomposable",
+     "    for d in normals[:1]:\n        if not is_directly_decomposable"),
+    # direct_complements hands out only the first complement of each side
+    ("direct_complements_first_only", "decomposition.py",
+     "    return comps[normal.bits]", "    return comps[normal.bits][:1]"),
+    # the lattice marks every join covered, not only the prime-index ones
+    ("lattice_covers_every_join", "subgroups.py",
+     "                if _is_prime(joined.bit_count() // size):\n                    covered |= joined",
+     "                if True:\n                    covered |= joined"),
+    # the byte rows' range check is gone: a byte in [n, 256) passes
+    ("byte_range_unchecked", "core.py",
+     "if joined.translate(None, ident) or joined[::n] != ident:",
+     "if joined[::n] != ident:"),
+    # Light's test on byte rows compares (x·g)·y with itself
+    ("byte_light_vacuous", "core.py",
+     "column, right = joined[g::n], map(rows[g].translate, padded)",
+     "column, right = joined[g::n], operator.itemgetter(*joined[g::n])(rows)"),
+    # byte rows are taken without the row-length check
+    ("byte_rows_unmeasured", "core.py",
+     "    if set(map(len, rows)) != {n}:", "    if t is not None and set(map(len, rows)) != {n}:"),
 )
 
 
