@@ -615,21 +615,29 @@ def members_of(bits: int) -> list[int]:
     return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
 
 
-def closure_bits(table, gens, bits: int = 1, members=(0,)) -> int:
+def closure_bits(table, gens, bits: int = 1, members=(0,), most: int = 0) -> int:
     """Bitset of <S ∪ gens>, where S is the subgroup ``bits`` with elements ``members``.
 
     Walks the left cosets of S: for each element y reached and each
     generator g, a new z = y·g brings in its whole coset z·S.  The result
     contains S and is closed under right multiplication by S and by gens;
     in a finite group x^-1 is a power of x, so it is the generated subgroup.
+
+    With ``most`` > 0 the walk stops as soon as it reaches a coset past the
+    ``most``-th and returns 0, so 0 means |<S ∪ gens> : S| > ``most``; the
+    default 0 sets no bound.
     """
     gens = [g for g in gens if not (bits >> g) & 1]
     frontier = list(members) if gens else []
+    left = most - 1  # cosets still allowed past S; below 0, and so never 0, when unbounded
     while frontier:
         row = table[frontier.pop()]
         for g in gens:
             z = row[g]
             if not (bits >> z) & 1:
+                if not left:
+                    return 0
+                left -= 1
                 zrow = table[z]
                 for s in members:
                     x = zrow[s]

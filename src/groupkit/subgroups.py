@@ -159,6 +159,19 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
     power inside: it generates a seed c with |c : c∩H| = p, and
     ⟨H, c⟩ = K by maximality.  Every subgroup ends a chain of covers from
     the trivial subgroup, so every subgroup is found.
+
+    4. When |G| has at most two prime factors, a join stops, and is
+       skipped, once it passes q cosets of H, q the largest prime dividing
+       |G : H|.
+
+    Such a G is solvable (Burnside's p^a q^b theorem), and so is each of its
+    subgroups K > 1, whose derived subgroup is therefore proper: K has a
+    normal subgroup H of prime index q, and q divides |G : H|.  K/H is
+    cyclic of order q, so the x above has d = q and the seed reaches K
+    from H in exactly q cosets: a chain of such covers still ends at every
+    subgroup.  With three or more primes the join stays unbounded, since a
+    subgroup may then have no subgroup of prime index: A6 has none, and
+    the bound would lose A6 itself from its own lattice.
     """
     check_lattice_cap(group, cap)
 
@@ -166,9 +179,10 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
         table = group.table
         n = group.order
         orders = element_orders(group)
+        primes = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
         # element orders divide n, so these are all the prime powers p^a > 1 they take
-        prime_of = {p ** a: p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)
-                    for a in range(1, n.bit_length()) if n % p ** a == 0}
+        prime_of = {p ** a: p for p in primes for a in range(1, n.bit_length()) if n % p ** a == 0}
+        bounded = len(primes) <= 2  # rule 4: solvable by Burnside's p^a q^b theorem
         seeds: dict[int, int] = {}  # cyclic subgroup of prime-power order -> least generator
         for x in range(1, n):
             if orders[x] in prime_of:
@@ -184,10 +198,13 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
             size = len(members)
             keys[bits] = (size, members)
             covered = bits
+            most = max((p for p in primes if n // size % p == 0), default=0) if bounded else 0
             for g, c, meet in seed_list:
                 if (covered >> g) & 1 or (c & bits).bit_count() != meet:
                     continue
-                joined = closure_bits(table, (g,), bits, members)
+                joined = closure_bits(table, (g,), bits, members, most)
+                if not joined:
+                    continue
                 if _is_prime(joined.bit_count() // size):
                     covered |= joined
                 if joined not in found:

@@ -21,6 +21,7 @@ from groupkit.errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound
 from groupkit.harness import build_split_counterexample
 from groupkit.iso import automorphisms, find_isomorphism
 from groupkit.subgroups import (
+    _is_prime,
     agemo,
     all_subgroups,
     bits_of,
@@ -71,7 +72,13 @@ def test_closure_bits_matches_product_oracle():
         for s in all_subgroups(g):
             for x in range(g.order):
                 got = closure_bits(g.table, [x], s.bits, s.members())
-                assert got == closure_by_products(g, s.bits | 1 << x), (recipe, s, x)
+                full = closure_by_products(g, s.bits | 1 << x)
+                assert got == full, (recipe, s, x)
+                # bounded by ``most`` cosets of S: 0 exactly past the bound
+                index = full.bit_count() // s.order
+                for most in range(1, 5):
+                    got = closure_bits(g.table, [x], s.bits, s.members(), most)
+                    assert got == (0 if index > most else full), (recipe, s, x, most)
         for x in range(g.order):
             for y in range(x, g.order):
                 assert closure_bits(g.table, [x, y]) == closure_by_products(
@@ -166,6 +173,80 @@ def test_lattice_joins_once_per_cover(monkeypatch, p, n, joins):
     assert len(all_subgroups(g, cap=p ** n)) == sum(
         gaussian_binomial(n, k, p) for k in range(n + 1))
     assert len(calls) == joins == p ** n - 1 + elementary_abelian_covers(p, n)
+
+
+def _lattice_joins(monkeypatch, group, cap):
+    """(H, join) for every join of a fresh lattice build of ``group``."""
+    joins = []
+    kernel = subgroups.closure_bits
+
+    def counting(*args):
+        out = kernel(*args)
+        joins.append((args[2] if len(args) > 2 else None, out))
+        return out
+
+    monkeypatch.setattr(subgroups, "closure_bits", counting)
+    group._cache.pop("all_subgroups", None)
+    lattice = [s.bits for s in all_subgroups(group, cap=cap)]
+    monkeypatch.undo()
+    return lattice, joins
+
+
+# name -> (closure_bits calls, joins stopped at the index bound); the calls
+# are those of the unbounded search, the stopped joins its composite-index ones
+LATTICE_JOINS = {
+    "S4xC2": (1_338, 1_020),
+    "D4xS3": (1_368, 928),
+    "SL(2,3)xC2": (266, 156),
+    "D16": (448, 352),
+    "split-counterexample-p3": (2_361, 1_944),
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_JOINS)
+def test_lattice_bounds_joins_to_prime_index_covers(monkeypatch, name):
+    build, cap, count, digest = LATTICE_PINS[name]
+    calls, stopped = LATTICE_JOINS[name]
+    lattice, joins = _lattice_joins(monkeypatch, build(), cap)
+    assert len(lattice) == count
+    assert len(joins) == calls
+    assert sum(1 for h, k in joins if h is not None and k == 0) == stopped
+    # every other join is one prime-index pair H < K of the lattice, each once
+    kept = sorted((h, k) for h, k in joins if h is not None and k)
+    assert kept == sorted((h, k) for h in lattice for k in lattice
+                          if h != k and h & k == h and _is_prime(k.bit_count() // h.bit_count()))
+
+
+@pytest.mark.parametrize("name, build, cap, count", [
+    ("A5", _alternating5, 120, 59),
+    ("S5", lambda: construct(Symmetric(5)), 120, 156),
+    ("S3xC5", lambda: construct(parse_recipe("P(S(3),C(5))")), 64, 12),
+])
+def test_lattice_bound_only_for_two_prime_orders(monkeypatch, name, build, cap, count):
+    # three primes divide these orders: every join runs to its end, solvable or not
+    lattice, joins = _lattice_joins(monkeypatch, build(), cap)
+    assert len(lattice) == count
+    assert all(k for h, k in joins), name
+
+
+def test_two_prime_orders_are_solvable(catalog24):
+    # Burnside's p^a q^b theorem, which the lattice's index bound rests on
+    groups = [(e.name, e.group) for e in catalog24]
+    groups += [(name, LATTICE_PINS[name][0]()) for name in LATTICE_PINS]
+    groups += [(r, construct(parse_recipe(r))) for r in (
+        "P(P(P(C(4),C(2)),C(2)),C(2))", "P(P(D(4),C(2)),C(2))",
+        "P(P(Dic(2),C(2)),C(2))", "P(P(C(4),C(4)),C(2))")]
+    two_primes = 0
+    for name, g in groups:
+        if sum(1 for p in range(2, g.order + 1) if g.order % p == 0 and _is_prime(p)) > 2:
+            continue
+        two_primes += 1
+        series = whole_subgroup(g)
+        while series.bits != 1:
+            below = subgroups.derived_of(g, series)
+            assert below.bits != series.bits, name
+            series = below
+    assert two_primes == len(groups) - 2  # all but A5 and S5
 
 
 def test_lagrange(catalog16):

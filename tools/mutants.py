@@ -71,6 +71,12 @@ MUTANTS = (
     ("lattice_covers_every_join", "subgroups.py",
      "                if _is_prime(joined.bit_count() // size):\n                    covered |= joined",
      "                if True:\n                    covered |= joined"),
+    # a bounded join stops one coset early, so an index-p cover reads as 0
+    ("closure_bound_one_early", "core.py",
+     "left = most - 1", "left = most - 2"),
+    # the lattice's index bound also taken for orders with three primes
+    ("lattice_bound_three_primes", "subgroups.py",
+     "bounded = len(primes) <= 2", "bounded = len(primes) <= 3"),
     # the byte rows' range check is gone: a byte in [n, 256) passes
     ("byte_range_unchecked", "core.py",
      "if joined.translate(None, ident) or joined[::n] != ident:",
