@@ -16,11 +16,13 @@ import time
 from pathlib import Path
 
 from .catalog import (
+    CatalogEntry,
     builtin_catalog,
     canonical_json,
     group_from_json_dict,
     group_to_json_dict,
 )
+from .core import DEFAULT_ORDER_CAP
 from .decomposition import remak_decomposition
 from .errors import GroupKitError
 from .harness import (
@@ -134,10 +136,22 @@ def _verify_config(args) -> VerifyConfig:
     )
 
 
+def _catalog(max_order: int) -> list[CatalogEntry]:
+    """``builtin_catalog(max_order)``; ValueError when ``max_order`` is above
+    every order the catalog holds, so no report claims orders it never saw."""
+    entries = builtin_catalog(max_order)
+    if max_order > max(e.group.order for e in entries):
+        largest = max(e.group.order for e in builtin_catalog(DEFAULT_ORDER_CAP))
+        if max_order > largest:
+            raise ValueError(f"max-order {max_order} is above {largest}, "
+                             "the largest order in the built-in catalog")
+    return entries
+
+
 def _cmd_verify(args) -> int:
     config = _verify_config(args)
     start = time.perf_counter()
-    entries = builtin_catalog(config.max_order)
+    entries = _catalog(config.max_order)
     report = verify_catalog(entries, config)
     elapsed = time.perf_counter() - start
     if args.report:
@@ -182,7 +196,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_props(args) -> int:
     config = _verify_config(args)
-    entries = builtin_catalog(config.max_order)
+    entries = _catalog(config.max_order)
     report = verify_catalog(entries, config)
     groups = []
     for g in report.groups:

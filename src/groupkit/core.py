@@ -8,12 +8,12 @@ Conventions fixed across the whole package:
   (first component major), so the identity lands at 0 automatically;
 - quotient cosets are numbered by ascending minimal member index.
 
-Four kernels live here and nowhere else: subgroup closure
-(``closure_bits``), coset numbering (``coset_table``), per-group caching
-(``memo``) and the one value-record kernel (``Record``), from which every
-recipe, subgroup and result record derives.  Every other module calls them
-rather than re-implementing them, so each concept has one place to reason
-about.
+Four kernels live here and nowhere else: subgroup closure and its greedy
+generating sets (``closure_bits``, ``greedy_generators``), coset numbering
+(``coset_table``), per-group caching (``memo``) and the one value-record
+kernel (``Record``), from which every recipe, subgroup and result record
+derives.  Every other module calls them rather than re-implementing them,
+so each concept has one place to reason about.
 
 A table has one representation: a tuple of row tuples of Python ints, as
 ``validate_table`` returns it and ``Group.table`` holds it.  Table code is
@@ -410,9 +410,9 @@ def validate_table(table) -> tuple[tuple[int, ...], ...]:
     Associativity uses Light's test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, §1.2): the g with (x·g)·y = x·(g·y) for all x, y
     include 0 and are closed under the product, so checking a set of
-    generators checks every element.  The generators are picked greedily by
-    ``closure_bits``, which only ever adds products of elements it has
-    already reached and a generator.
+    generators checks every element.  The generators are picked by
+    ``greedy_generators``, whose ``closure_bits`` only ever adds products of
+    elements it has already reached and a generator.
 
     Up to order 256, a byte's width, the fast path checks ``bytes`` rows:
     ``bytes`` proves every entry is in 0..255, and ``translate`` deleting
@@ -430,8 +430,14 @@ def validate_table(table) -> tuple[tuple[int, ...], ...]:
     return _proved(table)[0]
 
 
-def _proved(table) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """``validate_table``'s rows, and the inverse of every element."""
+# a proved table: its rows, the inverse of every element, Light's generators
+_Proof = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _proved(table) -> _Proof:
+    """``validate_table``'s rows, the inverse of every element, and the
+    generators Light's test checked (``greedy_generators`` of the whole
+    group)."""
     dtype = getattr(table, "dtype", None)
     typed = dtype is None or dtype.kind in "iu"
     if dtype is not None:
@@ -439,19 +445,9 @@ def _proved(table) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     return (typed and _group_rows(table)) or _checked_rows(table, typed)
 
 
-def _light_generators(rows) -> list[int]:
-    """Greedy generators for Light's test: each the least element not yet reached."""
-    bits, gens = 1, []
-    for x in range(1, len(rows)):
-        if not (bits >> x) & 1:
-            gens.append(x)
-            bits = closure_bits(rows, [x], bits, members_of(bits))
-    return gens
-
-
-def _group_rows(table) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
-    """``table`` as rows, with every element's inverse, when the fast path
-    proves it a group, else None."""
+def _group_rows(table) -> _Proof | None:
+    """``table`` as rows, with every element's inverse and Light's
+    generators, when the fast path proves it a group, else None."""
     if not isinstance(table, list | tuple) or not table:
         return None
     n, t = len(table), None
@@ -485,7 +481,8 @@ def _group_rows(table) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | 
         inv = tuple(row.index(0) for row in rows)  # ValueError: a row without 0
     except ValueError:
         return None
-    for g in _light_generators(rows):
+    gens = greedy_generators(rows, (1 << n) - 1)
+    for g in gens:
         # row x of each side: (x·g)·y over y, and x·(g·y) over y
         if n <= 256:
             column, right = joined[g::n], map(rows[g].translate, padded)
@@ -493,7 +490,7 @@ def _group_rows(table) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | 
             column, right = cols[g], zip(*operator.itemgetter(*rows[g])(cols))
         if operator.itemgetter(*column)(rows) != tuple(right):
             return None
-    return (tuple(map(tuple, rows)) if t is None else t), inv
+    return (tuple(map(tuple, rows)) if t is None else t), inv, gens
 
 
 def _shape(x, sequence=list | tuple) -> tuple[int, ...]:
@@ -508,9 +505,9 @@ def _shape(x, sequence=list | tuple) -> tuple[int, ...]:
     return (len(x), *(inner.pop() if inner else ()))
 
 
-def _checked_rows(table, typed: bool) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+def _checked_rows(table, typed: bool) -> _Proof:
     """``validate_table``'s checks one at a time, in its documented order;
-    the rows and every element's inverse."""
+    the rows, every element's inverse and Light's generators."""
     try:
         shape = _shape(table)
     except ValueError:
@@ -546,13 +543,14 @@ def _checked_rows(table, typed: bool) -> tuple[tuple[tuple[int, ...], ...], tupl
         if t[y][x] != 0:
             raise NotInvertible(x)
 
-    for g in _light_generators(t):
+    gens = greedy_generators(t, (1 << n) - 1)
+    for g in gens:
         for x, row in enumerate(t):
             left = t[row[g]]
             for y, gy in enumerate(t[g]):
                 if left[y] != row[gy]:  # (x·g)·y against x·(g·y)
                     raise NotAssociative(x, g, y)
-    return t, inv
+    return t, inv, gens
 
 
 # ---------------------------------------------------------------------------
@@ -563,17 +561,18 @@ class Group:
 
     Instances compare by identity; compare ``g.table`` directly when table
     equality is meant.  Derived data (subgroup lattice, centre, ...) is kept
-    per group through ``memo``.
+    per group through ``memo``.  The generators Light's test checked start
+    the ``"generators"`` memo as those of the whole group.
     """
 
     __slots__ = ("order", "table", "inv", "name", "recipe", "_cache", "__weakref__")
 
     def __init__(self, table, *, name: str | None = None, recipe: Recipe | None = None):
-        self.table, self.inv = _proved(table)
+        self.table, self.inv, gens = _proved(table)
         self.order = len(self.table)
         self.name = name
         self.recipe = recipe
-        self._cache = {}
+        self._cache = {"generators": {(1 << self.order) - 1: gens}}
 
     def __repr__(self) -> str:
         label = self.name or (recipe_dsl(self.recipe) if self.recipe else "?")
@@ -615,35 +614,43 @@ def members_of(bits: int) -> list[int]:
     return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
 
 
-def closure_bits(table, gens, bits: int = 1, members=(0,), most: int = 0) -> int:
+def closure_bits(table, gens, bits: int = 1, members=(0,)) -> int:
     """Bitset of <S ∪ gens>, where S is the subgroup ``bits`` with elements ``members``.
 
     Walks the left cosets of S: for each element y reached and each
     generator g, a new z = y·g brings in its whole coset z·S.  The result
     contains S and is closed under right multiplication by S and by gens;
     in a finite group x^-1 is a power of x, so it is the generated subgroup.
-
-    With ``most`` > 0 the walk stops as soon as it reaches a coset past the
-    ``most``-th and returns 0, so 0 means |<S ∪ gens> : S| > ``most``; the
-    default 0 sets no bound.
     """
     gens = [g for g in gens if not (bits >> g) & 1]
     frontier = list(members) if gens else []
-    left = most - 1  # cosets still allowed past S; below 0, and so never 0, when unbounded
     while frontier:
         row = table[frontier.pop()]
         for g in gens:
             z = row[g]
             if not (bits >> z) & 1:
-                if not left:
-                    return 0
-                left -= 1
                 zrow = table[z]
                 for s in members:
                     x = zrow[s]
                     bits |= 1 << x
                     frontier.append(x)
     return bits
+
+
+def greedy_generators(table, bits: int) -> tuple[int, ...] | None:
+    """Generators of the subgroup ``bits``, each the least member not yet
+    reached, closed with ``closure_bits``; None when ``bits`` is no
+    subgroup, that is when the closure of its members is not ``bits``.
+
+    Each generator at least doubles what is reached, so there are at most
+    log2 |bits| of them.
+    """
+    reached, gens = 1, []
+    for x in members_of(bits):
+        if not (reached >> x) & 1:
+            gens.append(x)
+            reached = closure_bits(table, (x,), reached, members_of(reached))
+    return tuple(gens) if reached == bits else None
 
 
 def coset_table(table, members) -> tuple[list[list[int]], list[int]]:

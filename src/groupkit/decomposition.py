@@ -17,6 +17,7 @@ from .subgroups import (
     is_normal_bits,
     normal_subgroups,
     subgroup_as_group,
+    subgroup_generators,
     trivial_subgroup,
     whole_subgroup,
 )
@@ -30,11 +31,11 @@ class Splitting(Record):
 
 
 def _join_normals(group: Group, factors) -> Subgroup:
-    """Join of subgroups: the closure of the first with the elements of the rest."""
+    """Join of subgroups: the closure of the first with the generators of the rest."""
     if not factors:
         return trivial_subgroup(group)
     first = factors[0]
-    gens = [x for f in factors[1:] for x in f.members()]
+    gens = [x for f in factors[1:] for x in subgroup_generators(group, f.bits)]
     return Subgroup(group, closure_bits(group.table, gens, first.bits, first.members()))
 
 
@@ -42,7 +43,7 @@ def join_bits(group: Group, a: Subgroup, b: Subgroup) -> int:
     """Bits of the join A·B, computed once per unordered pair and group.
 
     The closure is seeded from the larger factor, so only the other
-    factor's elements are walked as generators.
+    factor's generators are joined.
     """
     joins = memo(group, "joins", dict)
     key = (a.bits, b.bits) if a.bits < b.bits else (b.bits, a.bits)

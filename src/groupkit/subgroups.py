@@ -3,6 +3,9 @@
 A subgroup of a group of order n is a Python int whose bit i says whether
 element i belongs; arbitrary-precision ints give word-parallel intersection,
 union, and equality for free.  Bit 0 (the identity) is always set.
+Each subgroup has one memoized generating set (``subgroup_generators``),
+and the normality, centre, commutator and join kernels read it instead
+of every member.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .core import (
     closure_bits,
     coset_table,
     element_orders,
+    greedy_generators,
     is_abelian,
     members_of,
     memo,
@@ -92,31 +96,52 @@ def generate_subgroup(group: Group, gens) -> Subgroup:
     return Subgroup(group, closure_bits(group.table, gens))
 
 
+def subgroup_generators(group: Group, bits: int) -> tuple[int, ...]:
+    """A generating set of the subgroup ``bits``; memoized per group.
+
+    The whole group's are the generators its validation checked, and
+    ``all_subgroups`` records those that built each subgroup it finds; any
+    other bitset gets ``greedy_generators``.  Raises PreconditionFailed when
+    ``bits`` is no subgroup.
+    """
+    known = memo(group, "generators", dict)
+    if bits not in known:
+        known[bits] = greedy_generators(group.table, bits)
+    gens = known[bits]
+    if gens is None:
+        raise PreconditionFailed("bitset is not a subgroup")
+    return gens
+
+
 def is_subgroup_bits(group: Group, bits: int) -> bool:
     """True iff the bitset is nonempty and closed under the parent product."""
-    if not bits & 1:
+    try:
+        subgroup_generators(group, bits)
+    except PreconditionFailed:
         return False
-    table = group.table
-    members = members_of(bits)
-    for x in members:
-        row = table[x]
-        for y in members:
-            if not (bits >> row[y]) & 1:
-                return False
     return True
+
+
+def _normalizes(group: Group, g: int, gens, bits: int) -> bool:
+    """True iff g conjugates each of ``gens`` into ``bits``."""
+    table = group.table
+    row, ig = table[g], group.inv[g]
+    return all((bits >> table[row[h]][ig]) & 1 for h in gens)
 
 
 def is_normal_bits(group: Group, bits: int) -> bool:
-    table = group.table
-    inv = group.inv
-    members = members_of(bits)
-    for g in range(1, group.order):
-        row = table[g]
-        ig = inv[g]
-        for s in members:
-            if not (bits >> table[row[s]][ig]) & 1:
-                return False
-    return True
+    """True iff ``bits`` is a normal subgroup.
+
+    H is normal exactly when the generators of G conjugate the generators
+    of H into H: conjugation by g is an automorphism, so g·H·g⁻¹ ⊆ H then,
+    and equal as both are finite of one size.
+    """
+    try:
+        gens = subgroup_generators(group, bits)
+    except PreconditionFailed:
+        return False
+    return all(_normalizes(group, g, gens, bits)
+               for g in subgroup_generators(group, (1 << group.order) - 1))
 
 
 def check_parent(group: Group, *subs: Subgroup) -> None:
@@ -160,18 +185,23 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
     ⟨H, c⟩ = K by maximality.  Every subgroup ends a chain of covers from
     the trivial subgroup, so every subgroup is found.
 
-    4. When |G| has at most two prime factors, a join stops, and is
-       skipped, once it passes q cosets of H, q the largest prime dividing
-       |G : H|.
+    4. When |G| has at most two prime factors, H is joined only with a
+       seed whose generator g normalizes H: g conjugates each generator of
+       H into H.
 
     Such a G is solvable (Burnside's p^a q^b theorem), and so is each of its
     subgroups K > 1, whose derived subgroup is therefore proper: K has a
-    normal subgroup H of prime index q, and q divides |G : H|.  K/H is
-    cyclic of order q, so the x above has d = q and the seed reaches K
-    from H in exactly q cosets: a chain of such covers still ends at every
-    subgroup.  With three or more primes the join stays unbounded, since a
-    subgroup may then have no subgroup of prime index: A6 has none, and
-    the bound would lose A6 itself from its own lattice.
+    normal subgroup H of prime index q.  The x above may be taken anywhere
+    in K∖H, so the seed it gives lies in K, normalizes H, and reaches K
+    from H: a chain of such covers, each with H normal in K, still ends at
+    every subgroup.  A seed that normalizes H joins it in exactly
+    |c : c∩H| cosets, so no join runs past a prime index.  With three or
+    more primes every seed is joined, since a subgroup may then have no
+    normal subgroup of prime index: A6 has none, and the rule would lose A6
+    itself from its own lattice.
+
+    Each subgroup found is recorded with the generators that built it, the
+    generators of H and g, for ``subgroup_generators``.
     """
     check_lattice_cap(group, cap)
 
@@ -182,14 +212,14 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
         primes = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
         # element orders divide n, so these are all the prime powers p^a > 1 they take
         prime_of = {p ** a: p for p in primes for a in range(1, n.bit_length()) if n % p ** a == 0}
-        bounded = len(primes) <= 2  # rule 4: solvable by Burnside's p^a q^b theorem
+        normalizing = len(primes) <= 2  # rule 4: solvable by Burnside's p^a q^b theorem
         seeds: dict[int, int] = {}  # cyclic subgroup of prime-power order -> least generator
         for x in range(1, n):
             if orders[x] in prime_of:
                 seeds.setdefault(closure_bits(table, (x,)), x)
         # (generator, bits, |c|/p): H is joined with c only when |c∩H| = |c|/p
         seed_list = sorted((g, c, orders[g] // prime_of[orders[g]]) for c, g in seeds.items())
-        found = {1}
+        built = {1: ()}  # bits -> the generators that built it
         keys = {}  # bits -> Subgroup.sort_key, from the members walked once here
         queue = deque([1])
         while queue:
@@ -197,20 +227,22 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
             members = members_of(bits)
             size = len(members)
             keys[bits] = (size, members)
+            gens = built[bits]
             covered = bits
-            most = max((p for p in primes if n // size % p == 0), default=0) if bounded else 0
             for g, c, meet in seed_list:
-                if (covered >> g) & 1 or (c & bits).bit_count() != meet:
+                if ((covered >> g) & 1 or (c & bits).bit_count() != meet
+                        or normalizing and not _normalizes(group, g, gens, bits)):
                     continue
-                joined = closure_bits(table, (g,), bits, members, most)
-                if not joined:
-                    continue
+                joined = closure_bits(table, (g,), bits, members)
                 if _is_prime(joined.bit_count() // size):
                     covered |= joined
-                if joined not in found:
-                    found.add(joined)
+                if joined not in built:
+                    built[joined] = gens + (g,)
                     queue.append(joined)
-        return tuple(Subgroup(group, bits) for bits in sorted(found, key=keys.__getitem__))
+        known = memo(group, "generators", dict)
+        for bits, gens in built.items():
+            known.setdefault(bits, gens)
+        return tuple(Subgroup(group, bits) for bits in sorted(built, key=keys.__getitem__))
 
     return memo(group, "all_subgroups", build)
 
@@ -238,16 +270,17 @@ def center(group: Group) -> Subgroup:
 
 
 def center_of(group: Group, sub: Subgroup) -> Subgroup:
-    """Center of a subgroup, computed inside it (a subgroup of the parent)."""
+    """Center of a subgroup, computed inside it (a subgroup of the parent):
+    its members that commute with its generators."""
     check_parent(group, sub)
+    gens = subgroup_generators(group, sub.bits)
 
     def build() -> Subgroup:
         table = group.table
-        members = sub.members()
         bits = 0
-        for x in members:
+        for x in sub.members():
             row = table[x]
-            if all(row[y] == table[y][x] for y in members):
+            if all(row[y] == table[y][x] for y in gens):
                 bits |= 1 << x
         return Subgroup(group, bits)
 
@@ -255,17 +288,30 @@ def center_of(group: Group, sub: Subgroup) -> Subgroup:
 
 
 def commutator(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
-    """Subgroup generated by all [x,y] = x^-1 y^-1 x y with x in A, y in B."""
+    """Subgroup generated by all [x,y] = x^-1 y^-1 x y with x in A, y in B.
+
+    It is the normal closure in <A, B> of the commutators of the generators
+    of A with those of B (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 2005, §3.3): the closure grows by each new generator,
+    and each new generator's conjugates by the generators of A and B are
+    queued in turn.
+    """
     check_parent(group, a, b)
     table = group.table
     inv = group.inv
-    gens = set()
-    b_members = b.members()
-    for x in a.members():
-        ix = inv[x]
-        for y in b_members:
-            gens.add(table[table[ix][inv[y]]][table[x][y]])
-    return generate_subgroup(group, sorted(gens))
+    a_gens = subgroup_generators(group, a.bits)
+    b_gens = subgroup_generators(group, b.bits)
+    by = tuple(dict.fromkeys(a_gens + b_gens))
+    queue = [table[table[inv[x]][inv[y]]][table[x][y]] for x in a_gens for y in b_gens]
+    bits, gens = 1, []
+    while queue:
+        x = queue.pop()
+        if not (bits >> x) & 1:
+            bits = closure_bits(table, (x,), bits, members_of(bits))
+            gens.append(x)
+            queue += [table[table[g][x]][inv[g]] for g in by]
+    memo(group, "generators", dict).setdefault(bits, tuple(gens))
+    return Subgroup(group, bits)
 
 
 def derived_of(group: Group, sub: Subgroup) -> Subgroup:

@@ -340,3 +340,33 @@ def complement_count_by_homs(group: Group, n_bits: int, derived_bits: int) -> in
         group, range(group.order), closure_by_products(group, n_bits | derived_bits)))
     central = abelian_invariants(coset_orders(group, center, 1))
     return math.prod(math.gcd(m, n) for m in quotient for n in central)
+
+
+def normal_in_by_conjugates(group: Group, h_bits: int, k_bits: int) -> bool:
+    """H ⊴ K for a subgroup H of K: k·h·k⁻¹ in H for every k in K and h in H."""
+    table = group.table
+    inv = [row.index(0) for row in table]
+    return all((h_bits >> table[table[k][h]][inv[k]]) & 1
+               for k in members_of(k_bits) for h in members_of(h_bits))
+
+
+def center_bits_by_commuting(group: Group, bits: int) -> int:
+    """Z(H): the members of H that commute with every member of H."""
+    table = group.table
+    members = members_of(bits)
+    return sum(1 << z for z in members if all(table[z][x] == table[x][z] for x in members))
+
+
+def closure_by_words(group: Group, gens) -> int:
+    """<gens>: every word in the generators, grown one right factor at a
+    time until no product is new."""
+    table = group.table
+    reached, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = table[x][g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return sum(1 << x for x in reached)

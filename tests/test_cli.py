@@ -37,6 +37,21 @@ def test_verify_rejects_bad_config(capsys):
     assert main(["verify", "--jobs", "0"]) == 2
 
 
+def test_max_order_above_the_catalog_is_refused(tmp_path, capsys):
+    # the largest order the built-in catalog holds, read off the catalog
+    largest = max(e.group.order for e in groupkit.builtin_catalog(512))
+    assert largest == 24
+    for command in ("verify", "props"):
+        report = tmp_path / f"{command}.json"
+        assert main([command, "--max-order", str(largest + 1), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"max-order {largest + 1} is above {largest}" in err, command
+        assert not report.exists()
+    assert main(["verify", "--max-order", "48"]) == 2
+    assert "is above 24" in capsys.readouterr().err
+    assert main(["props", "--max-order", "20"]) == 0
+
+
 def test_catalog_command(tmp_path):
     out = tmp_path / "catalog.json"
     assert main(["catalog", "--max-order", "8", "--out", str(out)]) == 0

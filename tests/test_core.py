@@ -34,6 +34,7 @@ from groupkit.core import (
     construct,
     element_order,
     exponent,
+    greedy_generators,
     parse_recipe,
     recipe_dsl,
     validate_table,
@@ -472,12 +473,13 @@ def _boundary_failures(catalog16) -> list:
 
 
 def test_byte_row_boundaries_agree_with_the_checked_path(catalog16):
-    # both paths give the rows and every element's inverse
+    # both paths give the rows, every element's inverse and Light's
+    # generators: C_n's least element 1 reaches all of it
     for n in (255, 256, 257):
         table = [list(row) for row in construct(Cyclic(n)).table]
         proved = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         inverses = tuple(-i % n for i in range(n))
-        assert _group_rows(table) == _checked_rows(table, True) == (proved, inverses)
+        assert _group_rows(table) == _checked_rows(table, True) == (proved, inverses, (1,))
     for table, expected in _boundary_failures(catalog16):
         assert _group_rows(table) is None
         assert _failure(table) == _failure(table, lambda t: _checked_rows(t, True)) == expected
@@ -490,7 +492,8 @@ def test_byte_row_tables_prove_as_their_list_form(catalog16):
         construct(Product(entries["D4"].recipe, entries["Dic4"].recipe))]
     for group in groups:
         rows = [bytes(row) for row in group.table]
-        assert _group_rows(rows) == (group.table, group.inv)
+        assert _group_rows(rows) == (group.table, group.inv, greedy_generators(
+            group.table, (1 << group.order) - 1))
         assert validate_table(rows) == validate_table(tuple(rows)) == group.table
         built = Group(rows)
         assert (built.table, built.inv) == (group.table, group.inv)

@@ -6,6 +6,7 @@ from groupkit.core import (
     Cyclic,
     Dicyclic,
     Dihedral,
+    Group,
     Product,
     Symmetric,
     closure_bits,
@@ -17,10 +18,11 @@ from groupkit.core import (
     recipe_dsl,
 )
 from groupkit import subgroups
-from groupkit.errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound
+from groupkit.errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound, PreconditionFailed
 from groupkit.harness import build_split_counterexample
 from groupkit.iso import automorphisms, find_isomorphism
 from groupkit.subgroups import (
+    Subgroup,
     _is_prime,
     agemo,
     all_subgroups,
@@ -28,23 +30,29 @@ from groupkit.subgroups import (
     center,
     center_of,
     commutator,
+    derived_of,
     derived_subgroup,
     generate_subgroup,
+    is_normal_bits,
     members_of,
     normal_subgroups,
     quotient,
     set_product,
     subgroup_as_group,
+    subgroup_generators,
     sylow,
     trivial_subgroup,
     whole_subgroup,
 )
 
 from conftest import (
+    center_bits_by_commuting,
     closure_by_products,
+    closure_by_words,
     commutator_bits_by_products,
     elementary_abelian_covers,
     gaussian_binomial,
+    normal_in_by_conjugates,
     subgroups_by_subset_filter,
 )
 
@@ -72,13 +80,7 @@ def test_closure_bits_matches_product_oracle():
         for s in all_subgroups(g):
             for x in range(g.order):
                 got = closure_bits(g.table, [x], s.bits, s.members())
-                full = closure_by_products(g, s.bits | 1 << x)
-                assert got == full, (recipe, s, x)
-                # bounded by ``most`` cosets of S: 0 exactly past the bound
-                index = full.bit_count() // s.order
-                for most in range(1, 5):
-                    got = closure_bits(g.table, [x], s.bits, s.members(), most)
-                    assert got == (0 if index > most else full), (recipe, s, x, most)
+                assert got == closure_by_products(g, s.bits | 1 << x), (recipe, s, x)
         for x in range(g.order):
             for y in range(x, g.order):
                 assert closure_bits(g.table, [x, y]) == closure_by_products(
@@ -192,29 +194,30 @@ def _lattice_joins(monkeypatch, group, cap):
     return lattice, joins
 
 
-# name -> (closure_bits calls, joins stopped at the index bound); the calls
-# are those of the unbounded search, the stopped joins its composite-index ones
+# name -> closure_bits calls: one per seed, then one join per pair H ⊴ K of
+# prime index
 LATTICE_JOINS = {
-    "S4xC2": (1_338, 1_020),
-    "D4xS3": (1_368, 928),
-    "SL(2,3)xC2": (266, 156),
-    "D16": (448, 352),
-    "split-counterexample-p3": (2_361, 1_944),
+    "S4xC2": 273,
+    "D4xS3": 365,
+    "SL(2,3)xC2": 110,
+    "D16": 96,
+    "split-counterexample-p3": 417,
 }
 
 
 @pytest.mark.parametrize("name", LATTICE_JOINS)
 def test_lattice_bounds_joins_to_prime_index_covers(monkeypatch, name):
     build, cap, count, digest = LATTICE_PINS[name]
-    calls, stopped = LATTICE_JOINS[name]
-    lattice, joins = _lattice_joins(monkeypatch, build(), cap)
+    group = build()
+    lattice, joins = _lattice_joins(monkeypatch, group, cap)
     assert len(lattice) == count
-    assert len(joins) == calls
-    assert sum(1 for h, k in joins if h is not None and k == 0) == stopped
-    # every other join is one prime-index pair H < K of the lattice, each once
-    kept = sorted((h, k) for h, k in joins if h is not None and k)
+    assert len(joins) == LATTICE_JOINS[name]
+    # the joins from normalizing seeds are the prime-index pairs H ⊴ K of
+    # the lattice, each once
+    kept = sorted((h, k) for h, k in joins if h is not None)
     assert kept == sorted((h, k) for h in lattice for k in lattice
-                          if h != k and h & k == h and _is_prime(k.bit_count() // h.bit_count()))
+                          if h != k and h & k == h and _is_prime(k.bit_count() // h.bit_count())
+                          and normal_in_by_conjugates(group, h, k))
 
 
 @pytest.mark.parametrize("name, build, cap, count", [
@@ -223,10 +226,61 @@ def test_lattice_bounds_joins_to_prime_index_covers(monkeypatch, name):
     ("S3xC5", lambda: construct(parse_recipe("P(S(3),C(5))")), 64, 12),
 ])
 def test_lattice_bound_only_for_two_prime_orders(monkeypatch, name, build, cap, count):
-    # three primes divide these orders: every join runs to its end, solvable or not
-    lattice, joins = _lattice_joins(monkeypatch, build(), cap)
+    # three primes divide these orders: every seed is joined, solvable or
+    # not, so some join reaches a K in which H is not normal
+    group = build()
+    lattice, joins = _lattice_joins(monkeypatch, group, cap)
     assert len(lattice) == count
-    assert all(k for h, k in joins), name
+    assert any(not normal_in_by_conjugates(group, h, k) for h, k in joins if h is not None), name
+
+
+def test_recorded_generators_close_to_their_subgroup(catalog24):
+    groups = [(e.name, construct(e.recipe), 64) for e in catalog24]
+    groups += [(name, build(), cap) for name, (build, cap, _, _) in LATTICE_PINS.items()]
+    for name, g, cap in groups:
+        for s in all_subgroups(g, cap=cap):
+            gens = subgroup_generators(g, s.bits)
+            assert len(gens) < s.order.bit_length(), (name, s)  # each at least doubles
+            assert closure_by_words(g, gens) == s.bits, (name, s)
+
+
+def test_generator_kernels_match_member_walks(catalog24):
+    # over every subgroup, with the generators the lattice recorded and, on
+    # a copy of the table that has no lattice, the greedy ones
+    for entry in catalog24:
+        g = entry.group
+        whole = whole_subgroup(g).bits
+        subs = all_subgroups(g)
+        fresh = Group(g.table)
+        for s in subs:
+            normal = normal_in_by_conjugates(g, s.bits, whole)
+            center = center_bits_by_commuting(g, s.bits)
+            derived = commutator_bits_by_products(g, s.bits, s.bits)
+            for h in (g, fresh):
+                assert is_normal_bits(h, s.bits) == normal, (entry.name, s)
+                assert center_of(h, Subgroup(h, s.bits)).bits == center, (entry.name, s)
+                assert derived_of(h, Subgroup(h, s.bits)).bits == derived, (entry.name, s)
+        assert [s.bits for s in normal_subgroups(g)] == [
+            s.bits for s in subs if normal_in_by_conjugates(g, s.bits, whole)], entry.name
+
+
+def test_bitset_that_is_no_subgroup_is_refused():
+    # the identity and the three transpositions of S3: closed under
+    # conjugation, but no subgroup
+    s3 = construct(Symmetric(3))
+    bits = 1 | sum(1 << x for x in range(6) if element_order(s3, x) == 2)
+    assert bits.bit_count() == 4
+    assert not is_normal_bits(s3, bits)
+    fake = Subgroup(s3, bits)
+    with pytest.raises(NotNormal):
+        quotient(s3, fake)
+    with pytest.raises(PreconditionFailed):
+        center_of(s3, fake)
+    with pytest.raises(PreconditionFailed):
+        commutator(s3, fake, whole_subgroup(s3))
+    with pytest.raises(PreconditionFailed):
+        derived_of(s3, fake)
+    assert not is_normal_bits(s3, bits & ~1)  # without the identity
 
 
 def test_two_prime_orders_are_solvable(catalog24):

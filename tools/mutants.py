@@ -71,12 +71,19 @@ MUTANTS = (
     ("lattice_covers_every_join", "subgroups.py",
      "                if _is_prime(joined.bit_count() // size):\n                    covered |= joined",
      "                if True:\n                    covered |= joined"),
-    # a bounded join stops one coset early, so an index-p cover reads as 0
-    ("closure_bound_one_early", "core.py",
-     "left = most - 1", "left = most - 2"),
-    # the lattice's index bound also taken for orders with three primes
+    # the normalizer test reads only the first generator of H
+    ("normalizer_first_generator", "subgroups.py",
+     "for h in gens)", "for h in gens[:1])"),
+    # the derived subgroup's normal closure never conjugates
+    ("derived_closure_unconjugated", "subgroups.py",
+     "for g in by]", "for g in by[:0]]"),
+    # the centre tests commutation with one generator only
+    ("center_one_generator", "subgroups.py",
+     "if all(row[y] == table[y][x] for y in gens):",
+     "if all(row[y] == table[y][x] for y in gens[:1]):"),
+    # the lattice's normalizing seeds also taken for orders with three primes
     ("lattice_bound_three_primes", "subgroups.py",
-     "bounded = len(primes) <= 2", "bounded = len(primes) <= 3"),
+     "normalizing = len(primes) <= 2", "normalizing = len(primes) <= 3"),
     # the byte rows' range check is gone: a byte in [n, 256) passes
     ("byte_range_unchecked", "core.py",
      "if joined.translate(None, ident) or joined[::n] != ident:",
