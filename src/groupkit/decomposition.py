@@ -40,17 +40,32 @@ def _join_normals(group: Group, factors) -> Subgroup:
 
 
 def join_bits(group: Group, a: Subgroup, b: Subgroup) -> int:
-    """Bits of the join A·B, computed once per unordered pair and group.
+    """Bits of the join ⟨A, B⟩, computed once per unordered pair and group.
 
-    The closure is seeded from the larger factor, so only the other
-    factor's generators are joined.
+    When the parent's normals are already listed (``_normals_of_order``;
+    like ``_listed_normal``, this builds no lattice), the join is first
+    looked up among them: with m = |A|·|B|/|A∩B|, a listed normal N of
+    order m that contains A ∪ B is the join.  The product set AB has m
+    elements and AB ⊆ ⟨A, B⟩ ⊆ N, so all three are equal.  Otherwise
+    (no listed normal, or the join is not normal) the closure is seeded
+    from the larger factor, so only the other factor's generators are joined.
+    The count needs A and B to be subgroups: anything else raises
+    PreconditionFailed.
     """
     joins = memo(group, "joins", dict)
     key = (a.bits, b.bits) if a.bits < b.bits else (b.bits, a.bits)
     found = joins.get(key)
     if found is None:
-        pair = [a, b] if a.order >= b.order else [b, a]
-        found = joins[key] = _join_normals(group, pair).bits
+        subgroup_generators(group, a.bits)
+        subgroup_generators(group, b.bits)
+        union = a.bits | b.bits
+        m = a.order * b.order // (a.bits & b.bits).bit_count()
+        by_order = group._cache.get("normals_of_order") or {}
+        found = next((n.bits for n in by_order.get(m, ()) if not union & ~n.bits), None)
+        if found is None:
+            pair = [a, b] if a.order >= b.order else [b, a]
+            found = _join_normals(group, pair).bits
+        joins[key] = found
     return found
 
 

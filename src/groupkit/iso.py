@@ -18,7 +18,12 @@ DEFAULT_AUTOMORPHISM_CAP = 64
 
 
 class Fingerprint(Record):
-    """Cheap isomorphism invariants; equality is necessary, never sufficient."""
+    """Cheap isomorphism invariants; equality is necessary for isomorphism.
+
+    It is sufficient for abelian groups, which the order histogram
+    determines (M. Hall, *The Theory of Groups*, 1959, Ch. 3), but not in
+    general: Q8×C2 and C4⋊C4, or (C2×C2)⋊C4 and C4∘D4, agree on every field.
+    """
 
     order: int
     order_histogram: tuple[tuple[int, int], ...]
@@ -176,9 +181,11 @@ class IsoCache:
     enumeration share one cache per run.
 
     ``class_of`` numbers isomorphism classes: two groups get the same id
-    exactly when they are isomorphic.  A group is compared only with the
-    class representatives that share its fingerprint, one ``iso_map`` each,
-    so every search it runs is counted in ``_maps`` like any other lookup.
+    exactly when they are isomorphic.  An abelian group joins the one class
+    of its fingerprint bucket without a search, as its fingerprint is a
+    complete invariant.  Only a non-abelian group is compared with the class
+    representatives that share its fingerprint, one ``iso_map`` each, so
+    every search it runs is counted in ``_maps`` like any other lookup.
     Ids are private to one cache and carry no witness; callers that need
     the map itself ask ``iso_map`` for it.
     """
@@ -208,9 +215,10 @@ class IsoCache:
         found = self._class_ids.get(group.table)
         if found is not None:
             return found
-        reps = self._reps.setdefault(fingerprint(group), [])
+        key = fingerprint(group)
+        reps = self._reps.setdefault(key, [])
         for class_id, rep in reps:
-            if self.iso_map(group, rep) is not None:
+            if key.abelian or self.iso_map(group, rep) is not None:
                 break
         else:
             class_id = self._classes

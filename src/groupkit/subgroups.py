@@ -365,8 +365,11 @@ def set_product(group: Group, a: Subgroup, b: Subgroup) -> tuple[int, bool]:
     """The product set {xy : x in A, y in B} and whether it is a subgroup.
 
     AB is a subgroup iff AB = BA (always true when A or B is normal).
+    Raises PreconditionFailed unless A and B are subgroups.
     """
     check_parent(group, a, b)
+    subgroup_generators(group, a.bits)
+    subgroup_generators(group, b.bits)
     table = group.table
     amem = a.members()
     bmem = b.members()
@@ -445,11 +448,13 @@ def subgroup_as_group(sub: Subgroup) -> tuple[Group, tuple[int, ...]]:
     the group is shared with every extracted subgroup and quotient of any
     live group that has the same table (see ``_derived_group``).  It
     serves isomorphism-class lookups and witnesses; lattice work on a
-    subgroup stays in the parent's indices.
+    subgroup stays in the parent's indices.  Raises PreconditionFailed
+    when ``sub`` is no subgroup.
     """
     parent = sub.parent
 
     def build() -> tuple[Group, tuple[int, ...]]:
+        subgroup_generators(parent, sub.bits)
         members = sub.members()
         pos = {m: i for i, m in enumerate(members)}
         table = parent.table

@@ -27,6 +27,7 @@ from groupkit.decomposition import (
     is_coprime,
     is_directly_decomposable,
     is_internal_direct,
+    join_bits,
     project_onto_factor,
     remak_decomposition,
     splitting_sides,
@@ -55,6 +56,7 @@ from groupkit.subgroups import (
 
 from conftest import (
     PREMISES32,
+    closure_by_words,
     complement_count_by_homs,
     complements_by_scan,
     derived_bits_by_commutators,
@@ -346,6 +348,70 @@ def test_project_onto_factor_matches_products(catalog16):
                     pairs += 1
                     non_normal += x.bits not in normal_bits
     assert pairs == 59_301 and non_normal > 0
+
+
+def _counting_closures(monkeypatch) -> list:
+    calls = []
+    kernel = decomposition.closure_bits
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(decomposition, "closure_bits", counting)
+    return calls
+
+
+def test_join_bits_of_normals_match_the_closure_oracle(catalog24, monkeypatch):
+    # every unordered pair of normals, joined on fresh groups twice: before
+    # the normals are listed by order every join is closed, after it every
+    # join is read off the listed normals; both must be ⟨A ∪ B⟩
+    closures = _counting_closures(monkeypatch)
+    recipes = [e.recipe for e in catalog24] + [parse_recipe(dsl) for dsl in PREMISES32.values()]
+    pairs = 0
+    for recipe in recipes:
+        g = construct(recipe)
+        normals = normal_subgroups(g)
+        expected = {(a, b): closure_by_words(g, members_of(a.bits | b.bits))
+                    for i, a in enumerate(normals) for b in normals[i:]}
+        for listed in (False, True):
+            if listed:
+                decomposition._normals_of_order(g, cap=64)
+            g._cache.pop("joins", None)
+            closures.clear()
+            for (a, b), want in expected.items():
+                assert join_bits(g, a, b) == join_bits(g, b, a) == want, (recipe, a, b)
+            assert len(closures) == (0 if listed else len(expected)), recipe
+        pairs += len(expected)
+    assert pairs == 19_205
+
+
+def test_join_bits_with_a_non_normal_factor(catalog24, monkeypatch):
+    # project_onto_factor joins X·H for a side H and any subgroup X.  With
+    # X not normal the lookup finds X·H when it is a listed normal, and
+    # otherwise misses, so the closure answers; both must be ⟨X ∪ H⟩
+    closures = _counting_closures(monkeypatch)
+    recipes = [e.recipe for e in catalog24 if not is_abelian(e.group)]
+    recipes += [parse_recipe(PREMISES32[name]) for name in ("D4xC2xC2", "Q8xC2xC2")]
+    looked_up = closed = 0
+    for recipe in recipes:
+        g = construct(recipe)
+        sides = splitting_sides(g)  # lists the normals by order
+        normal_bits = {n.bits for n in normal_subgroups(g)}
+        for x in all_subgroups(g):
+            if x.bits in normal_bits:
+                continue
+            for h, _ in sides:
+                before = len(closures)
+                want = closure_by_words(g, members_of(x.bits | h.bits))
+                assert join_bits(g, x, h) == want, (recipe, x, h)
+                if len(closures) == before:
+                    looked_up += 1
+                    assert want in normal_bits
+                else:
+                    closed += 1
+                    assert want not in normal_bits
+    assert looked_up > 0 and closed > 0
 
 
 def test_project_requires_splitting():

@@ -11,9 +11,11 @@ from groupkit.core import (
     Semidirect,
     Symmetric,
     construct,
+    is_abelian,
 )
+from groupkit.catalog import abelian_p_group_catalog
 from groupkit.errors import OrderBound
-from groupkit.subgroups import normal_subgroups, quotient, subgroup_as_group
+from groupkit.subgroups import all_subgroups, normal_subgroups, quotient, subgroup_as_group
 from groupkit.iso import (
     IsoCache,
     automorphisms,
@@ -22,7 +24,7 @@ from groupkit.iso import (
     is_isomorphism,
 )
 
-from conftest import isomorphisms_by_bijections
+from conftest import abelian_invariants, isomorphisms_by_bijections, order_by_powering
 
 
 def test_fingerprint_trivial():
@@ -195,3 +197,46 @@ def test_class_of_matches_pairwise_isomorphism():
         for j in range(i + 1, len(groups)):
             b = groups[j]
             assert (ids[i] == ids[j]) == (find_isomorphism(a, b) is not None)
+
+
+def test_abelian_class_ids_need_no_search(catalog24):
+    # an abelian group's fingerprint (its order histogram) fixes it, so
+    # class_of joins its bucket's one class without a search.  Over the
+    # abelian p-groups up to 64 and catalog24's abelian groups, with their
+    # subgroups and quotients, the ids must agree with find_isomorphism and
+    # with the elementary divisors read off the element orders
+    groups = [e.group for e in abelian_p_group_catalog(64)]
+    groups += [e.group for e in catalog24 if is_abelian(e.group)]
+    tables = {}
+    for g in groups:
+        tables[g.table] = g
+        for s in all_subgroups(g):
+            for h in (subgroup_as_group(s)[0], quotient(g, s).target):
+                tables.setdefault(h.table, h)
+    cache = IsoCache()
+    ids = {table: cache.class_of(h) for table, h in tables.items()}
+    assert cache._maps == {}  # no search ran
+    firsts = {}  # class id -> the first group given it
+    for table, h in tables.items():
+        assert find_isomorphism(h, firsts.setdefault(ids[table], h)) is not None
+    reps = list(firsts.values())
+    for i, a in enumerate(reps):
+        for b in reps[i + 1:]:
+            assert find_isomorphism(a, b) is None
+    invariants = {table: (h.order, tuple(abelian_invariants(
+        [order_by_powering(h, x) for x in range(h.order)]))) for table, h in tables.items()}
+    assert len(set(invariants.values())) == len(firsts) == 67
+    for table in tables:
+        assert invariants[table] == invariants[firsts[ids[table]].table]
+
+
+def test_non_abelian_fingerprint_collisions_get_distinct_ids(catalog24):
+    # two pairs of catalog24 share every fingerprint field without being
+    # isomorphic, so a non-abelian bucket is searched, never trusted
+    by_name = {e.name: e.group for e in catalog24}
+    cache = IsoCache()
+    for a, b in (("Q8xC2", "C4:C4"), ("(C2xC2):C4", "C4oD4")):
+        ga, gb = by_name[a], by_name[b]
+        assert fingerprint(ga) == fingerprint(gb) and not fingerprint(ga).abelian
+        assert find_isomorphism(ga, gb) is None
+        assert cache.class_of(ga) != cache.class_of(gb)

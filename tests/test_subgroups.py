@@ -18,6 +18,7 @@ from groupkit.core import (
     recipe_dsl,
 )
 from groupkit import subgroups
+from groupkit.decomposition import direct_complements, join_bits, project_onto_factor
 from groupkit.errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound, PreconditionFailed
 from groupkit.harness import build_split_counterexample
 from groupkit.iso import automorphisms, find_isomorphism
@@ -281,6 +282,29 @@ def test_bitset_that_is_no_subgroup_is_refused():
     with pytest.raises(PreconditionFailed):
         derived_of(s3, fake)
     assert not is_normal_bits(s3, bits & ~1)  # without the identity
+
+
+def test_set_product_and_extraction_refuse_a_non_subgroup():
+    # the identity and the transpositions of S3 again: their product set
+    # is all of S3, and they extract to no table, as products leave the set
+    s3 = construct(Symmetric(3))
+    bits = 1 | sum(1 << x for x in range(6) if element_order(s3, x) == 2)
+    fake = Subgroup(s3, bits)
+    with pytest.raises(PreconditionFailed):
+        set_product(s3, fake, fake)
+    with pytest.raises(PreconditionFailed):
+        set_product(s3, whole_subgroup(s3), fake)
+    with pytest.raises(PreconditionFailed):
+        subgroup_as_group(fake)
+    assert ("as_group", bits) not in s3._cache
+    # nor does a join count |A·B| for it, listed normals or not
+    for normals_listed in (False, True):
+        if normals_listed:
+            direct_complements(s3, whole_subgroup(s3))
+        with pytest.raises(PreconditionFailed):
+            join_bits(s3, fake, trivial_subgroup(s3))
+        with pytest.raises(PreconditionFailed):
+            project_onto_factor(s3, (trivial_subgroup(s3), whole_subgroup(s3)), fake)
 
 
 def test_two_prime_orders_are_solvable(catalog24):

@@ -95,6 +95,15 @@ MUTANTS = (
     # byte rows are taken without the row-length check
     ("byte_rows_unmeasured", "core.py",
      "    if set(map(len, rows)) != {n}:", "    if t is not None and set(map(len, rows)) != {n}:"),
+    # the join lookup takes the first listed normal of the right order
+    ("join_lookup_uncontained", "decomposition.py",
+     "if not union & ~n.bits)", "if True)"),
+    # the join lookup reads |A·B| as |A|·|B|, ignoring A∩B
+    ("join_lookup_undivided", "decomposition.py",
+     "m = a.order * b.order // (a.bits & b.bits).bit_count()", "m = a.order * b.order"),
+    # class_of trusts every fingerprint bucket, non-abelian ones too
+    ("class_of_trusts_every_bucket", "iso.py",
+     "if key.abelian or self.iso_map(group, rep)", "if True or self.iso_map(group, rep)"),
 )
 
 
