@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import MalformedTable, OrderBound
 from .iso import Fingerprint, IsoCache, fingerprint
-from .subgroups import _is_prime
+from .subgroups import _is_prime, whole_subgroup
 
 # number-of-groups function for orders 1..16
 GROUP_COUNTS_UP_TO_16 = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14)
@@ -142,7 +142,7 @@ def builtin_catalog(max_order: int) -> list[CatalogEntry]:
             group = construct(recipe, name=name)
             if group.order > max_order:
                 continue
-            class_id = cache.class_of(group)
+            class_id = cache.class_of(whole_subgroup(group))
             if class_id in classes:
                 continue
             classes.add(class_id)

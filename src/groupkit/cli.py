@@ -32,7 +32,7 @@ from .harness import (
     verify_catalog,
 )
 from .iso import IsoCache
-from .subgroups import DEFAULT_LATTICE_CAP, subgroup_as_group
+from .subgroups import DEFAULT_LATTICE_CAP, whole_subgroup
 
 ENV_PREFIX = "GROUPKIT_"
 
@@ -179,13 +179,14 @@ def _cmd_decompose(args) -> int:
         return 2
     splitting = remak_decomposition(group, cap=_positive("lattice-cap", args.lattice_cap))
     cache = IsoCache()
-    names = {cache.class_of(entry.group): entry.name for entry in builtin_catalog(16)}
+    names = {cache.class_of(whole_subgroup(entry.group)): entry.name
+             for entry in builtin_catalog(16)}
     factors = []
     for f in splitting.factors:
         factors.append({
             "order": f.order,
             "members": f.members(),
-            "iso_class": names.get(cache.class_of(subgroup_as_group(f)[0])),
+            "iso_class": names.get(cache.class_of(f)),
         })
     out = {"order": group.order, "factors": factors}
     if group.name is not None:

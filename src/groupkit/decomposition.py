@@ -16,7 +16,6 @@ from .subgroups import (
     check_parent,
     is_normal_bits,
     normal_subgroups,
-    subgroup_as_group,
     subgroup_generators,
     trivial_subgroup,
     whole_subgroup,
@@ -230,7 +229,7 @@ def factor_classes(factor: Subgroup, *, cap: int = DEFAULT_LATTICE_CAP,
         comps = []
     if not comps:
         raise PreconditionFailed("not a direct factor of its parent")
-    return frozenset(cache.class_of(subgroup_as_group(m)[0])
+    return frozenset(cache.class_of(m)
                      for m in _minimal_factors(group, cap=cap) if not m.bits & ~factor.bits)
 
 

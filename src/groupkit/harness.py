@@ -8,8 +8,10 @@ in full.
 
 Whether H0 has a complement depends only on H0, so the verifier does not
 build instances one by one.  ``premise_classes`` gives every normal
-subgroup N the key (class of N, class of G/N) from ``IsoCache.class_of``;
-an oriented splitting (H, K), one entry of ``splitting_sides`` (each side
+subgroup N the key (class of N, class of G/N) from ``IsoCache.class_of``,
+computed in the parent's indices.  A normal N with a direct complement C
+has G/N ≅ C, so only the normals with no complement build a quotient; an
+oriented splitting (H, K), one entry of ``splitting_sides`` (each side
 H with its stored complements K), meets the normals under (class of H,
 class of K).  Counting orientations per key gives the instance count and
 the distinct H0s; each H0 is checked once.  Only ``extension_instances``
@@ -44,6 +46,7 @@ from .subgroups import (
     normal_subgroups,
     quotient,
     subgroup_as_group,
+    whole_subgroup,
 )
 from .decomposition import (
     CoprimeViolation,
@@ -99,9 +102,15 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
 
     Only normals whose order is that of some normal with a direct
     complement (a splitting side) are classified; the others can never be
-    an H0.  The count is Σ over the keys some oriented splitting has of
-    (orientations with that key) × (bucket size).  ``cache`` supplies the
-    class ids; the count and the H0s do not depend on it.  Memoized.
+    an H0.  Each is classified as a subgroup, in the parent's indices.
+    When N has a direct complement C, G = N×C gives G/N ≅ C (the second
+    isomorphism theorem), so the class of G/N is that of its first
+    complement, already known; only a normal with no complement builds its
+    quotient table.  A normal that breaks the theorem has no complement,
+    so it is always classified by its quotient.  The count is Σ over the
+    keys some oriented splitting has of (orientations with that key) ×
+    (bucket size).  ``cache`` supplies the class ids; the count and the H0s
+    do not depend on it.  Memoized.
     """
     check_lattice_cap(group, cap)
 
@@ -109,14 +118,16 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
         classes = cache or IsoCache()
         sides = splitting_sides(group, cap=cap)
         orders = {h.order for h, _ in sides}
+        candidates = [n for n in normal_subgroups(group, cap=cap) if n.order in orders]
         # every splitting side is such a normal, so ids holds the class of each
-        ids: dict[int, int] = {}
+        ids = {n.bits: classes.class_of(n) for n in candidates}
         buckets: dict[tuple[int, int], list[Subgroup]] = {}
-        for n in normal_subgroups(group, cap=cap):
-            if n.order in orders:
-                ids[n.bits] = classes.class_of(subgroup_as_group(n)[0])
-                key = (ids[n.bits], classes.class_of(quotient(group, n).target))
-                buckets.setdefault(key, []).append(n)
+        for n in candidates:
+            # G/N ≅ C for a direct complement C; only the others build G/N
+            comps = direct_complements(group, n, cap=cap)
+            quotient_id = (ids[comps[0].bits] if comps else
+                           classes.class_of(whole_subgroup(quotient(group, n).target)))
+            buckets.setdefault((ids[n.bits], quotient_id), []).append(n)
         oriented = Counter((ids[h.bits], ids[k.bits]) for h, comps in sides for k in comps)
         used = [key for key in oriented if key in buckets]
         # distinct keys hold disjoint buckets, so no H0 is listed twice

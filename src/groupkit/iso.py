@@ -8,11 +8,13 @@ it through ``find_isomorphism``.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
+from math import lcm
 
-from .core import Group, Record, element_orders, exact_ints, exponent, hom_defect, is_abelian, memo
+from .core import Group, Record, element_orders, exact_ints, hom_defect, memo
 from .errors import OrderBound
-from .subgroups import center, derived_of, derived_subgroup, whole_subgroup
+from .subgroups import Subgroup, center_of, derived_of, subgroup_as_group, whole_subgroup
 
 DEFAULT_AUTOMORPHISM_CAP = 64
 
@@ -20,9 +22,11 @@ DEFAULT_AUTOMORPHISM_CAP = 64
 class Fingerprint(Record):
     """Cheap isomorphism invariants; equality is necessary for isomorphism.
 
-    It is sufficient for abelian groups, which the order histogram
-    determines (M. Hall, *The Theory of Groups*, 1959, Ch. 3), but not in
-    general: Q8×C2 and C4⋊C4, or (C2×C2)⋊C4 and C4∘D4, agree on every field.
+    Computed in the parent's indices (``subgroup_fingerprint``), so a
+    subgroup needs no table of its own.  It is sufficient for abelian
+    groups, which the order histogram determines (M. Hall, *The Theory of
+    Groups*, 1959, Ch. 3), but not in general: Q8×C2 and C4⋊C4, or
+    (C2×C2)⋊C4 and C4∘D4, agree on every field.
     """
 
     order: int
@@ -42,25 +46,37 @@ class Iso(Record):
     map: tuple[int, ...]
 
 
-def fingerprint(group: Group) -> Fingerprint:
+def subgroup_fingerprint(sub: Subgroup) -> Fingerprint:
+    """The fingerprint of a subgroup, computed in the parent's indices; memoized.
+
+    An element's order is the same in the subgroup as in the parent, so the
+    histogram counts the parent's ``element_orders`` over the members, and
+    the exponent is their lcm.  The centre, the derived subgroup and the
+    derived series are the parent's memoized ``center_of`` and ``derived_of``,
+    and the subgroup is abelian exactly when its derived subgroup is trivial.
+    No table is extracted.
+    """
+    group = sub.parent
+
     def build() -> Fingerprint:
-        histogram: dict[int, int] = {}
-        for k in element_orders(group):
-            histogram[k] = histogram.get(k, 0) + 1
-        series_len = 0
-        current = whole_subgroup(group)
-        while True:
-            nxt = derived_of(group, current)
-            if nxt.bits == current.bits:
-                break
+        orders = element_orders(group)
+        histogram = Counter(map(orders.__getitem__, sub.members()))
+        derived = derived_of(group, sub)
+        series_len, current = 0, sub
+        while (nxt := derived_of(group, current)).bits != current.bits:
             series_len += 1
             current = nxt
         # by position, in field order: the record's fast path
-        return Fingerprint(group.order, tuple(sorted(histogram.items())),
-                           center(group).order, derived_subgroup(group).order,
-                           exponent(group), is_abelian(group), series_len)
+        return Fingerprint(sub.order, tuple(sorted(histogram.items())),
+                           center_of(group, sub).order, derived.order,
+                           lcm(*histogram), derived.order == 1, series_len)
 
-    return memo(group, "fingerprint", build)
+    return memo(group, ("fingerprint", sub.bits), build)
+
+
+def fingerprint(group: Group) -> Fingerprint:
+    """The fingerprint of the whole group (``subgroup_fingerprint``)."""
+    return subgroup_fingerprint(whole_subgroup(group))
 
 
 def is_isomorphism(source: Group, target: Group, mapping) -> bool:
@@ -180,20 +196,23 @@ class IsoCache:
     lookups by table recur across parents, so callers doing bulk premise
     enumeration share one cache per run.
 
-    ``class_of`` numbers isomorphism classes: two groups get the same id
-    exactly when they are isomorphic.  An abelian group joins the one class
-    of its fingerprint bucket without a search, as its fingerprint is a
-    complete invariant.  Only a non-abelian group is compared with the class
-    representatives that share its fingerprint, one ``iso_map`` each, so
-    every search it runs is counted in ``_maps`` like any other lookup.
-    Ids are private to one cache and carry no witness; callers that need
-    the map itself ask ``iso_map`` for it.
+    ``class_of`` numbers the isomorphism classes of subgroups: two get the
+    same id exactly when they are isomorphic.  A group is classified as its
+    ``whole_subgroup``.  The fingerprint is computed in the parent's
+    indices, and an abelian subgroup joins the one class of its fingerprint
+    bucket with no table and no search, as its fingerprint is a complete
+    invariant.  Only a non-abelian subgroup is extracted
+    (``subgroup_as_group``) and compared with the class representatives
+    that share its fingerprint, one ``iso_map`` each, so every search it
+    runs is counted in ``_maps`` like any other lookup.  Ids are private to
+    one cache and carry no witness; callers that need the map itself ask
+    ``iso_map`` for it.
     """
 
     def __init__(self):
         self._maps: dict[tuple, tuple[int, ...] | None] = {}
-        self._class_ids: dict[tuple, int] = {}
-        self._reps: dict[Fingerprint, list[tuple[int, Group]]] = {}
+        self._class_ids: dict[tuple, int] = {}  # non-abelian tables only
+        self._reps: dict[Fingerprint, list[tuple[int, Group | None]]] = {}
         self._classes = 0
 
     def iso_map(self, source: Group, target: Group) -> tuple[int, ...] | None:
@@ -210,12 +229,15 @@ class IsoCache:
     def isomorphic(self, source: Group, target: Group) -> bool:
         return self.iso_map(source, target) is not None
 
-    def class_of(self, group: Group) -> int:
-        """The id of the group's isomorphism class within this cache."""
-        found = self._class_ids.get(group.table)
-        if found is not None:
-            return found
-        key = fingerprint(group)
+    def class_of(self, sub: Subgroup) -> int:
+        """The id of the subgroup's isomorphism class within this cache."""
+        key = subgroup_fingerprint(sub)
+        group = None
+        if not key.abelian:
+            group = subgroup_as_group(sub)[0]
+            found = self._class_ids.get(group.table)
+            if found is not None:
+                return found
         reps = self._reps.setdefault(key, [])
         for class_id, rep in reps:
             if key.abelian or self.iso_map(group, rep) is not None:
@@ -224,5 +246,6 @@ class IsoCache:
             class_id = self._classes
             self._classes += 1
             reps.append((class_id, group))
-        self._class_ids[group.table] = class_id
+        if group is not None:
+            self._class_ids[group.table] = class_id
         return class_id

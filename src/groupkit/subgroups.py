@@ -444,14 +444,17 @@ def subgroup_as_group(sub: Subgroup) -> tuple[Group, tuple[int, ...]]:
     """Extract a subgroup as a standalone group.
 
     Returns the new group and the member list mapping new indices to parent
-    indices (ascending, so the identity stays at 0).  Cached on the parent;
-    the group is shared with every extracted subgroup and quotient of any
+    indices (ascending, so the identity stays at 0).  The whole subgroup
+    extracts as the parent itself.  Any other is cached on the parent, and
+    its group is shared with every extracted subgroup and quotient of any
     live group that has the same table (see ``_derived_group``).  It
-    serves isomorphism-class lookups and witnesses; lattice work on a
-    subgroup stays in the parent's indices.  Raises PreconditionFailed
-    when ``sub`` is no subgroup.
+    serves isomorphism searches and witnesses; lattice work and
+    fingerprints of a subgroup stay in the parent's indices.  Raises
+    PreconditionFailed when ``sub`` is no subgroup.
     """
     parent = sub.parent
+    if sub.bits == (1 << parent.order) - 1:
+        return parent, tuple(range(parent.order))
 
     def build() -> tuple[Group, tuple[int, ...]]:
         subgroup_generators(parent, sub.bits)

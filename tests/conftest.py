@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -370,3 +370,132 @@ def closure_by_words(group: Group, gens) -> int:
                 reached.add(y)
                 frontier.append(y)
     return sum(1 << x for x in reached)
+
+
+def order_histogram_by_powering(group: Group, bits: int) -> tuple[tuple[int, int], ...]:
+    """(element order, count) over the members of ``bits``, each order found
+    by ``order_by_powering``, sorted by order."""
+    counts: dict[int, int] = {}
+    for x in members_of(bits):
+        k = order_by_powering(group, x)
+        counts[k] = counts.get(k, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def subgroup_table_by_members(group: Group, bits: int) -> tuple[tuple[int, ...], ...]:
+    """The table of the subgroup ``bits``, its members renumbered 0, 1, ... ascending."""
+    members = members_of(bits)
+    pos = {x: i for i, x in enumerate(members)}
+    return tuple(tuple(pos[group.table[x][y]] for y in members) for x in members)
+
+
+def quotient_table_by_cosets(group: Group, n_bits: int) -> tuple[tuple[int, ...], ...]:
+    """G/N for a normal N: each coset xN listed as a bitset, numbered in order
+    of first appearance, and xN·yN read as the coset of x·y."""
+    table = group.table
+    numbers: dict[int, int] = {}  # coset bitset -> its number
+    number_of = []  # element -> the number of its coset
+    reps = []
+    for x in range(group.order):
+        coset = sum(1 << table[x][m] for m in members_of(n_bits))
+        if coset not in numbers:
+            numbers[coset] = len(reps)
+            reps.append(x)
+        number_of.append(numbers[coset])
+    return tuple(tuple(number_of[table[x][y]] for y in reps) for x in reps)
+
+
+def isomorphic_by_generators(source, target) -> bool:
+    """Whether two tables are isomorphic, from the tables alone.
+
+    The source's generators are taken greedily (each the least element not
+    yet reached by words in the earlier ones).  Every choice of target
+    elements of equal orders as their images is extended to a map by words,
+    x·g ↦ map(x)·image(g), and the first that is a well-defined bijection
+    and a homomorphism on every pair answers yes.
+    """
+    n = len(source)
+    if len(target) != n:
+        return False
+
+    def orders(table):
+        out = []
+        for x in range(n):
+            k, y = 1, x
+            while y != 0:
+                y, k = table[y][x], k + 1
+            out.append(k)
+        return out
+
+    def words(gens):
+        reached, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                if source[x][g] not in reached:
+                    reached.add(source[x][g])
+                    frontier.append(source[x][g])
+        return reached
+
+    s_orders, t_orders = orders(source), orders(target)
+    if sorted(s_orders) != sorted(t_orders):
+        return False
+    gens: list[int] = []
+    reached = {0}
+    for x in range(n):
+        if x not in reached:
+            gens.append(x)
+            reached = words(gens)
+    candidates = [[y for y in range(n) if t_orders[y] == s_orders[g]] for g in gens]
+    for images in product(*candidates):
+        mapping = {0: 0}
+        frontier = [0]
+        while frontier and mapping is not None:
+            x = frontier.pop()
+            for g, image in zip(gens, images):
+                y, z = source[x][g], target[mapping[x]][image]
+                if y not in mapping:
+                    mapping[y] = z
+                    frontier.append(y)
+                elif mapping[y] != z:
+                    mapping = None
+                    break
+        if (mapping is not None and len(set(mapping.values())) == n
+                and all(mapping[source[x][y]] == target[mapping[x]][mapping[y]]
+                        for x in range(n) for y in range(n))):
+            return True
+    return False
+
+
+def premises_by_normals(group: Group) -> tuple[int, list[int]]:
+    """(premise count, sorted H0 bitsets) of a group, from the tables alone.
+
+    The normals are the subgroups of ``subgroups_by_subset_filter`` closed
+    under conjugation.  For each ordered pair (H, K) of normals with
+    H∩K = 1 and |H||K| = |G|, every normal N with N ≅ H and G/N ≅ K is one
+    premise and an H0; isomorphism is ``isomorphic_by_generators`` on the
+    extracted tables, remembered per pair of tables.
+    """
+    whole = (1 << group.order) - 1
+    normals = [b for b in subgroups_by_subset_filter(group)
+               if normal_in_by_conjugates(group, b, whole)]
+    subs = {b: subgroup_table_by_members(group, b) for b in normals}
+    quotients = {b: quotient_table_by_cosets(group, b) for b in normals}
+    known: dict[tuple, bool] = {}
+
+    def iso(a, b) -> bool:
+        if (a, b) not in known:
+            known[a, b] = isomorphic_by_generators(a, b)
+        return known[a, b]
+
+    count, h0s = 0, set()
+    for h in normals:
+        for k in normals:
+            if h & k != 1 or h.bit_count() * k.bit_count() != group.order:
+                continue
+            for n in normals:
+                if (n.bit_count() == h.bit_count() and iso(subs[n], subs[h])
+                        and iso(quotients[n], subs[k])):
+                    count += 1
+                    h0s.add(n)
+    return count, sorted(h0s)

@@ -174,7 +174,8 @@ def test_direct_factor_lattice_comes_from_parent(catalog24):
             fg, members = subgroup_as_group(s)
             lifted = [bits_of(members[i] for i in n.members()) for n in normal_subgroups(fg)]
             assert lifted == [n.bits for n in normals if not n.bits & ~s.bits], g.name
-            extracted = {cache.class_of(subgroup_as_group(f)[0])
+            # the classes of F's own Remak factors, read in F's indices
+            extracted = {cache.class_of(f)
                          for f in remak_decomposition(fg).factors if f.order > 1}
             assert factor_classes(s, cache=cache) == extracted, (g.name, s.members())
 

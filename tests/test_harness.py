@@ -37,7 +37,7 @@ from groupkit.harness import (
     property_suite,
     verify_catalog,
 )
-from groupkit.iso import IsoCache, find_isomorphism, is_isomorphism
+from groupkit.iso import IsoCache, find_isomorphism, is_isomorphism, subgroup_fingerprint
 from groupkit.subgroups import (
     Subgroup,
     all_subgroups,
@@ -51,6 +51,7 @@ from groupkit.subgroups import (
     normal_subgroups,
     quotient,
     subgroup_as_group,
+    whole_subgroup,
 )
 from groupkit.catalog import CatalogEntry, builtin_catalog, group_to_json_dict
 from groupkit.iso import fingerprint
@@ -60,6 +61,8 @@ from conftest import (
     commutator_bits_by_products,
     elementary_abelian_premises,
     elementary_abelian_splittings,
+    isomorphic_by_generators,
+    premises_by_normals,
     projection_by_products,
 )
 
@@ -300,6 +303,49 @@ def test_premise_join_matches_instances(catalog16):
         premises = premise_classes(g)
         assert premises.count == len(insts), entry.name
         assert [h0.bits for h0 in premises.h0s] == sorted({i.h0.bits for i in insts}), entry.name
+
+
+def test_quotient_by_a_side_is_isomorphic_to_each_complement(catalog24):
+    # G = N×K gives G/N ≅ K, the fact premise_classes uses to read the
+    # class of G/N off N's first complement
+    groups = [e.group for e in catalog24]
+    groups += [construct(parse_recipe(dsl)) for dsl in PREMISES32.values()]
+    pairs = 0
+    for g in groups:
+        for n, comps in splitting_sides(g):
+            q = quotient(g, n).target
+            for k in comps:
+                assert find_isomorphism(q, subgroup_as_group(k)[0]) is not None, (g, n, k)
+                pairs += 1
+    assert pairs == 3_127
+
+
+def test_table_only_isomorphism_oracle(catalog16):
+    # catalog16 holds one group per class, so the oracle must tell every
+    # two of one order apart, the fingerprint collisions Q8×C2 / C4⋊C4 and
+    # (C2×C2)⋊C4 / C4∘D4 among them; it must also match each group with
+    # itself, and S3×C2 with D6 under another labelling
+    for a in catalog16:
+        for b in catalog16:
+            if a.group.order == b.group.order:
+                assert isomorphic_by_generators(a.group.table, b.group.table) == (a is b), (a, b)
+    s3xc2 = construct(Product(Symmetric(3), Cyclic(2)))
+    d6 = construct(Dihedral(6))
+    assert isomorphic_by_generators(s3xc2.table, d6.table)
+    assert not isomorphic_by_generators(s3xc2.table, construct(Cyclic(12)).table)
+
+
+def test_premise_classes_match_naive_premise_count(catalog16):
+    # the headline count and the H0s from tables alone: every ordered pair
+    # (H, K) of normals with H∩K = 1 and |H||K| = |G|, crossed with the
+    # normals N with N ≅ H and G/N ≅ K, all from subset filtering
+    total = 0
+    for entry in catalog16:
+        count, h0s = premises_by_normals(entry.group)
+        premises = premise_classes(entry.group)
+        assert (premises.count, [h0.bits for h0 in premises.h0s]) == (count, h0s), entry.name
+        total += count
+    assert (len(catalog16), total) == (42, 24_483)
 
 
 def test_premise_classes_match_closed_form():
@@ -627,25 +673,37 @@ def test_property_suite_set_facts(catalog24):
 
 def test_premise_classes_classify_each_normal_once():
     class CountingCache(IsoCache):
-        calls = 0
+        def __init__(self):
+            super().__init__()
+            self.calls = []
 
-        def class_of(self, group):
-            self.calls += 1
-            return super().class_of(group)
+        def class_of(self, sub):
+            self.calls.append(sub)
+            return super().class_of(sub)
 
     g = construct(parse_recipe(PREMISES32["D4xC2xC2"]))
     sides = {s.order for pair in all_direct_splittings(g) for s in pair}
     classified = [n for n in normal_subgroups(g) if n.order in sides]
+    bare = [n for n in classified if not direct_complements(g, n)]
     cache = CountingCache()
     premise_classes(g, cache=cache)
-    # one lookup for N and one for G/N, none per splitting
-    assert cache.calls == 2 * len(classified) > 0
+    # one lookup per normal N, in g's own indices, none per splitting; G/N
+    # is looked up only when N has no direct complement to read it off
+    assert (len(classified), len(bare)) == (78, 38)
+    assert cache.calls == classified + [whole_subgroup(quotient(g, n).target) for n in bare]
+
+
+def _memo_bits(group, kind):
+    return {key[1] for key in group._cache if isinstance(key, tuple) and key[0] == kind}
 
 
 def test_premise_classes_build_one_group_per_derived_table(monkeypatch):
-    # the four groups stay alive together, so each table derived from any of
-    # them is built once for all of them; ``before`` keeps the groups other
-    # live parents had already interned alive, and those are not rebuilt
+    # a table is built only for what needs one: a subgroup table for each
+    # proper non-abelian normal, which is searched, and a quotient table for
+    # each normal with no direct complement.  The four groups stay alive
+    # together, so each such table is built once for all of them; ``before``
+    # keeps the groups other live parents had already interned alive, and
+    # those are not rebuilt
     built = []
     init = Group.__init__
 
@@ -660,14 +718,20 @@ def test_premise_classes_build_one_group_per_derived_table(monkeypatch):
         for g in groups:
             premise_classes(g)
     derived = {}
+    shape = []
     for name, g in zip(PREMISES32, groups):
         sides = {s.order for pair in all_direct_splittings(g) for s in pair}
         classified = [n for n in normal_subgroups(g) if n.order in sides]
-        extracted = [subgroup_as_group(n)[0] for n in classified]
-        # normals that extract to equal tables share one Group, across parents too
-        assert len({h.table for h in extracted}) < len(classified), name
-        for h in extracted + [quotient(g, n).target for n in classified]:
+        searched = [n for n in classified
+                    if n.order < g.order and not subgroup_fingerprint(n).abelian]
+        bare = [n for n in classified if not direct_complements(g, n)]
+        assert _memo_bits(g, "as_group") == {n.bits for n in searched}, name
+        assert _memo_bits(g, "quotient") == {n.bits for n in bare}, name
+        shape.append((len(classified), len(searched), len(bare)))
+        for h in ([subgroup_as_group(n)[0] for n in searched]
+                  + [quotient(g, n).target for n in bare]):
             assert derived.setdefault(h.table, h) is h, name
+    assert shape == [(118, 0, 16), (78, 28, 38), (78, 28, 38), (54, 0, 20)]
     assert sorted(built) == sorted(derived.keys() - before.keys())
     # a fresh parent of the same recipe builds no derived group at all
     fresh = construct(parse_recipe(PREMISES32["D4xC2xC2"]))

@@ -12,19 +12,33 @@ from groupkit.core import (
     Symmetric,
     construct,
     is_abelian,
+    parse_recipe,
 )
 from groupkit.catalog import abelian_p_group_catalog
 from groupkit.errors import OrderBound
-from groupkit.subgroups import all_subgroups, normal_subgroups, quotient, subgroup_as_group
+from groupkit.subgroups import (
+    all_subgroups,
+    normal_subgroups,
+    quotient,
+    subgroup_as_group,
+    whole_subgroup,
+)
 from groupkit.iso import (
     IsoCache,
     automorphisms,
     find_isomorphism,
     fingerprint,
     is_isomorphism,
+    subgroup_fingerprint,
 )
 
-from conftest import abelian_invariants, isomorphisms_by_bijections, order_by_powering
+from conftest import (
+    PREMISES32,
+    abelian_invariants,
+    isomorphisms_by_bijections,
+    order_by_powering,
+    order_histogram_by_powering,
+)
 
 
 def test_fingerprint_trivial():
@@ -179,21 +193,38 @@ def test_different_orders_short_circuit():
     assert find_isomorphism(construct(Cyclic(4)), construct(Cyclic(8))) is None
 
 
+def test_subgroup_fingerprint_is_that_of_the_extracted_table(catalog24):
+    # a subgroup's fingerprint, read in its parent's indices, is the one of
+    # its extracted table, and its histogram is a count by powering
+    groups = [e.group for e in catalog24]
+    groups += [construct(parse_recipe(dsl)) for dsl in PREMISES32.values()]
+    subgroups = 0
+    for g in groups:
+        for s in all_subgroups(g):
+            fp = subgroup_fingerprint(s)
+            assert fp == fingerprint(subgroup_as_group(s)[0]), (g, s)
+            assert fp.order_histogram == order_histogram_by_powering(g, s.bits), (g, s)
+            subgroups += 1
+    assert subgroups == 1_145
+
+
 def test_class_of_matches_pairwise_isomorphism():
     # normals and quotients of a few groups repeat many classes under
-    # different tables; ids must agree exactly with isomorphism
-    groups = []
+    # different tables; ids must agree exactly with isomorphism.  Normals
+    # are classified in their parent's indices, quotients as whole groups
+    subs, groups = [], []
     for recipe in (Product(Dihedral(4), Cyclic(2)), Product(Symmetric(3), Cyclic(2)),
                    Product(Cyclic(4), Cyclic(2)), Dicyclic(2)):
         g = construct(recipe)
         for n in normal_subgroups(g):
-            groups.append(subgroup_as_group(n)[0])
-            groups.append(quotient(g, n).target)
+            q = quotient(g, n).target
+            subs += [n, whole_subgroup(q)]
+            groups += [subgroup_as_group(n)[0], q]
     cache = IsoCache()
-    ids = [cache.class_of(g) for g in groups]
+    ids = [cache.class_of(s) for s in subs]
     assert len(set(ids)) > 5
     for i, a in enumerate(groups):
-        assert cache.class_of(a) == ids[i]  # memoized, stable
+        assert cache.class_of(subs[i]) == ids[i]  # memoized, stable
         for j in range(i + 1, len(groups)):
             b = groups[j]
             assert (ids[i] == ids[j]) == (find_isomorphism(a, b) is not None)
@@ -214,7 +245,7 @@ def test_abelian_class_ids_need_no_search(catalog24):
             for h in (subgroup_as_group(s)[0], quotient(g, s).target):
                 tables.setdefault(h.table, h)
     cache = IsoCache()
-    ids = {table: cache.class_of(h) for table, h in tables.items()}
+    ids = {table: cache.class_of(whole_subgroup(h)) for table, h in tables.items()}
     assert cache._maps == {}  # no search ran
     firsts = {}  # class id -> the first group given it
     for table, h in tables.items():
@@ -239,4 +270,4 @@ def test_non_abelian_fingerprint_collisions_get_distinct_ids(catalog24):
         ga, gb = by_name[a], by_name[b]
         assert fingerprint(ga) == fingerprint(gb) and not fingerprint(ga).abelian
         assert find_isomorphism(ga, gb) is None
-        assert cache.class_of(ga) != cache.class_of(gb)
+        assert cache.class_of(whole_subgroup(ga)) != cache.class_of(whole_subgroup(gb))

@@ -101,6 +101,12 @@ MUTANTS = (
     # the join lookup reads |A·B| as |A|·|B|, ignoring A∩B
     ("join_lookup_undivided", "decomposition.py",
      "m = a.order * b.order // (a.bits & b.bits).bit_count()", "m = a.order * b.order"),
+    # G/N is classed as N itself instead of as N's direct complement
+    ("quotient_class_of_n", "harness.py",
+     "ids[comps[0].bits]", "ids[n.bits]"),
+    # a subgroup's order histogram counts every element of the parent
+    ("histogram_of_whole_parent", "iso.py",
+     "Counter(map(orders.__getitem__, sub.members()))", "Counter(orders)"),
     # class_of trusts every fingerprint bucket, non-abelian ones too
     ("class_of_trusts_every_bucket", "iso.py",
      "if key.abelian or self.iso_map(group, rep)", "if True or self.iso_map(group, rep)"),
