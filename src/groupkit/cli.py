@@ -52,7 +52,10 @@ def _env_default(name: str, default, cast=int):
 
 
 def _env_flag(name: str) -> bool:
+    """True for 1/true/yes, False for 0/false/no or unset or empty (any case)."""
     raw = os.environ.get(ENV_PREFIX + name, "")
+    if raw.lower() not in ("1", "true", "yes", "0", "false", "no", ""):
+        raise ConfigError(f"invalid value for {ENV_PREFIX}{name}: {raw!r}")
     return raw.lower() in ("1", "true", "yes")
 
 
@@ -174,7 +177,8 @@ def _cmd_decompose(args) -> int:
             data = data["group"]  # counterexample bundles embed their group
         group = group_from_json_dict(data)
     except (OSError, json.JSONDecodeError, RecursionError, GroupKitError) as exc:
-        # RecursionError: JSON or a recipe nested deeper than the parsers recurse
+        # RecursionError: JSON nested deeper than the decoder recurses (a
+        # recipe nested too deep is an InvalidRecipe)
         print(f"cannot load group: {exc}", file=sys.stderr)
         return 2
     splitting = remak_decomposition(group, cap=_positive("lattice-cap", args.lattice_cap))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from itertools import chain, permutations
 from numbers import Integral
 
@@ -241,147 +242,92 @@ class CentralQuotient(Record):
 Recipe = Cyclic | Dihedral | Dicyclic | Symmetric | Product | Semidirect | CentralQuotient
 
 
+# the DSL name of each recipe class and the kind of each of its fields, in
+# order: "i" an int, "r" a recipe, "l" a list of ints and lists written
+# by the field's name (``action=[...]``)
+_DSL = {"C": (Cyclic, "i"), "D": (Dihedral, "i"), "Dic": (Dicyclic, "i"), "S": (Symmetric, "i"),
+        "P": (Product, "rr"), "SD": (Semidirect, "rrl"), "CQ": (CentralQuotient, "rl")}
+_DSL_NAMES = {cls: name for name, (cls, _) in _DSL.items()}
+# a DSL token: a name, an ASCII decimal int, or any other non-space
+# character; findall skips the whitespace between tokens, which no
+# alternative matches
+_DSL_TOKEN = re.compile(r"([A-Za-z]+)|(-?[0-9]+)|(\S)")
+
+
 def recipe_dsl(recipe: Recipe) -> str:
-    """Render a recipe in the text DSL (inverse of parse_recipe)."""
-    if isinstance(recipe, Cyclic):
-        return f"C({recipe.n})"
-    if isinstance(recipe, Dihedral):
-        return f"D({recipe.m})"
-    if isinstance(recipe, Dicyclic):
-        return f"Dic({recipe.m})"
-    if isinstance(recipe, Symmetric):
-        return f"S({recipe.m})"
-    if isinstance(recipe, Product):
-        return f"P({recipe_dsl(recipe.left)},{recipe_dsl(recipe.right)})"
-    if isinstance(recipe, Semidirect):
-        entries = ",".join(
-            f"[{q},[{','.join(str(x) for x in perm)}]]" for q, perm in recipe.action
-        )
-        return (
-            f"SD({recipe_dsl(recipe.normal)},{recipe_dsl(recipe.acting)},"
-            f"action=[{entries}])"
-        )
-    if isinstance(recipe, CentralQuotient):
-        gens = ",".join(str(g) for g in recipe.gens)
-        return f"CQ({recipe_dsl(recipe.inner)},gens=[{gens}])"
-    raise InvalidRecipe(f"unknown recipe object {recipe!r}")
+    """Render a recipe in the text DSL (inverse of parse_recipe), one call
+    per nesting level."""
+    name = _DSL_NAMES.get(type(recipe))
+    if name is None:
+        raise InvalidRecipe(f"unknown recipe object {recipe!r}")
+    parts = []
+    for field, kind in zip(recipe._fields, _DSL[name][1]):
+        value = getattr(recipe, field)
+        parts.append(recipe_dsl(value) if kind == "r"
+                     else f"{field}={_dsl_list(value)}" if kind == "l" else str(value))
+    return f"{name}({','.join(parts)})"
 
 
-class _DslParser:
-    """Recursive-descent parser for the recipe DSL.
-
-    Grammar: C(n) | D(m) | Dic(m) | S(m) | P(r,r)
-           | SD(r,r,action=[[q,[i,...]],...]) | CQ(r,gens=[i,...])
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str) -> InvalidRecipe:
-        return InvalidRecipe(f"recipe DSL error at offset {self.pos}: {msg}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected a name")
-        return self.text[start:self.pos]
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def int_list(self) -> list[int]:
-        self.expect("[")
-        items = []
-        if self.peek() != "]":
-            items.append(self.integer())
-            while self.peek() == ",":
-                self.expect(",")
-                items.append(self.integer())
-        self.expect("]")
-        return items
-
-    def recipe(self) -> Recipe:
-        name = self.name()
-        self.expect("(")
-        if name == "C":
-            out: Recipe = Cyclic(self.integer())
-        elif name == "D":
-            out = Dihedral(self.integer())
-        elif name == "Dic":
-            out = Dicyclic(self.integer())
-        elif name == "S":
-            out = Symmetric(self.integer())
-        elif name == "P":
-            left = self.recipe()
-            self.expect(",")
-            right = self.recipe()
-            out = Product(left, right)
-        elif name == "SD":
-            normal = self.recipe()
-            self.expect(",")
-            acting = self.recipe()
-            self.expect(",")
-            if self.name() != "action":
-                raise self.error("expected 'action'")
-            self.expect("=")
-            self.expect("[")
-            entries = []
-            while self.peek() != "]":
-                self.expect("[")
-                q = self.integer()
-                self.expect(",")
-                perm = self.int_list()
-                self.expect("]")
-                entries.append((q, tuple(perm)))
-                if self.peek() == ",":
-                    self.expect(",")
-            self.expect("]")
-            out = Semidirect(normal, acting, tuple(entries))
-        elif name == "CQ":
-            inner = self.recipe()
-            self.expect(",")
-            if self.name() != "gens":
-                raise self.error("expected 'gens'")
-            self.expect("=")
-            gens = self.int_list()
-            out = CentralQuotient(inner, tuple(gens))
-        else:
-            raise self.error(f"unknown constructor {name!r}")
-        self.expect(")")
-        return out
+def _dsl_list(value) -> str:
+    return f"[{','.join(map(_dsl_list, value))}]" if isinstance(value, tuple) else str(value)
 
 
 def parse_recipe(text: str) -> Recipe:
-    parser = _DslParser(text)
-    out = parser.recipe()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing input")
+    """The recipe that DSL ``text`` describes (inverse of recipe_dsl).
+
+    Whitespace may stand between tokens; lists are comma-separated, with no
+    trailing comma.  Raises only InvalidRecipe: on text that is not exactly
+    one recipe, on nesting deeper than the recursion limit (one call per
+    level), and from the record constructors, which check every value.
+    """
+    try:
+        tokens = [int(number) if number else name or other
+                  for name, number, other in _DSL_TOKEN.findall(text)]
+    except ValueError:  # more digits than int() converts
+        raise InvalidRecipe("recipe DSL integer too long") from None
+    tokens.reverse()  # read by pop()
+
+    def take(want=None):
+        """The next token, which must be ``want``, or an int when ``want`` is None."""
+        token = tokens.pop() if tokens else "end of input"
+        if (token != want) if want else (type(token) is not int):
+            raise InvalidRecipe(f"recipe DSL: expected {repr(want) if want else 'an integer'}, "
+                                f"got {token!r}")
+        return token
+
+    def recipe() -> Recipe:
+        name = tokens.pop() if tokens else "end of input"
+        if name not in _DSL:
+            raise InvalidRecipe(f"recipe DSL: unknown constructor {name!r}")
+        cls, kinds = _DSL[name]
+        take("(")
+        values = []
+        for field, kind in zip(cls._fields, kinds):
+            if values:
+                take(",")
+            if kind == "l":
+                take(field)
+                take("=")
+            values.append(recipe() if kind == "r" else listed() if kind == "l" else take())
+        take(")")
+        return cls(*values)
+
+    def listed() -> list:
+        take("[")
+        out = []
+        while tokens[-1:] != ["]"]:
+            if out:
+                take(",")
+            out.append(listed() if tokens[-1:] == ["["] else take())
+        take("]")
+        return out
+
+    try:
+        out = recipe()
+    except RecursionError:
+        raise InvalidRecipe("recipe DSL nests deeper than the recursion limit") from None
+    if tokens:
+        raise InvalidRecipe(f"recipe DSL: trailing input from {tokens[-1]!r}")
     return out
 
 

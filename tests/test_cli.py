@@ -8,7 +8,7 @@ from pathlib import Path
 import groupkit
 
 from groupkit.catalog import export_group
-from groupkit.cli import main
+from groupkit.cli import build_parser, main
 from groupkit.core import Cyclic, Dicyclic, construct, parse_recipe
 
 from test_acceptance import COUNTEREXAMPLE_SHA256, PROPS_SHA256, REPORT_SHA256
@@ -204,10 +204,20 @@ def test_env_var_overrides(tmp_path, monkeypatch, capsys):
     assert len(json.loads(out.read_text())) == 2
 
 
-def test_bad_env_value_is_config_error(monkeypatch, capsys):
+def test_bad_env_value_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GROUPKIT_MAX_ORDER", "three")
     assert main(["catalog"]) == 2
     assert "GROUPKIT_MAX_ORDER" in capsys.readouterr().err
+    monkeypatch.delenv("GROUPKIT_MAX_ORDER")
+    # a flag takes 1/true/yes or 0/false/no/empty in any case, and nothing else
+    for raw, on in (("1", True), ("TRUE", True), ("yes", True),
+                    ("0", False), ("False", False), ("NO", False), ("", False)):
+        monkeypatch.setenv("GROUPKIT_TIMINGS", raw)
+        assert build_parser().parse_args(["verify"]).timings is on, raw
+    for raw in ("maybe", "on", "2", " 1"):
+        monkeypatch.setenv("GROUPKIT_TIMINGS", raw)
+        assert main(["catalog", "--out", str(tmp_path / "catalog.json")]) == 2, raw
+        assert "GROUPKIT_TIMINGS" in capsys.readouterr().err
 
 
 # runs the CLI with every import of numpy refused

@@ -220,10 +220,18 @@ def test_recipe_dsl_round_trip(catalog16):
     for entry in catalog16:
         text = recipe_dsl(entry.recipe)
         assert parse_recipe(text) == entry.recipe, entry.name
+    deep = "P(" * 900 + "C(1)" + ",C(1))" * 900
+    assert recipe_dsl(parse_recipe(deep)) == deep
 
 
 def test_recipe_dsl_parse_errors():
-    for bad in ("", "C(", "C(2) junk", "X(3)", "SD(C(2),C(2))", "P(C(2)"):
+    for bad in ("", "C(", "C(2) junk", "X(3)", "SD(C(2),C(2))", "P(C(2)",
+                # a sign with no digits, and digits that are not ASCII decimals
+                "C(-)", "C(\u00b2)", "C(\u0663)",
+                # action entries with no comma between them
+                "SD(C(3),C(2),action=[[1,[0,2,1]][1,[0,2,1]]])",
+                # nesting deeper than the recursion limit
+                "P(" * 5_000 + "C(1)" + ",C(1))" * 5_000):
         with pytest.raises(InvalidRecipe):
             parse_recipe(bad)
 

@@ -9,8 +9,20 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 from groupkit import core
-from groupkit.core import Cyclic, Dicyclic, Dihedral, Product, construct, parse_recipe, recipe_dsl
+from groupkit.core import (
+    CentralQuotient,
+    Cyclic,
+    Dicyclic,
+    Dihedral,
+    Product,
+    Semidirect,
+    Symmetric,
+    construct,
+    parse_recipe,
+    recipe_dsl,
+)
 from groupkit.decomposition import project_onto_factor, splitting_sides
+from groupkit.errors import InvalidRecipe
 from groupkit.subgroups import all_subgroups, bits_of
 
 import conftest
@@ -19,10 +31,17 @@ from conftest import projection_by_products
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
 parameters = st.integers(min_value=1, max_value=64)
+# recipe records of all seven constructors; the records check only types,
+# so actions and generators are any ints
+ints = st.integers(min_value=-99, max_value=999)
 recipes = st.recursive(
     st.one_of(st.builds(Cyclic, parameters), st.builds(Dihedral, parameters),
-              st.builds(Dicyclic, parameters)),
-    lambda inner: st.builds(Product, inner, inner),
+              st.builds(Dicyclic, parameters), st.builds(Symmetric, st.integers(1, 5))),
+    lambda inner: st.one_of(
+        st.builds(Product, inner, inner),
+        st.builds(Semidirect, inner, inner,
+                  st.lists(st.tuples(ints, st.lists(ints, max_size=4)), min_size=1, max_size=3)),
+        st.builds(CentralQuotient, inner, st.lists(ints, max_size=3))),
     max_leaves=6,
 )
 
@@ -33,6 +52,34 @@ def test_recipe_dsl_round_trip(recipe):
     text = recipe_dsl(recipe)
     assert parse_recipe(text) == recipe
     assert recipe_dsl(parse_recipe(text)) == text
+
+
+# the DSL's alphabet: its names, digits, punctuation and a space
+dsl_alphabet = st.sampled_from(["C", "D", "Dic", "S", "P", "SD", "CQ", "action", "gens",
+                                *"0123456789-()[],= "])
+
+
+@st.composite
+def dsl_texts(draw):
+    """Up to 30 alphabet pieces, or up to 3 spliced over a short span of a
+    rendered recipe."""
+    base = recipe_dsl(draw(recipes)) if draw(st.booleans()) else ""
+    start = draw(st.integers(0, len(base)))
+    end = draw(st.integers(start, min(start + 3, len(base))))
+    pieces = draw(st.lists(dsl_alphabet, max_size=3 if base else 30))
+    return base[:start] + "".join(pieces) + base[end:]
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(dsl_texts())
+@example("SD( C(3) ,C(2), action = [[1, [0,2,1]]] )")
+@example("CQ(P(C(4),C(2)),gens=[-5,007])")
+def test_parse_recipe_raises_only_invalid_recipe(text):
+    try:
+        recipe = parse_recipe(text)
+    except InvalidRecipe:
+        return
+    assert parse_recipe(recipe_dsl(recipe)) == recipe
 
 
 # one to three cyclic factors, of product order at most 64

@@ -110,6 +110,9 @@ MUTANTS = (
     # class_of trusts every fingerprint bucket, non-abelian ones too
     ("class_of_trusts_every_bucket", "iso.py",
      "if key.abelian or self.iso_map(group, rep)", "if True or self.iso_map(group, rep)"),
+    # the DSL parser skips its end-of-input check, so trailing text is ignored
+    ("dsl_trailing_input", "core.py",
+     "    if tokens:\n        raise InvalidRecipe", "    if False:\n        raise InvalidRecipe"),
 )
 
 
