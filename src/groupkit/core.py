@@ -15,12 +15,13 @@ kernel (``Record``), from which every recipe, subgroup and result record
 derives.  Every other module calls them rather than re-implementing them,
 so each concept has one place to reason about.
 
-A table has one representation: a tuple of row tuples of Python ints, as
-``validate_table`` returns it and ``Group.table`` holds it.  Table code is
-plain Python; arrays are accepted as input (anything with a ``dtype`` and
-``tolist``) but no array library is imported.  Up to order 256 the
-Product and Semidirect builders emit ``bytes`` rows, which only
-``validate_table`` reads.
+A table has one representation per order, as ``validate_table`` returns
+it and ``Group.table`` holds it: a tuple of ``bytes`` rows up to order 256,
+a byte's width, and a tuple of row tuples of Python ints above it.
+Indexing either reads Python ints.  Tables derived from a group's
+(``coset_table``, ``reindexed_rows``) are built in the same form.  Table
+code is plain Python; arrays are accepted as input (anything with a
+``dtype`` and ``tolist``) but no array library is imported.
 """
 
 from __future__ import annotations
@@ -334,13 +335,18 @@ def parse_recipe(text: str) -> Recipe:
 # ---------------------------------------------------------------------------
 # table validation
 
-def validate_table(table) -> tuple[tuple[int, ...], ...]:
+# a table as a Group stores it: bytes rows up to order 256, int tuples above
+Rows = tuple[bytes, ...] | tuple[tuple[int, ...], ...]
+
+
+def validate_table(table) -> Rows:
     """Check every group axiom on a square index table; return it as rows.
 
-    The result is a tuple of row tuples of Python ints.  Raises on the first
-    failure, checked in the order: shape, integer entries, range, identity
-    at 0, Latin rows then columns, two-sided inverses, associativity.  Every
-    check runs at every order.  An array (anything with a ``dtype``) is read
+    The result is the form ``Group.table`` holds: a tuple of ``bytes`` rows
+    up to order 256, a tuple of row tuples of Python ints above.  Raises on
+    the first failure, checked in the order: shape, integer entries, range,
+    identity at 0, Latin rows then columns, two-sided inverses,
+    associativity.  Every check runs at every order.  An array (anything with a ``dtype``) is read
     through ``tolist`` and its dtype answers the integer check; bools and
     floats of either kind are rejected.
 
@@ -367,17 +373,19 @@ def validate_table(table) -> tuple[tuple[int, ...], ...]:
     bytes); larger tables gather it through the columns.
 
     Rows given as ``bytes``, as the Product and Semidirect builders make
-    them up to order 256, skip the type scan and the copy: when every row is
-    exactly ``bytes`` and n <= 256, the type proves each entry an exact int
-    in 0..255.  Other tables with ``bytes`` rows take the checked path, which
-    reads such a row as ints, so each raises what its list form raises.
-    Lists (as from JSON) keep the scan: nothing at C level tells True from 1.
+    them up to order 256, skip the type scan and are kept as given: when
+    every row is exactly ``bytes`` and n <= 256, the type proves each entry
+    an exact int in 0..255.  Other tables with ``bytes`` rows take the
+    checked path, which reads such a row as ints, so each raises what its
+    list form raises.  Lists (as from JSON) keep the type scan, as nothing
+    at C level tells True from 1, and are then packed straight into
+    ``bytes`` rows, with no copy into tuples first.
     """
     return _proved(table)[0]
 
 
 # a proved table: its rows, the inverse of every element, Light's generators
-_Proof = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]
+_Proof = tuple[Rows, tuple[int, ...], tuple[int, ...]]
 
 
 def _proved(table) -> _Proof:
@@ -396,30 +404,28 @@ def _group_rows(table) -> _Proof | None:
     generators, when the fast path proves it a group, else None."""
     if not isinstance(table, list | tuple) or not table:
         return None
-    n, t = len(table), None
+    n = len(table)
     if n <= 256 and set(map(type, table)) == {bytes}:
         rows = tuple(table)  # every entry an exact int in 0..255 by the row's type
-    elif all(isinstance(row, list | tuple) for row in table):
-        rows = t = tuple(map(tuple, table))
-        if set(map(type, chain.from_iterable(t))) != {int}:
+    elif (all(isinstance(row, list | tuple) for row in table)
+          and set(map(type, chain.from_iterable(table))) == {int}):
+        try:
+            rows = _stored(table)  # ValueError: an entry outside 0..255
+        except ValueError:
             return None
     else:
         return None
     if set(map(len, rows)) != {n}:
         return None
     if n <= 256:
-        try:
-            rows = rows if t is None else tuple(map(bytes, t))  # ValueError: outside 0..255
-        except ValueError:
-            return None
         ident, joined = bytes(range(n)), b"".join(rows)
         # translate deletes every 0..n-1, so only an entry >= n survives
         if joined.translate(None, ident) or joined[::n] != ident:
             return None
         padded = [row.ljust(256, b"\0") for row in rows]  # row x as a translate map
     else:
-        ident, cols = tuple(range(n)), tuple(zip(*t))
-        if not set(ident).issuperset(chain.from_iterable(t)) or cols[0] != ident:
+        ident, cols = tuple(range(n)), tuple(zip(*rows))
+        if not set(ident).issuperset(chain.from_iterable(rows)) or cols[0] != ident:
             return None
     if rows[0] != ident:
         return None
@@ -436,7 +442,7 @@ def _group_rows(table) -> _Proof | None:
             column, right = cols[g], zip(*operator.itemgetter(*rows[g])(cols))
         if operator.itemgetter(*column)(rows) != tuple(right):
             return None
-    return (tuple(map(tuple, rows)) if t is None else t), inv, gens
+    return rows, inv, gens
 
 
 def _shape(x, sequence=list | tuple) -> tuple[int, ...]:
@@ -496,7 +502,13 @@ def _checked_rows(table, typed: bool) -> _Proof:
             for y, gy in enumerate(t[g]):
                 if left[y] != row[gy]:  # (x·g)·y against x·(g·y)
                     raise NotAssociative(x, g, y)
-    return t, inv, gens
+    return _stored(t), inv, gens
+
+
+def _stored(rows) -> Rows:
+    """Rows of ints in the one form a ``Group`` stores: ``bytes`` up to
+    order 256, int tuples above."""
+    return tuple(map(bytes if len(rows) <= 256 else tuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +517,12 @@ def _checked_rows(table, typed: bool) -> _Proof:
 class Group:
     """Immutable finite group over indices 0..n-1 with identity at 0.
 
-    Instances compare by identity; compare ``g.table`` directly when table
-    equality is meant.  Derived data (subgroup lattice, centre, ...) is kept
-    per group through ``memo``.  The generators Light's test checked start
-    the ``"generators"`` memo as those of the whole group.
+    ``table`` holds the rows as ``validate_table`` proved them: a tuple of
+    ``bytes`` rows up to order 256, of int tuples above.  Instances compare
+    by identity; compare ``g.table`` directly when table equality is meant.
+    Derived data (subgroup lattice, centre, ...) is kept per group through
+    ``memo``.  The generators Light's test checked start the
+    ``"generators"`` memo as those of the whole group.
     """
 
     __slots__ = ("order", "table", "inv", "name", "recipe", "_cache", "__weakref__")
@@ -599,11 +613,11 @@ def greedy_generators(table, bits: int) -> tuple[int, ...] | None:
     return tuple(gens) if reached == bits else None
 
 
-def coset_table(table, members) -> tuple[list[list[int]], list[int]]:
+def coset_table(table, members) -> tuple[Rows, list[int]]:
     """Quotient table by the normal subgroup with elements ``members``.
 
-    Cosets are numbered by their least member; returns the quotient's table
-    and the coset number of every element.
+    Cosets are numbered by their least member; returns the quotient's rows,
+    in the form a ``Group`` stores, and the coset number of every element.
     """
     coset_of = [-1] * len(table)
     reps = []
@@ -613,8 +627,23 @@ def coset_table(table, members) -> tuple[list[list[int]], list[int]]:
             for z in members:
                 coset_of[row[z]] = len(reps)
             reps.append(x)
-    qtable = [[coset_of[table[a][b]] for b in reps] for a in reps]
-    return qtable, coset_of
+    return reindexed_rows(table, reps, coset_of), coset_of
+
+
+def reindexed_rows(table, keep, index) -> Rows:
+    """The table of ``index[table[a][b]]`` over a and b in ``keep``, in the
+    form a ``Group`` stores.
+
+    Up to order 256 each kept row is translated whole through ``index``,
+    which must then hold values below 256, and its kept columns gathered by
+    one ``itemgetter``.
+    """
+    get = operator.itemgetter(*keep)
+    pick = get if len(keep) > 1 else lambda row: (get(row),)
+    if len(table) <= 256:
+        through = bytes(index).ljust(256, b"\0")
+        return tuple(bytes(pick(row.translate(through))) for row in pick(table))
+    return _stored([[index[v] for v in pick(row)] for row in pick(table)])
 
 
 def element_order(group: Group, x: int) -> int:
@@ -682,9 +711,9 @@ def _shifted_rows(part: Group, count: int):
     join that makes one table row of such blocks: ``bytes`` up to order
     |part|·count = 256, lists above it."""
     m = part.order
-    if m * count <= 256:
+    if m * count <= 256:  # so part's rows are bytes
         shifts = [bytes(range(c * m, c * m + m)).ljust(256, b"\0") for c in range(count)]
-        return [list(map(bytes(row).translate, shifts)) for row in part.table], b"".join
+        return [list(map(row.translate, shifts)) for row in part.table], b"".join
     return ([[[c * m + v for v in row] for c in range(count)] for row in part.table],
             lambda blocks: list(chain.from_iterable(blocks)))
 
@@ -766,7 +795,7 @@ def _semidirect_table(normal: Group, acting: Group,
     return [join(map(list.__getitem__, blocks, rq)) for rq in acting.table for blocks in picks]
 
 
-def _central_quotient_table(inner: Group, gens: tuple[int, ...]) -> list[list[int]]:
+def _central_quotient_table(inner: Group, gens: tuple[int, ...]) -> Rows:
     n = inner.order
     table = inner.table
     for g in gens:
@@ -853,6 +882,11 @@ def construct(recipe: Recipe, *, name: str | None = None,
     recipes always produce identical tables.  Orders are checked against the
     cap bottom-up, before any combined table is filled in.  The parts of a
     Product, Semidirect or CentralQuotient are built once per process and
-    cap, and reused under that cap (``_part``).
+    cap, and reused under that cap (``_part``).  A recipe nested deeper than
+    the recursion limit allows (two calls per level) raises InvalidRecipe.
     """
-    return Group(_table(recipe, order_cap), name=name, recipe=recipe)
+    try:
+        table = _table(recipe, order_cap)
+    except RecursionError:
+        raise InvalidRecipe("recipe nests deeper than the recursion limit") from None
+    return Group(table, name=name, recipe=recipe)

@@ -16,6 +16,7 @@ from weakref import WeakValueDictionary
 from .core import (
     Group,
     Record,
+    Rows,
     bits_of,
     closure_bits,
     coset_table,
@@ -24,6 +25,7 @@ from .core import (
     is_abelian,
     members_of,
     memo,
+    reindexed_rows,
 )
 from .errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound, PreconditionFailed
 
@@ -122,11 +124,25 @@ def is_subgroup_bits(group: Group, bits: int) -> bool:
     return True
 
 
-def _normalizes(group: Group, g: int, gens, bits: int) -> bool:
-    """True iff g conjugates each of ``gens`` into ``bits``."""
-    table = group.table
-    row, ig = table[g], group.inv[g]
-    return all((bits >> table[row[h]][ig]) & 1 for h in gens)
+def _conjugations(group: Group) -> list:
+    """Row g maps each h to g·h·g⁻¹ (memoized): row g of the table read
+    through column g⁻¹, by one ``translate`` up to order 256."""
+    def build() -> list:
+        table, n = group.table, group.order
+        if n <= 256:
+            joined = b"".join(table)
+            return [row.translate(joined[ig::n].ljust(256, b"\0"))
+                    for row, ig in zip(table, group.inv)]
+        cols = tuple(zip(*table))
+        return [tuple(map(cols[ig].__getitem__, row)) for row, ig in zip(table, group.inv)]
+
+    return memo(group, "conjugations", build)
+
+
+def _normalizes(conjugate, gens, bits: int) -> bool:
+    """True iff ``conjugate``, a row of ``_conjugations``, sends each of
+    ``gens`` into ``bits``."""
+    return all((bits >> conjugate[h]) & 1 for h in gens)
 
 
 def is_normal_bits(group: Group, bits: int) -> bool:
@@ -140,7 +156,8 @@ def is_normal_bits(group: Group, bits: int) -> bool:
         gens = subgroup_generators(group, bits)
     except PreconditionFailed:
         return False
-    return all(_normalizes(group, g, gens, bits)
+    conj = _conjugations(group)
+    return all(_normalizes(conj[g], gens, bits)
                for g in subgroup_generators(group, (1 << group.order) - 1))
 
 
@@ -217,6 +234,7 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
         for x in range(1, n):
             if orders[x] in prime_of:
                 seeds.setdefault(closure_bits(table, (x,)), x)
+        conj = _conjugations(group) if normalizing else None
         # (generator, bits, |c|/p): H is joined with c only when |c∩H| = |c|/p
         seed_list = sorted((g, c, orders[g] // prime_of[orders[g]]) for c, g in seeds.items())
         built = {1: ()}  # bits -> the generators that built it
@@ -231,7 +249,7 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
             covered = bits
             for g, c, meet in seed_list:
                 if ((covered >> g) & 1 or (c & bits).bit_count() != meet
-                        or normalizing and not _normalizes(group, g, gens, bits)):
+                        or normalizing and not _normalizes(conj[g], gens, bits)):
                     continue
                 joined = closure_bits(table, (g,), bits, members)
                 if _is_prime(joined.bit_count() // size):
@@ -324,22 +342,22 @@ def derived_subgroup(group: Group) -> Subgroup:
     return derived_of(group, whole_subgroup(group))
 
 
-_derived_groups: WeakValueDictionary[tuple, Group] = WeakValueDictionary()
+_derived_groups: WeakValueDictionary[Rows, Group] = WeakValueDictionary()
 
 
-def _derived_group(table) -> Group:
+def _derived_group(table: Rows) -> Group:
     """The ``Group`` of a subgroup or quotient table, one per distinct table.
 
+    ``table`` is in the form a ``Group`` stores, and is the intern's key.
     Subgroups and quotients repeat tables often, within a parent and across
-    parents (every subgroup of order 2 extracts as ``((0, 1), (1, 0))``), so
+    parents (every subgroup of order 2 extracts as ``(b"\\0\\1", b"\\1\\0")``), so
     each distinct table is built, and so validated, once; later requests
     from any live group return the same object.  The intern holds it weakly:
     it lives as long as some parent's ``as_group`` or ``quotient`` memo does.
     """
-    key = tuple(map(tuple, table))
-    found = _derived_groups.get(key)
+    found = _derived_groups.get(table)
     if found is None:
-        found = _derived_groups[key] = Group(key)
+        found = _derived_groups[table] = Group(table)
     return found
 
 
@@ -459,9 +477,9 @@ def subgroup_as_group(sub: Subgroup) -> tuple[Group, tuple[int, ...]]:
     def build() -> tuple[Group, tuple[int, ...]]:
         subgroup_generators(parent, sub.bits)
         members = sub.members()
-        pos = {m: i for i, m in enumerate(members)}
-        table = parent.table
-        new_table = [[pos[table[x][y]] for y in members] for x in members]
-        return _derived_group(new_table), tuple(members)
+        pos = [0] * parent.order  # position of each member; 0 elsewhere, never kept
+        for i, m in enumerate(members):
+            pos[m] = i
+        return _derived_group(reindexed_rows(parent.table, members, pos)), tuple(members)
 
     return memo(parent, ("as_group", sub.bits), build)

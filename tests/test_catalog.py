@@ -71,7 +71,7 @@ def test_export_import_round_trip_trivial(tmp_path):
     path = tmp_path / "c1.json"
     export_group(construct(Cyclic(1), name="C1"), path)
     g = import_group(path)
-    assert g.table == ((0,),)
+    assert g.table == (b"\0",)
     assert g.name == "C1"
 
 

@@ -52,7 +52,14 @@ from groupkit.errors import (
 )
 from groupkit.harness import VerifyConfig, verify_catalog
 from groupkit.iso import find_isomorphism, fingerprint
-from groupkit.subgroups import Subgroup, normal_subgroups
+from groupkit.subgroups import (
+    Subgroup,
+    generate_subgroup,
+    normal_subgroups,
+    quotient,
+    subgroup_as_group,
+    trivial_subgroup,
+)
 
 from conftest import (
     inverses_by_scan,
@@ -68,7 +75,7 @@ from conftest import (
 def test_trivial_group():
     g = construct(Cyclic(1))
     assert g.order == 1
-    assert g.table == ((0,),)
+    assert g.table == (b"\0",)
 
 
 def test_product_c2_c3_is_c6():
@@ -236,6 +243,20 @@ def test_recipe_dsl_parse_errors():
             parse_recipe(bad)
 
 
+def test_construct_too_deep_is_invalid_recipe():
+    # P(P(…C(1),C(1))…,C(1)), as parse_recipe reads it from text nested
+    # 980 deep with one call per level; construct takes two per level
+    def nest(depth):
+        recipe = Cyclic(1)
+        for _ in range(depth):
+            recipe = Product(recipe, Cyclic(1))
+        return recipe
+
+    assert construct(nest(200)).order == 1
+    with pytest.raises(InvalidRecipe):
+        construct(nest(980))
+
+
 def test_symmetric_bound():
     with pytest.raises(InvalidRecipe):
         Symmetric(6)
@@ -326,10 +347,10 @@ def test_dicyclic2_is_quaternion():
 
 def test_dihedral_and_dicyclic_tables_match_presentation_rules():
     for m in range(1, 41):
-        assert construct(Dihedral(m)).table == tuple(map(tuple, inverting_table_by_rules(m, 0)))
+        assert construct(Dihedral(m)).table == tuple(map(bytes, inverting_table_by_rules(m, 0)))
     for m in range(1, 21):
         assert (construct(Dicyclic(m)).table
-                == tuple(map(tuple, inverting_table_by_rules(2 * m, m))))
+                == tuple(map(bytes, inverting_table_by_rules(2 * m, m))))
 
 
 def test_all_catalog_groups_validate(catalog16):
@@ -485,7 +506,8 @@ def test_byte_row_boundaries_agree_with_the_checked_path(catalog16):
     # generators: C_n's least element 1 reaches all of it
     for n in (255, 256, 257):
         table = [list(row) for row in construct(Cyclic(n)).table]
-        proved = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        proved = tuple((bytes if n <= 256 else tuple)((i + j) % n for j in range(n))
+                       for i in range(n))
         inverses = tuple(-i % n for i in range(n))
         assert _group_rows(table) == _checked_rows(table, True) == (proved, inverses, (1,))
     for table, expected in _boundary_failures(catalog16):
@@ -548,7 +570,7 @@ def test_inverses_match_the_row_scan(catalog16, catalog24):
     group = construct(c2_9)
     assert group.order == 512 and group.inv == inverses_by_scan(group.table)
     table = construct(Product(Dicyclic(3), Cyclic(3))).table
-    assert Group(np.array(table, dtype=np.int16)).inv == inverses_by_scan(table)
+    assert Group(np.array([list(r) for r in table], dtype=np.int16)).inv == inverses_by_scan(table)
 
 
 @pytest.mark.parametrize("entry", [1.7, 1.0, True, "1", None])
@@ -563,13 +585,53 @@ def test_non_integer_entries_are_malformed(entry):
 
 
 def test_array_dtype_answers_the_type_check():
-    assert validate_table(np.array([[0, 1], [1, 0]], dtype=np.uint8)) == ((0, 1), (1, 0))
+    assert validate_table(np.array([[0, 1], [1, 0]], dtype=np.uint8)) == (b"\0\1", b"\1\0")
     for dtype in (bool, float):
         with pytest.raises(MalformedTable):
             validate_table(np.array([[0, 1], [1, 0]], dtype=dtype))
     with pytest.raises(MalformedTable):
         validate_table(np.zeros((2, 2, 2), dtype=np.int64))
 
+
+class _Int(int):
+    """An exact integer that is not ``int`` itself, so its tables take the
+    checked path."""
+
+
+def test_one_row_form_per_order():
+    """``Group.table`` holds ``bytes`` rows up to order 256 and int tuples
+    above, on every input path; one table reached by two paths is equal and
+    hashes equal, as the ``_derived_group`` and ``IsoCache`` keys need."""
+    for n in (1, 6, 256, 257):
+        rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+        form = bytes if n <= 256 else tuple
+        expected = tuple(map(form, rows))
+        subclassed = [[_Int(v) for v in row] for row in rows]
+        assert _group_rows(subclassed) is None  # so it takes the checked path
+        inputs = [rows, tuple(map(tuple, rows)), subclassed,
+                  np.array(rows, dtype=np.int16), np.array(rows, dtype=np.int64)]
+        if n <= 256:
+            inputs.append([bytes(row) for row in rows])
+        tables = [construct(Cyclic(n)).table]
+        for table in inputs:
+            group = Group(table)
+            tables += [group.table, validate_table(table), pickle.loads(pickle.dumps(group)).table]
+        for table in tables:
+            assert type(table) is tuple and {type(row) for row in table} == {form}, n
+            assert {type(v) for row in table for v in row} == {int}, n
+            assert table == expected and hash(table) == hash(expected), n
+    # derived tables: bytes rows from bytes rows and from int tuples, and
+    # int tuples from int tuples
+    for n in (256, 512):
+        group = construct(Cyclic(n))
+        half = construct(Cyclic(n // 2)).table
+        sub = subgroup_as_group(generate_subgroup(group, [2]))[0]
+        top = quotient(group, generate_subgroup(group, [n // 2])).target
+        assert sub is top and sub.table == half and hash(sub.table) == hash(half)
+        assert {type(row) for row in sub.table} == {bytes}
+        whole = quotient(group, trivial_subgroup(group)).target
+        assert whole.table == group.table and hash(whole.table) == hash(group.table)
+        assert {type(row) for row in whole.table} == {bytes if n <= 256 else tuple}
 
 def test_product_and_semidirect_tables_match_entrywise_builders(catalog16):
     def rows(table):

@@ -263,6 +263,12 @@ def test_generator_kernels_match_member_walks(catalog24):
                 assert derived_of(h, Subgroup(h, s.bits)).bits == derived, (entry.name, s)
         assert [s.bits for s in normal_subgroups(g)] == [
             s.bits for s in subs if normal_in_by_conjugates(g, s.bits, whole)], entry.name
+    # above order 256 the conjugations gather columns instead of translating rows
+    d150 = construct(Dihedral(150))
+    whole = whole_subgroup(d150).bits
+    for gens in ([1], [2], [75], [150], [1, 150]):
+        bits = generate_subgroup(d150, gens).bits
+        assert is_normal_bits(d150, bits) == normal_in_by_conjugates(d150, bits, whole), gens
 
 
 def test_bitset_that_is_no_subgroup_is_refused():

@@ -92,9 +92,14 @@ MUTANTS = (
     ("byte_light_vacuous", "core.py",
      "column, right = joined[g::n], map(rows[g].translate, padded)",
      "column, right = joined[g::n], operator.itemgetter(*joined[g::n])(rows)"),
-    # byte rows are taken without the row-length check
+    # byte rows, every table's rows up to order 256, are taken without the
+    # row-length check
     ("byte_rows_unmeasured", "core.py",
-     "    if set(map(len, rows)) != {n}:", "    if t is not None and set(map(len, rows)) != {n}:"),
+     "    if set(map(len, rows)) != {n}:", "    if n > 256 and set(map(len, rows)) != {n}:"),
+    # the checked path hands back int tuples at every order, not bytes rows
+    # up to order 256
+    ("checked_rows_as_tuples", "core.py",
+     "    return _stored(t), inv, gens", "    return t, inv, gens"),
     # the join lookup takes the first listed normal of the right order
     ("join_lookup_uncontained", "decomposition.py",
      "if not union & ~n.bits)", "if True)"),
