@@ -542,13 +542,10 @@ class Group:
         return (self.order, self.table, self.inv, self.name, self.recipe)
 
     def __setstate__(self, state):
-        order, table, inv, name, recipe = state
-        self.order = order
-        self.table = table
-        self.inv = inv
-        self.name = name
-        self.recipe = recipe
-        self._cache = {}
+        # proved again like any new table, so a state from an older version
+        # or a damaged one loads in the one row form or raises
+        _, table, _, name, recipe = state
+        self.__init__(table, name=name, recipe=recipe)
 
 
 def memo(group: Group, key, fn):

@@ -8,11 +8,10 @@ it through ``find_isomorphism``.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from math import lcm
 
-from .core import Group, Record, element_orders, exact_ints, hom_defect, memo
+from .core import Group, Record, element_orders, memo
 from .errors import OrderBound
 from .subgroups import Subgroup, center_of, derived_of, subgroup_as_group, whole_subgroup
 
@@ -50,43 +49,46 @@ def subgroup_fingerprint(sub: Subgroup) -> Fingerprint:
     """The fingerprint of a subgroup, computed in the parent's indices; memoized.
 
     An element's order is the same in the subgroup as in the parent, so the
-    histogram counts the parent's ``element_orders`` over the members, and
-    the exponent is their lcm.  The centre, the derived subgroup and the
-    derived series are the parent's memoized ``center_of`` and ``derived_of``,
-    and the subgroup is abelian exactly when its derived subgroup is trivial.
-    No table is extracted.
+    histogram counts the members in the parent's mask of each element
+    order, one AND per order, and the exponent is the lcm of the orders it
+    counts.  The centre, the derived subgroup and the derived series are
+    the parent's memoized ``center_of`` and ``derived_of``, and the subgroup
+    is abelian exactly when its derived subgroup is trivial.  No table is
+    extracted.
     """
     group = sub.parent
 
     def build() -> Fingerprint:
-        orders = element_orders(group)
-        histogram = Counter(map(orders.__getitem__, sub.members()))
+        histogram = tuple((k, c) for k, mask in _order_masks(group)
+                          if (c := (mask & sub.bits).bit_count()))
         derived = derived_of(group, sub)
         series_len, current = 0, sub
         while (nxt := derived_of(group, current)).bits != current.bits:
             series_len += 1
             current = nxt
         # by position, in field order: the record's fast path
-        return Fingerprint(sub.order, tuple(sorted(histogram.items())),
+        return Fingerprint(sub.order, histogram,
                            center_of(group, sub).order, derived.order,
-                           lcm(*histogram), derived.order == 1, series_len)
+                           lcm(*(k for k, _ in histogram)), derived.order == 1, series_len)
 
     return memo(group, ("fingerprint", sub.bits), build)
+
+
+def _order_masks(group: Group) -> tuple[tuple[int, int], ...]:
+    """(k, bitset of the elements of order k) for each element order k,
+    ascending (memoized)."""
+    def build() -> tuple[tuple[int, int], ...]:
+        masks: dict[int, int] = {}
+        for x, k in enumerate(element_orders(group)):
+            masks[k] = masks.get(k, 0) | 1 << x
+        return tuple(sorted(masks.items()))
+
+    return memo(group, "order_masks", build)
 
 
 def fingerprint(group: Group) -> Fingerprint:
     """The fingerprint of the whole group (``subgroup_fingerprint``)."""
     return subgroup_fingerprint(whole_subgroup(group))
-
-
-def is_isomorphism(source: Group, target: Group, mapping) -> bool:
-    """Full check: bijection of exact ints fixing 0 with map[x*y] = map[x]*map[y] everywhere."""
-    n = source.order
-    if target.order != n or len(mapping) != n or not exact_ints(mapping):
-        return False
-    if mapping[0] != 0 or set(mapping) != set(range(n)):
-        return False
-    return hom_defect(source.table, target.table, mapping) is None
 
 
 def _search_isomorphisms(source: Group, target: Group) -> Iterator[tuple[int, ...]]:

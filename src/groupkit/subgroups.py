@@ -10,7 +10,7 @@ of every member.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from weakref import WeakValueDictionary
 
 from .core import (
@@ -139,26 +139,42 @@ def _conjugations(group: Group) -> list:
     return memo(group, "conjugations", build)
 
 
-def _normalizes(conjugate, gens, bits: int) -> bool:
-    """True iff ``conjugate``, a row of ``_conjugations``, sends each of
-    ``gens`` into ``bits``."""
-    return all((bits >> conjugate[h]) & 1 for h in gens)
+def _conjugators(group: Group, h: int) -> dict[int, int]:
+    """Each conjugate x of h, mapped to the bitset of the g with
+    g·h·g⁻¹ = x (memoized per element): column h of ``_conjugations``.
+
+    The bitsets partition G, and the one of h itself is h's centralizer.
+    """
+    known = memo(group, "conjugators", dict)
+    if h not in known:
+        found = known[h] = {}
+        for g, row in enumerate(_conjugations(group)):
+            x = row[h]
+            found[x] = found.get(x, 0) | 1 << g
+    return known[h]
+
+
+def _normalizer(group: Group, gens, bits: int) -> int:
+    """N_G(H) as a bitset, for H = ``bits`` generated by ``gens``: the g
+    that conjugate every generator of H into H.
+
+    Conjugation by g is an automorphism, so g·H·g⁻¹ ⊆ H then, and equal as
+    both are finite of one size.
+    """
+    out = (1 << group.order) - 1
+    for h in gens:
+        # the conjugator bitsets are disjoint, so their sum is their union
+        out &= sum(g for x, g in _conjugators(group, h).items() if (bits >> x) & 1)
+    return out
 
 
 def is_normal_bits(group: Group, bits: int) -> bool:
-    """True iff ``bits`` is a normal subgroup.
-
-    H is normal exactly when the generators of G conjugate the generators
-    of H into H: conjugation by g is an automorphism, so g·H·g⁻¹ ⊆ H then,
-    and equal as both are finite of one size.
-    """
+    """True iff ``bits`` is a normal subgroup: its normalizer is G."""
     try:
         gens = subgroup_generators(group, bits)
     except PreconditionFailed:
         return False
-    conj = _conjugations(group)
-    return all(_normalizes(conj[g], gens, bits)
-               for g in subgroup_generators(group, (1 << group.order) - 1))
+    return _normalizer(group, gens, bits) == (1 << group.order) - 1
 
 
 def check_parent(group: Group, *subs: Subgroup) -> None:
@@ -190,9 +206,10 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
 
     1. The seeds are the cyclic subgroups of prime-power order.
     2. H is joined only with a seed c where |c : c∩H| is a prime p.
-    3. A join K with |K : H| prime has H maximal in K, so every later seed
-       with its generator in K gives K again: K goes into H's ``covered``
-       mask, and such seeds are skipped.
+    3. A subgroup K ⊇ H with |K : H| prime has H maximal in K, so every
+       seed with its generator in K gives K again, and such seeds are
+       skipped.  These K are the joins of prime index made from H, and
+       every K of prime index over H found before H is taken.
 
     Every cover K of H (H maximal in K) is still reached.  For x in K∖H let
     d > 0 be least with x^d in H and p a prime dividing d; y = x^(d/p) is
@@ -202,9 +219,14 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
     ⟨H, c⟩ = K by maximality.  Every subgroup ends a chain of covers from
     the trivial subgroup, so every subgroup is found.
 
+    The covers found before H are looked up in membership columns.  For
+    each order m the subgroups found of order m are listed, and for each
+    element x one int has bit i set when x lies in the i-th of them.  A
+    subgroup contains H exactly when it contains H's generators, so the
+    AND of their columns marks the listed subgroups that contain H.
+
     4. When |G| has at most two prime factors, H is joined only with a
-       seed whose generator g normalizes H: g conjugates each generator of
-       H into H.
+       seed whose generator lies in the normalizer of H (``_normalizer``).
 
     Such a G is solvable (Burnside's p^a q^b theorem), and so is each of its
     subgroups K > 1, whose derived subgroup is therefore proper: K has a
@@ -212,10 +234,12 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
     in K∖H, so the seed it gives lies in K, normalizes H, and reaches K
     from H: a chain of such covers, each with H normal in K, still ends at
     every subgroup.  A seed that normalizes H joins it in exactly
-    |c : c∩H| cosets, so no join runs past a prime index.  With three or
-    more primes every seed is joined, since a subgroup may then have no
-    normal subgroup of prime index: A6 has none, and the rule would lose A6
-    itself from its own lattice.
+    |c : c∩H| cosets, so every join has prime index, and by rule 3 none
+    gives a subgroup found before: each subgroup but the trivial one is
+    the result of exactly one join.  With three or more primes every seed
+    is joined, since a subgroup may then have no normal subgroup of prime
+    index: A6 has none, and the rule would lose A6 itself from its own
+    lattice.
 
     Each subgroup found is recorded with the generators that built it, the
     generators of H and g, for ``subgroup_generators``.
@@ -234,29 +258,50 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
         for x in range(1, n):
             if orders[x] in prime_of:
                 seeds.setdefault(closure_bits(table, (x,)), x)
-        conj = _conjugations(group) if normalizing else None
-        # (generator, bits, |c|/p): H is joined with c only when |c∩H| = |c|/p
-        seed_list = sorted((g, c, orders[g] // prime_of[orders[g]]) for c, g in seeds.items())
+        # generator -> (bits, |c|/p): H is joined with c only when |c∩H| = |c|/p
+        seed_of = {g: (c, orders[g] // prime_of[orders[g]]) for c, g in seeds.items()}
+        seed_mask = sum(1 << g for g in seed_of)
         built = {1: ()}  # bits -> the generators that built it
-        keys = {}  # bits -> Subgroup.sort_key, from the members walked once here
+        keys = {1: (1, [0])}  # bits -> Subgroup.sort_key, from the members walked once here
+        # order -> (the subgroups found of that order, the column of each element)
+        found = defaultdict(lambda: ([], [0] * n))
         queue = deque([1])
         while queue:
             bits = queue.popleft()
-            members = members_of(bits)
-            size = len(members)
-            keys[bits] = (size, members)
+            size, members = keys[bits]
             gens = built[bits]
-            covered = bits
-            for g, c, meet in seed_list:
-                if ((covered >> g) & 1 or (c & bits).bit_count() != meet
-                        or normalizing and not _normalizes(conj[g], gens, bits)):
+            todo = seed_mask & ~bits  # the seed generators not yet covered
+            if normalizing:
+                todo &= _normalizer(group, gens, bits)
+            for p in primes:
+                if size * p not in found:
+                    continue
+                listed, columns = found[size * p]
+                within = (1 << len(listed)) - 1
+                for h in gens:
+                    within &= columns[h]
+                while within:  # one step per cover found, however long the list
+                    i = within.bit_length() - 1
+                    todo &= ~listed[i]
+                    within ^= 1 << i
+            while todo:  # least generator first
+                g = (todo & -todo).bit_length() - 1
+                todo ^= 1 << g
+                c, meet = seed_of[g]
+                if (c & bits).bit_count() != meet:
                     continue
                 joined = closure_bits(table, (g,), bits, members)
                 if _is_prime(joined.bit_count() // size):
-                    covered |= joined
+                    todo &= ~joined
                 if joined not in built:
                     built[joined] = gens + (g,)
                     queue.append(joined)
+                    new = members_of(joined)
+                    keys[joined] = (len(new), new)
+                    listed, columns = found[len(new)]
+                    for x in new:
+                        columns[x] |= 1 << len(listed)
+                    listed.append(joined)
         known = memo(group, "generators", dict)
         for bits, gens in built.items():
             known.setdefault(bits, gens)
@@ -289,17 +334,14 @@ def center(group: Group) -> Subgroup:
 
 def center_of(group: Group, sub: Subgroup) -> Subgroup:
     """Center of a subgroup, computed inside it (a subgroup of the parent):
-    its members that commute with its generators."""
+    its members in the centralizer of each of its generators."""
     check_parent(group, sub)
     gens = subgroup_generators(group, sub.bits)
 
     def build() -> Subgroup:
-        table = group.table
-        bits = 0
-        for x in sub.members():
-            row = table[x]
-            if all(row[y] == table[y][x] for y in gens):
-                bits |= 1 << x
+        bits = sub.bits
+        for h in gens:
+            bits &= _conjugators(group, h)[h]
         return Subgroup(group, bits)
 
     return memo(group, ("center", sub.bits), build)

@@ -8,7 +8,7 @@ from itertools import permutations, product
 import pytest
 
 from groupkit import builtin_catalog
-from groupkit.core import Group
+from groupkit.core import Group, exact_ints, hom_defect
 from groupkit.iso import IsoCache
 
 
@@ -38,6 +38,16 @@ def iso_cache():
 
 # ---------------------------------------------------------------------------
 # independent oracles (kept deliberately naive)
+
+def is_isomorphism(source: Group, target: Group, mapping) -> bool:
+    """Full check: bijection of exact ints fixing 0 with map[x*y] = map[x]*map[y] everywhere."""
+    n = source.order
+    if target.order != n or len(mapping) != n or not exact_ints(mapping):
+        return False
+    if mapping[0] != 0 or set(mapping) != set(range(n)):
+        return False
+    return hom_defect(source.table, target.table, mapping) is None
+
 
 def members_of(bits: int) -> list[int]:
     """The members of a bitset, one bit test per position."""
@@ -221,16 +231,6 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
         num *= p ** (n - i) - 1
         den *= p ** (i + 1) - 1
     return num // den
-
-
-def elementary_abelian_covers(p: int, n: int) -> int:
-    """Cover edges H < K with |K : H| = p in the subgroup lattice of C_p^n.
-
-    A k-dimensional H is one of [n, k]_p subspaces, and the subspaces one
-    dimension above it are the (p^(n-k) - 1)/(p - 1) lines of G/H.
-    """
-    return sum(gaussian_binomial(n, k, p) * (p ** (n - k) - 1) // (p - 1)
-               for k in range(n + 1))
 
 
 def elementary_abelian_splittings(p: int, n: int) -> int:

@@ -46,6 +46,7 @@ from groupkit.errors import (
     NotAssociative,
     NotCentral,
     NotInvertible,
+    NotLatin,
     MalformedTable,
     OrderBound,
     TableError,
@@ -54,6 +55,7 @@ from groupkit.harness import VerifyConfig, verify_catalog
 from groupkit.iso import find_isomorphism, fingerprint
 from groupkit.subgroups import (
     Subgroup,
+    center,
     generate_subgroup,
     normal_subgroups,
     quotient,
@@ -725,3 +727,32 @@ def test_records_survive_copy_and_pickle():
     g2, sub2 = pickle.loads(pickle.dumps((g, sub)))
     assert sub2.parent is g2 and g2.table == g.table
     assert sub2 == Subgroup(g2, sub.bits) and sub2.bits == sub.bits
+
+
+class _GroupState:
+    """Pickles as a ``Group`` with the given state, as an older groupkit or
+    a damaged file would hold it."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def __reduce__(self):
+        return Group.__new__, (Group,), self.state
+
+
+def test_unpickling_proves_the_table():
+    d4 = construct(Dihedral(4))
+    # int-tuple rows at order 8, the row form before bytes rows
+    old = (8, tuple(map(tuple, d4.table)), d4.inv, "D4", Dihedral(4))
+    loaded = pickle.loads(pickle.dumps(_GroupState(old)))
+    assert loaded.__class__ is Group
+    assert loaded.table == d4.table and hash(loaded.table) == hash(d4.table)
+    assert (loaded.order, loaded.inv, loaded.name, loaded.recipe) == (8, d4.inv, "D4", Dihedral(4))
+    assert center(loaded).order == 2
+    # row 1 repeats 1: the constructor's error, not a group of order 3
+    bad = ((0, 1, 2), (1, 1, 0), (2, 0, 1))
+    with pytest.raises(NotLatin) as built:
+        Group(bad)
+    with pytest.raises(NotLatin) as unpickled:
+        pickle.loads(pickle.dumps(_GroupState((3, bad, (0, 2, 1), None, None))))
+    assert str(unpickled.value) == str(built.value) == "row 1 repeats value 1"

@@ -37,7 +37,7 @@ from groupkit.harness import (
     property_suite,
     verify_catalog,
 )
-from groupkit.iso import IsoCache, find_isomorphism, is_isomorphism, subgroup_fingerprint
+from groupkit.iso import IsoCache, find_isomorphism, subgroup_fingerprint
 from groupkit.subgroups import (
     Subgroup,
     all_subgroups,
@@ -61,6 +61,7 @@ from conftest import (
     commutator_bits_by_products,
     elementary_abelian_premises,
     elementary_abelian_splittings,
+    is_isomorphism,
     isomorphic_by_generators,
     premises_by_normals,
     projection_by_products,

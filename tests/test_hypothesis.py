@@ -14,6 +14,7 @@ from groupkit.core import (
     Cyclic,
     Dicyclic,
     Dihedral,
+    Group,
     Product,
     Semidirect,
     Symmetric,
@@ -21,9 +22,16 @@ from groupkit.core import (
     parse_recipe,
     recipe_dsl,
 )
-from groupkit.decomposition import project_onto_factor, splitting_sides
+from groupkit.decomposition import project_onto_factor, remak_decomposition, splitting_sides
 from groupkit.errors import InvalidRecipe
-from groupkit.subgroups import all_subgroups, bits_of
+from groupkit.harness import premise_classes, property_suite
+from groupkit.subgroups import (
+    all_subgroups,
+    bits_of,
+    center,
+    derived_subgroup,
+    normal_subgroups,
+)
 
 import conftest
 from conftest import projection_by_products
@@ -105,3 +113,35 @@ def test_project_onto_factor_matches_products(orders, data):
 @example(0)
 def test_members_of_matches_bit_tests(bits):
     assert core.members_of(bits) == conftest.members_of(bits)
+
+
+def _labelling_invariants(group: Group) -> tuple:
+    """Counts and verdicts that do not depend on how the elements are numbered."""
+    return (
+        len(all_subgroups(group)),
+        len(normal_subgroups(group)),
+        sum(len(comps) for _, comps in splitting_sides(group)),
+        premise_classes(group).count,
+        center(group).order,
+        derived_subgroup(group).order,
+        sorted(f.order for f in remak_decomposition(group).factors),
+        {name: result["pass"] for name, result in property_suite(group).items()},
+    )
+
+
+@settings(DETERMINISTIC, max_examples=5)
+@given(st.data())
+def test_relabelled_and_opposite_tables_keep_every_count(catalog24, data):
+    # a permutation fixing 0 gives an isomorphic group on another bit
+    # layout, and the transpose is the opposite group, isomorphic by x -> x⁻¹
+    for entry in catalog24:
+        table, n = entry.group.table, entry.group.order
+        label = [0, *data.draw(st.permutations(range(1, n)), label=entry.name)]
+        relabelled = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                relabelled[label[a]][label[b]] = label[table[a][b]]
+        expected = _labelling_invariants(entry.group)
+        assert _labelling_invariants(Group(relabelled)) == expected, entry.name
+        assert _labelling_invariants(Group([list(col) for col in zip(*table)])) == expected, \
+            entry.name

@@ -28,13 +28,13 @@ from groupkit.iso import (
     automorphisms,
     find_isomorphism,
     fingerprint,
-    is_isomorphism,
     subgroup_fingerprint,
 )
 
 from conftest import (
     PREMISES32,
     abelian_invariants,
+    is_isomorphism,
     isomorphisms_by_bijections,
     order_by_powering,
     order_histogram_by_powering,

@@ -51,7 +51,6 @@ from conftest import (
     closure_by_products,
     closure_by_words,
     commutator_bits_by_products,
-    elementary_abelian_covers,
     gaussian_binomial,
     normal_in_by_conjugates,
     subgroups_by_subset_filter,
@@ -160,24 +159,6 @@ def test_all_subgroups_pinned_bit_for_bit(name):
     assert hashlib.sha256(repr(bits).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("p, n, joins", [(2, 4, 255), (2, 5, 2_108), (3, 4, 1_200)])
-def test_lattice_joins_once_per_cover(monkeypatch, p, n, joins):
-    # one closure per non-identity element (the seeds), then one join per
-    # cover edge H < K of C_p^n: every cover has index p there
-    calls = []
-    kernel = subgroups.closure_bits
-
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(subgroups, "closure_bits", counting)
-    g = construct(parse_recipe("P(" * (n - 1) + f"C({p})" + f",C({p}))" * (n - 1)))
-    assert len(all_subgroups(g, cap=p ** n)) == sum(
-        gaussian_binomial(n, k, p) for k in range(n + 1))
-    assert len(calls) == joins == p ** n - 1 + elementary_abelian_covers(p, n)
-
-
 def _lattice_joins(monkeypatch, group, cap):
     """(H, join) for every join of a fresh lattice build of ``group``."""
     joins = []
@@ -195,14 +176,34 @@ def _lattice_joins(monkeypatch, group, cap):
     return lattice, joins
 
 
-# name -> closure_bits calls: one per seed, then one join per pair H ⊴ K of
-# prime index
+def _joined_once_each(lattice, joins):
+    """The (H, K) joins made from a subgroup, after checking that each
+    subgroup but the trivial one is the result of exactly one of them."""
+    kept = [(h, k) for h, k in joins if h is not None]
+    assert sorted(k for _, k in kept) == sorted(set(lattice) - {1})
+    return kept
+
+
+@pytest.mark.parametrize("p, n, joins", [(2, 4, 81), (2, 5, 404), (3, 4, 291)])
+def test_lattice_joins_once_per_cover(monkeypatch, p, n, joins):
+    # one closure per non-identity element (the seeds), then one join per
+    # nontrivial subgroup, each from a subgroup of index p in it
+    g = construct(parse_recipe("P(" * (n - 1) + f"C({p})" + f",C({p}))" * (n - 1)))
+    lattice, made = _lattice_joins(monkeypatch, g, p ** n)
+    assert len(lattice) == sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+    assert len(made) == joins == p ** n - 1 + len(lattice) - 1
+    for h, k in _joined_once_each(lattice, made):
+        assert h & k == h and k.bit_count() == p * h.bit_count()
+
+
+# name -> closure_bits calls: one per seed, then one join per nontrivial
+# subgroup, from a subgroup of prime index normal in it
 LATTICE_JOINS = {
-    "S4xC2": 273,
-    "D4xS3": 365,
-    "SL(2,3)xC2": 110,
-    "D16": 96,
-    "split-counterexample-p3": 417,
+    "S4xC2": 136,
+    "D4xS3": 152,
+    "SL(2,3)xC2": 63,
+    "D16": 66,
+    "split-counterexample-p3": 183,
 }
 
 
@@ -213,12 +214,12 @@ def test_lattice_bounds_joins_to_prime_index_covers(monkeypatch, name):
     lattice, joins = _lattice_joins(monkeypatch, group, cap)
     assert len(lattice) == count
     assert len(joins) == LATTICE_JOINS[name]
-    # the joins from normalizing seeds are the prime-index pairs H ⊴ K of
-    # the lattice, each once
-    kept = sorted((h, k) for h, k in joins if h is not None)
-    assert kept == sorted((h, k) for h in lattice for k in lattice
-                          if h != k and h & k == h and _is_prime(k.bit_count() // h.bit_count())
-                          and normal_in_by_conjugates(group, h, k))
+    # the joins from normalizing seeds build each subgroup once, each from
+    # a pair H ⊴ K of the lattice of prime index
+    for h, k in _joined_once_each(lattice, joins):
+        assert h in lattice and h & k == h, name
+        assert _is_prime(k.bit_count() // h.bit_count()), name
+        assert normal_in_by_conjugates(group, h, k), name
 
 
 @pytest.mark.parametrize("name, build, cap, count", [
@@ -245,6 +246,11 @@ def test_recorded_generators_close_to_their_subgroup(catalog24):
             assert closure_by_words(g, gens) == s.bits, (name, s)
 
 
+def _normalizer_by_conjugates(group, bits):
+    """N_G(H): the g with g·h·g⁻¹ in H for every h in H."""
+    return sum(1 << g for g in range(group.order) if normal_in_by_conjugates(group, bits, 1 << g))
+
+
 def test_generator_kernels_match_member_walks(catalog24):
     # over every subgroup, with the generators the lattice recorded and, on
     # a copy of the table that has no lattice, the greedy ones
@@ -254,11 +260,13 @@ def test_generator_kernels_match_member_walks(catalog24):
         subs = all_subgroups(g)
         fresh = Group(g.table)
         for s in subs:
-            normal = normal_in_by_conjugates(g, s.bits, whole)
+            normalizer = _normalizer_by_conjugates(g, s.bits)
             center = center_bits_by_commuting(g, s.bits)
             derived = commutator_bits_by_products(g, s.bits, s.bits)
             for h in (g, fresh):
-                assert is_normal_bits(h, s.bits) == normal, (entry.name, s)
+                gens = subgroup_generators(h, s.bits)
+                assert subgroups._normalizer(h, gens, s.bits) == normalizer, (entry.name, s)
+                assert is_normal_bits(h, s.bits) == (normalizer == whole), (entry.name, s)
                 assert center_of(h, Subgroup(h, s.bits)).bits == center, (entry.name, s)
                 assert derived_of(h, Subgroup(h, s.bits)).bits == derived, (entry.name, s)
         assert [s.bits for s in normal_subgroups(g)] == [
@@ -266,9 +274,13 @@ def test_generator_kernels_match_member_walks(catalog24):
     # above order 256 the conjugations gather columns instead of translating rows
     d150 = construct(Dihedral(150))
     whole = whole_subgroup(d150).bits
-    for gens in ([1], [2], [75], [150], [1, 150]):
-        bits = generate_subgroup(d150, gens).bits
-        assert is_normal_bits(d150, bits) == normal_in_by_conjugates(d150, bits, whole), gens
+    for gens in ([1], [2], [75], [150], [1, 150], [2, 150]):
+        sub = generate_subgroup(d150, gens)
+        normalizer = _normalizer_by_conjugates(d150, sub.bits)
+        found = subgroups._normalizer(d150, subgroup_generators(d150, sub.bits), sub.bits)
+        assert found == normalizer, gens
+        assert is_normal_bits(d150, sub.bits) == (normalizer == whole), gens
+        assert center_of(d150, sub).bits == center_bits_by_commuting(d150, sub.bits), gens
 
 
 def test_bitset_that_is_no_subgroup_is_refused():

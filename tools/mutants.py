@@ -69,18 +69,23 @@ MUTANTS = (
      "    return comps[normal.bits]", "    return comps[normal.bits][:1]"),
     # the lattice marks every join covered, not only the prime-index ones
     ("lattice_covers_every_join", "subgroups.py",
-     "                if _is_prime(joined.bit_count() // size):\n                    covered |= joined",
-     "                if True:\n                    covered |= joined"),
-    # the normalizer test reads only the first generator of H
+     "                if _is_prime(joined.bit_count() // size):\n                    todo &= ~joined",
+     "                if True:\n                    todo &= ~joined"),
+    # the normalizer bitset reads only the first generator of H
     ("normalizer_first_generator", "subgroups.py",
-     "for h in gens)", "for h in gens[:1])"),
+     "    for h in gens:\n        # the conjugator bitsets",
+     "    for h in gens[:1]:\n        # the conjugator bitsets"),
+    # the lattice's cover lookup reads only the column of H's first generator
+    ("cover_lookup_first_column", "subgroups.py",
+     "for h in gens:\n                    within &= columns[h]",
+     "for h in gens[:1]:\n                    within &= columns[h]"),
     # the derived subgroup's normal closure never conjugates
     ("derived_closure_unconjugated", "subgroups.py",
      "for g in by]", "for g in by[:0]]"),
     # the centre tests commutation with one generator only
     ("center_one_generator", "subgroups.py",
-     "if all(row[y] == table[y][x] for y in gens):",
-     "if all(row[y] == table[y][x] for y in gens[:1]):"),
+     "for h in gens:\n            bits &= _conjugators(group, h)[h]",
+     "for h in gens[:1]:\n            bits &= _conjugators(group, h)[h]"),
     # the lattice's normalizing seeds also taken for orders with three primes
     ("lattice_bound_three_primes", "subgroups.py",
      "normalizing = len(primes) <= 2", "normalizing = len(primes) <= 3"),
@@ -111,7 +116,7 @@ MUTANTS = (
      "ids[comps[0].bits]", "ids[n.bits]"),
     # a subgroup's order histogram counts every element of the parent
     ("histogram_of_whole_parent", "iso.py",
-     "Counter(map(orders.__getitem__, sub.members()))", "Counter(orders)"),
+     "(mask & sub.bits).bit_count()", "mask.bit_count()"),
     # class_of trusts every fingerprint bucket, non-abelian ones too
     ("class_of_trusts_every_bucket", "iso.py",
      "if key.abelian or self.iso_map(group, rep)", "if True or self.iso_map(group, rep)"),
