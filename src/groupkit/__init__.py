@@ -21,7 +21,6 @@ from .core import (
 from .subgroups import (
     QuotientMap,
     Subgroup,
-    agemo,
     all_subgroups,
     center,
     commutator,
@@ -29,9 +28,7 @@ from .subgroups import (
     generate_subgroup,
     normal_subgroups,
     quotient,
-    set_product,
     subgroup_as_group,
-    sylow,
 )
 from .iso import Fingerprint, Iso, automorphisms, find_isomorphism, fingerprint
 from .decomposition import (

@@ -22,6 +22,7 @@ from .core import (
     Record,
     Semidirect,
     Symmetric,
+    _is_int,
     construct,
     parse_recipe,
     recipe_dsl,
@@ -199,6 +200,10 @@ def group_to_json_dict(group: Group) -> dict:
 def group_from_json_dict(data: dict) -> Group:
     if not isinstance(data, dict) or "table" not in data or "order" not in data:
         raise MalformedTable("group JSON must carry 'order' and 'table'")
+    if not _is_int(data["order"]):
+        raise MalformedTable("'order' must be an integer")
+    if not isinstance(data.get("name", ""), str):
+        raise MalformedTable("'name' must be a string")
     table = data["table"]
     if not isinstance(table, list) or len(table) != data["order"]:
         raise MalformedTable("'order' does not match the table size")

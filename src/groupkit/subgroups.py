@@ -22,12 +22,11 @@ from .core import (
     coset_table,
     element_orders,
     greedy_generators,
-    is_abelian,
     members_of,
     memo,
     reindexed_rows,
 )
-from .errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound, PreconditionFailed
+from .errors import IndexOutOfRange, NotNormal, OrderBound, PreconditionFailed
 
 DEFAULT_LATTICE_CAP = 64
 
@@ -421,31 +420,6 @@ def quotient(group: Group, normal: Subgroup) -> QuotientMap:
     return memo(group, ("quotient", normal.bits), build)
 
 
-def set_product(group: Group, a: Subgroup, b: Subgroup) -> tuple[int, bool]:
-    """The product set {xy : x in A, y in B} and whether it is a subgroup.
-
-    AB is a subgroup iff AB = BA (always true when A or B is normal).
-    Raises PreconditionFailed unless A and B are subgroups.
-    """
-    check_parent(group, a, b)
-    subgroup_generators(group, a.bits)
-    subgroup_generators(group, b.bits)
-    table = group.table
-    amem = a.members()
-    bmem = b.members()
-    ab = 0
-    for x in amem:
-        row = table[x]
-        for y in bmem:
-            ab |= 1 << row[y]
-    ba = 0
-    for y in bmem:
-        row = table[y]
-        for x in amem:
-            ba |= 1 << row[x]
-    return ab, ab == ba
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -455,49 +429,6 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-def sylow(group: Group, p: int, *, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
-    """A Sylow p-subgroup: order p^v with p^v the largest power dividing |G|."""
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    n = group.order
-    target = 1
-    while n % (target * p) == 0:
-        target *= p
-    if target == 1:
-        return trivial_subgroup(group)
-    if is_abelian(group):
-        bits = 0
-        for x, k in enumerate(element_orders(group)):
-            while k % p == 0:
-                k //= p
-            if k == 1:
-                bits |= 1 << x
-        return Subgroup(group, bits)
-    for s in all_subgroups(group, cap=cap):
-        if s.order == target:
-            return s
-    raise AssertionError("Sylow subgroup must exist")  # unreachable by Sylow's theorem
-
-
-def power(group: Group, x: int, n: int) -> int:
-    """x^n by square-and-multiply on table indices (n >= 0)."""
-    table = group.table
-    out = 0
-    base = x
-    while n:
-        if n & 1:
-            out = table[out][base]
-        base = table[base][base]
-        n >>= 1
-    return out
-
-
-def agemo(group: Group, n: int) -> Subgroup:
-    """Smallest subgroup containing x^n for every x."""
-    gens = sorted({power(group, x, n) for x in range(group.order)})
-    return generate_subgroup(group, gens)
 
 
 def subgroup_as_group(sub: Subgroup) -> tuple[Group, tuple[int, ...]]:

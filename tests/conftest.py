@@ -113,6 +113,16 @@ def projection_by_products(group: Group, h, k) -> list[int]:
     return out
 
 
+def product_set_by_members(group: Group, a_bits: int, b_bits: int) -> int:
+    """The product set {x·y : x in A, y in B} as a bitset, one product at a time."""
+    table = group.table
+    out = 0
+    for x in members_of(a_bits):
+        for y in members_of(b_bits):
+            out |= 1 << table[x][y]
+    return out
+
+
 def complements_by_scan(group: Group, n_bits: int) -> list[int]:
     """Brute-force complement oracle: scan all subgroups, filter normality,
     order product, and trivial intersection per candidate."""

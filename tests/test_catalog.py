@@ -13,7 +13,7 @@ from groupkit.catalog import (
     import_group,
 )
 from groupkit.core import Cyclic, construct, is_abelian
-from groupkit.errors import TableError
+from groupkit.errors import MalformedTable, TableError
 
 
 def test_tiny_catalogs():
@@ -100,6 +100,16 @@ def test_import_rejects_malformed_json_dict():
         group_from_json_dict({"order": 2})
     with pytest.raises(TableError):
         group_from_json_dict({"order": 3, "table": [[0, 1], [1, 0]]})
+
+
+def test_import_checks_the_order_and_name_types():
+    # an order equal to 1 that is no exact int, and a name that is no string
+    for bad in ({"order": True}, {"order": 1.0}, {"name": {"a": [1]}}, {"name": None},
+                {"name": 5}):
+        with pytest.raises(MalformedTable):
+            group_from_json_dict({"order": 1, "table": [[0]], **bad})
+    assert group_from_json_dict({"order": 1, "table": [[0]], "name": "C1"}).name == "C1"
+    assert group_from_json_dict({"order": 1, "table": [[0]]}).name is None
 
 
 def test_import_missing_file_raises_oserror(tmp_path):

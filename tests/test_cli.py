@@ -1,9 +1,11 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import groupkit
 
@@ -116,6 +118,16 @@ def test_decompose_malformed_input(tmp_path, capsys):
     corrupt.write_text(json.dumps({"order": 1, "table": [[0]], "recipe": nested}))
     assert main(["decompose", str(corrupt)]) == 2
     assert capsys.readouterr().err.count("cannot load group") == 2
+
+
+def test_decompose_refuses_an_order_or_name_of_the_wrong_type(tmp_path, capsys):
+    # an order that is no exact int or a name that is no string: exit 2, nothing echoed
+    path = tmp_path / "c1.json"
+    for bad in ({"order": True}, {"order": 1.0}, {"name": {"a": [1]}}):
+        path.write_text(json.dumps({"order": 1, "table": [[0]], **bad}))
+        assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("cannot load group") == 3
 
 
 # groups with many Remak decompositions: (recipe, sha256 of the decompose output)
@@ -270,6 +282,29 @@ def test_import_leaves_dataclasses_and_multiprocessing_unloaded():
     loaded = set(proc.stdout.split())
     assert "groupkit.harness" in loaded
     assert not loaded & {"dataclasses", "inspect", "multiprocessing"}, loaded
+
+
+def test_public_api_matches_the_readme():
+    # the README's "Public API" list is the contract: one line per name
+    # groupkit exports, under the module that defines it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed, module = {}, None
+    for line in section.splitlines():
+        if line.startswith("### "):
+            module = importlib.import_module(line[4:].strip("`"))
+        elif line.startswith("- `"):
+            name = line[3:].split("`", 1)[0]
+            assert name not in listed, name
+            listed[name] = module
+    exported = [name for name, value in sorted(vars(groupkit).items())
+                if not name.startswith("_") and not isinstance(value, ModuleType)]
+    assert sorted(listed) == exported
+    for name, module in listed.items():
+        value = getattr(groupkit, name)
+        assert getattr(module, name) is value, (name, module.__name__)
+        if hasattr(value, "__qualname__"):  # a class or function, not the Recipe union
+            assert value.__module__ == module.__name__, (name, module.__name__)
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,6 +40,7 @@ from groupkit.harness import (
 )
 from groupkit.iso import IsoCache, find_isomorphism, subgroup_fingerprint
 from groupkit.subgroups import (
+    DEFAULT_LATTICE_CAP,
     Subgroup,
     all_subgroups,
     bits_of,
@@ -59,12 +61,16 @@ from groupkit.iso import fingerprint
 from conftest import (
     PREMISES32,
     commutator_bits_by_products,
+    complement_count_by_homs,
+    derived_bits_by_commutators,
     elementary_abelian_premises,
     elementary_abelian_splittings,
     is_isomorphism,
     isomorphic_by_generators,
     premises_by_normals,
     projection_by_products,
+    quotient_table_by_cosets,
+    subgroup_table_by_members,
 )
 
 
@@ -189,6 +195,46 @@ def test_counterexample_p3_raised_cap_runs_scan():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "b6cc74c3da14e1029dfce51ad9a541a4e602c45017d20d7d4f14407727515f15"
     )
+
+
+def test_split_and_non_split_realisations_of_one_type(catalog16, iso_cache):
+    # each normal N has a normal complement (direct), only complements
+    # (split) or none (non-split), by a scan of the whole lattice.  By the
+    # theorem a type (N, G/N) with a direct realisation has no other kind;
+    # over catalog16 only D4xC2, the p=2 bundle's group, realises a type
+    # both split and non-split
+    def census(g: Group, cap: int = DEFAULT_LATTICE_CAP) -> dict[tuple[int, int], dict[int, str]]:
+        subs = all_subgroups(g, cap=cap)
+        normals = normal_subgroups(g, cap=cap)
+        normal_bits = {n.bits for n in normals}
+        types: dict[tuple[int, int], dict[int, str]] = {}
+        for n in normals:
+            comps = {c.bits for c in subs if c.order * n.order == g.order and c.bits & n.bits == 1}
+            quotient_group = whole_subgroup(quotient(g, n).target)
+            key = (iso_cache.class_of(n), iso_cache.class_of(quotient_group))
+            types.setdefault(key, {})[n.bits] = (
+                "direct" if comps & normal_bits else "split" if comps else "non-split")
+        return types
+
+    totals, mixed = Counter(), []
+    for entry in catalog16:
+        for kinds in census(entry.group).values():
+            totals.update(kinds.values())
+            found = set(kinds.values())
+            assert "direct" not in found or found == {"direct"}, entry.name
+            if found == {"split", "non-split"}:
+                mixed.append((entry.name, Counter(kinds.values())))
+    assert totals == {"direct": 236, "split": 39, "non-split": 83}
+    assert mixed == [("D4xC2", {"split": 4, "non-split": 1})]
+    d4c2 = next(e.group for e in catalog16 if e.name == "D4xC2")
+    assert iso_cache.isomorphic(build_split_counterexample(2).group, d4c2)
+    # the p=3 bundle's group, order 81, does too, its two kernels included
+    bundle = build_split_counterexample(3, lattice_cap=81)
+    mixed = [kinds for kinds in census(bundle.group, 81).values()
+             if set(kinds.values()) == {"split", "non-split"}]
+    assert [Counter(kinds.values()) for kinds in mixed] == [{"split": 12, "non-split": 1}]
+    assert mixed[0][bundle.n_split.bits] == "split"
+    assert mixed[0][bundle.n_nonsplit.bits] == "non-split"
 
 
 def test_counterexample_rejects_bad_p():
@@ -347,6 +393,39 @@ def test_premise_classes_match_naive_premise_count(catalog16):
         assert (premises.count, [h0.bits for h0 in premises.h0s]) == (count, h0s), entry.name
         total += count
     assert (len(catalog16), total) == (42, 24_483)
+
+
+def test_premise_count_is_side_types_times_complement_counts(catalog24):
+    # by the theorem the normals N with N ≅ H and G/N ≅ K are exactly the
+    # sides of type (H, K), so the count is Σ over the sides H of
+    # a(type of H) × |Hom(G/H, Z(H))|, with a(h, k) the number of sides of
+    # type (h, k); the types and the Hom counts come from the tables alone
+    def counted(g: Group) -> int:
+        derived = derived_bits_by_commutators(g)
+        types, side_types = [], []  # (N, G/N) tables of each type; each side's type
+        for h, _ in splitting_sides(g):
+            pair = (subgroup_table_by_members(g, h.bits), quotient_table_by_cosets(g, h.bits))
+            for i, known in enumerate(types):
+                if all(a == b or isomorphic_by_generators(a, b) for a, b in zip(known, pair)):
+                    break
+            else:
+                i = len(types)
+                types.append(pair)
+            side_types.append((i, h))
+        sizes = Counter(i for i, _ in side_types)
+        return sum(sizes[i] * complement_count_by_homs(g, h.bits, derived)
+                   for i, h in side_types)
+
+    totals = []
+    for groups in ([e.group for e in catalog24],
+                   [construct(parse_recipe(dsl), name=name) for name, dsl in PREMISES32.items()]):
+        total = 0
+        for g in groups:
+            count = counted(g)
+            assert premise_classes(g).count == count, g.name
+            total += count
+        totals.append(total)
+    assert totals == [24_547, 35_976]
 
 
 def test_premise_classes_match_closed_form():

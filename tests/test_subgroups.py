@@ -12,22 +12,19 @@ from groupkit.core import (
     closure_bits,
     construct,
     element_order,
-    exponent,
     is_abelian,
     parse_recipe,
     recipe_dsl,
 )
 from groupkit import subgroups
 from groupkit.decomposition import direct_complements, join_bits, project_onto_factor
-from groupkit.errors import IndexOutOfRange, NotNormal, NotPrime, OrderBound, PreconditionFailed
+from groupkit.errors import IndexOutOfRange, NotNormal, OrderBound, PreconditionFailed
 from groupkit.harness import build_split_counterexample
-from groupkit.iso import automorphisms, find_isomorphism
+from groupkit.iso import find_isomorphism
 from groupkit.subgroups import (
     Subgroup,
     _is_prime,
-    agemo,
     all_subgroups,
-    bits_of,
     center,
     center_of,
     commutator,
@@ -35,13 +32,10 @@ from groupkit.subgroups import (
     derived_subgroup,
     generate_subgroup,
     is_normal_bits,
-    members_of,
     normal_subgroups,
     quotient,
-    set_product,
     subgroup_as_group,
     subgroup_generators,
-    sylow,
     trivial_subgroup,
     whole_subgroup,
 )
@@ -303,15 +297,11 @@ def test_bitset_that_is_no_subgroup_is_refused():
 
 
 def test_set_product_and_extraction_refuse_a_non_subgroup():
-    # the identity and the transpositions of S3 again: their product set
-    # is all of S3, and they extract to no table, as products leave the set
+    # the identity and the transpositions of S3 again: they extract to no
+    # table, as products leave the set
     s3 = construct(Symmetric(3))
     bits = 1 | sum(1 << x for x in range(6) if element_order(s3, x) == 2)
     fake = Subgroup(s3, bits)
-    with pytest.raises(PreconditionFailed):
-        set_product(s3, fake, fake)
-    with pytest.raises(PreconditionFailed):
-        set_product(s3, whole_subgroup(s3), fake)
     with pytest.raises(PreconditionFailed):
         subgroup_as_group(fake)
     assert ("as_group", bits) not in s3._cache
@@ -453,92 +443,6 @@ def test_quotient_is_homomorphism_with_equal_fibers(catalog16):
                 fibers.setdefault(c, 0)
                 fibers[c] += 1
             assert set(fibers.values()) == {n.order}
-
-
-def test_set_product_examples():
-    g = construct(Symmetric(3))
-    a = generate_subgroup(g, [next(x for x in range(6) if element_order(g, x) == 2)])
-    b = generate_subgroup(g, [next(x for x in range(6) if element_order(g, x) == 3)])
-    bits, ok = set_product(g, a, b)
-    assert ok and bits.bit_count() == 6
-
-    bits, ok = set_product(g, a, trivial_subgroup(g))
-    assert ok and bits == a.bits
-
-    v4 = construct(Product(Cyclic(2), Cyclic(2)))
-    pa = generate_subgroup(v4, [2])
-    pb = generate_subgroup(v4, [1])
-    bits, ok = set_product(v4, pa, pb)
-    assert ok and bits.bit_count() == 4 == pa.order * pb.order
-
-
-def test_set_product_size_formula(catalog16):
-    for entry in catalog16:
-        g = entry.group
-        subs = all_subgroups(g)
-        for a in subs:
-            for b in subs:
-                bits, _ = set_product(g, a, b)
-                inter = (a.bits & b.bits).bit_count()
-                assert bits.bit_count() * inter == a.order * b.order, entry.name
-
-
-def test_set_product_non_subgroup_case():
-    # two reflections in S3 generate the whole group but their product set
-    # has size 4, so it cannot be a subgroup
-    s3 = construct(Symmetric(3))
-    reflections = [x for x in range(6) if element_order(s3, x) == 2]
-    a = generate_subgroup(s3, [reflections[0]])
-    b = generate_subgroup(s3, [reflections[1]])
-    bits, ok = set_product(s3, a, b)
-    assert bits.bit_count() == 4 and not ok
-
-
-def test_sylow_examples():
-    assert sylow(construct(Cyclic(6)), 5).order == 1
-    s = sylow(construct(Cyclic(12)), 2)
-    assert s.members() == [0, 3, 6, 9]
-    assert sylow(construct(Symmetric(3)), 3).order == 3
-    assert sylow(construct(Symmetric(4)), 2).order == 8
-    with pytest.raises(NotPrime):
-        sylow(construct(Cyclic(6)), 4)
-
-
-def test_sylow_nonabelian_above_lattice_cap():
-    big_abelian = construct(Cyclic(66))
-    assert sylow(big_abelian, 3).order == 3  # abelian path ignores the cap
-    with pytest.raises(OrderBound):
-        sylow(construct(Dihedral(33)), 3)
-
-
-def test_agemo_examples():
-    c4 = construct(Cyclic(4))
-    assert agemo(c4, 1).order == 4
-    assert agemo(c4, 2).members() == [0, 2]
-    for g in (c4, construct(Dicyclic(2)), construct(Symmetric(3))):
-        assert agemo(g, exponent(g)).order == 1
-
-
-def test_agemo_is_characteristic(catalog16):
-    for entry in catalog16:
-        g = entry.group
-        for n in range(1, exponent(g) + 1):
-            bits = agemo(g, n).bits
-            for auto in automorphisms(g):
-                mapped = 0
-                for m in members_of(bits):
-                    mapped |= 1 << auto.map[m]
-                assert mapped == bits, (entry.name, n)
-
-
-def test_agemo_commutes_with_quotients(catalog16):
-    for entry in catalog16:
-        g = entry.group
-        for n in normal_subgroups(g):
-            qm = quotient(g, n)
-            for k in range(1, exponent(g) + 1):
-                image = bits_of(qm.projection[x] for x in members_of(agemo(g, k).bits))
-                assert image == agemo(qm.target, k).bits, (entry.name, k)
 
 
 def test_center_of_subgroup():

@@ -5,10 +5,10 @@
     python3 tools/mutants.py NAME ...   # only the named ones
 
 Each mutant is one plain text substitution in one file under ``src/``.  For
-each, the script copies ``src/``, ``tests/``, ``bench/`` and
-``pyproject.toml`` into a temporary directory, applies the substitution
-there, and runs the tier-1 tests on the copy, stopping at the first
-failure.  A mutant is killed when the tests fail; one that survives means
+each, the script copies ``src/``, ``tests/``, ``bench/``, ``pyproject.toml``
+and ``README.md`` (a test reads its API list) into a temporary directory,
+applies the substitution there, and runs the tier-1 tests on the copy,
+stopping at the first failure.  A mutant is killed when the tests fail; one that survives means
 some check can silently do nothing and still pass.  A substitution whose
 text no longer occurs exactly once is reported as stale, so the list
 cannot quietly stop applying.  The unmutated copy is run first and must
@@ -67,6 +67,9 @@ MUTANTS = (
     # direct_complements hands out only the first complement of each side
     ("direct_complements_first_only", "decomposition.py",
      "    return comps[normal.bits]", "    return comps[normal.bits][:1]"),
+    # direct_complements drops the last complement of each side
+    ("direct_complements_drop_last", "decomposition.py",
+     "    return comps[normal.bits]", "    return comps[normal.bits][:-1]"),
     # the lattice marks every join covered, not only the prime-index ones
     ("lattice_covers_every_join", "subgroups.py",
      "                if _is_prime(joined.bit_count() // size):\n                    todo &= ~joined",
@@ -134,7 +137,8 @@ def run_tier1(substitution: tuple[str, str, str] | None) -> subprocess.Completed
         for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
-        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        for part in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / part, work / part)
         if substitution is not None:
             path, text, replacement = substitution
             target = work / "src" / "groupkit" / path
