@@ -131,7 +131,8 @@ _catalogs: dict[int, list[CatalogEntry]] = {}
 
 def builtin_catalog(max_order: int) -> list[CatalogEntry]:
     """All isomorphism classes of order <= min(max_order, 16), plus curated
-    larger entries up to max_order; deduplicated by isomorphism testing."""
+    larger entries (all above 16, built only then) up to max_order;
+    deduplicated by isomorphism testing."""
     if max_order > DEFAULT_ORDER_CAP:
         raise OrderBound(max_order, DEFAULT_ORDER_CAP, "catalog max order")
     cached = _catalogs.get(max_order)
@@ -139,7 +140,7 @@ def builtin_catalog(max_order: int) -> list[CatalogEntry]:
         cache = IsoCache()
         classes: set[int] = set()
         entries: list[CatalogEntry] = []
-        for name, recipe in _BUILTIN + _EXTRAS:
+        for name, recipe in _BUILTIN + (_EXTRAS if max_order > 16 else ()):
             group = construct(recipe, name=name)
             if group.order > max_order:
                 continue

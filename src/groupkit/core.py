@@ -8,12 +8,13 @@ Conventions fixed across the whole package:
   (first component major), so the identity lands at 0 automatically;
 - quotient cosets are numbered by ascending minimal member index.
 
-Four kernels live here and nowhere else: subgroup closure and its greedy
-generating sets (``closure_bits``, ``greedy_generators``), coset numbering
-(``coset_table``), per-group caching (``memo``) and the one value-record
-kernel (``Record``), from which every recipe, subgroup and result record
-derives.  Every other module calls them rather than re-implementing them,
-so each concept has one place to reason about.
+Five kernels live here and nowhere else: subgroup closure and its greedy
+generating sets (``closure_bits``, ``greedy_generators``), the commuting
+test of generators (``generators_commute``), coset numbering (``coset_table``),
+per-group caching (``memo``) and the one value-record kernel (``Record``),
+from which every recipe, subgroup and result record derives.  Every other
+module calls them rather than re-implementing them, so each concept has
+one place to reason about.
 
 A table has one representation per order, as ``validate_table`` returns
 it and ``Group.table`` holds it: a tuple of ``bytes`` rows up to order 256,
@@ -667,13 +668,15 @@ def exponent(group: Group) -> int:
     return math.lcm(*element_orders(group))
 
 
+def generators_commute(table, gens) -> bool:
+    """True iff the elements ``gens`` commute pairwise: k(k−1)/2 lookups."""
+    return all(table[a][b] == table[b][a] for i, a in enumerate(gens) for b in gens[i + 1:])
+
+
 def is_abelian(group: Group) -> bool:
-    table = group.table
-    return memo(group, "abelian", lambda: all(
-        table[i][j] == table[j][i]
-        for i in range(group.order)
-        for j in range(i + 1, group.order)
-    ))
+    """True iff the generators Light's test checked commute pairwise (memoized)."""
+    return memo(group, "abelian", lambda: generators_commute(
+        group.table, group._cache["generators"][(1 << group.order) - 1]))
 
 
 # ---------------------------------------------------------------------------

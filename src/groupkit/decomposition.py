@@ -145,6 +145,12 @@ def splitting_sides(group: Group, *, cap: int = DEFAULT_LATTICE_CAP
         if (comps := direct_complements(group, n, cap=cap))))
 
 
+def _side_index(group: Group, *, cap: int) -> dict[int, int]:
+    """Each side's bits, mapped to its place in ``splitting_sides``; memoized."""
+    return memo(group, "side_index", lambda: {
+        h.bits: i for i, (h, _) in enumerate(splitting_sides(group, cap=cap))})
+
+
 def all_direct_splittings(group: Group, *,
                           cap: int = DEFAULT_LATTICE_CAP) -> tuple[tuple[Subgroup, Subgroup], ...]:
     """Every unordered internal direct pair {H, K}, including {1, G}; memoized.
@@ -155,9 +161,8 @@ def all_direct_splittings(group: Group, *,
     check_lattice_cap(group, cap)
 
     def build() -> tuple[tuple[Subgroup, Subgroup], ...]:
-        sides = splitting_sides(group, cap=cap)
-        rank = {h.bits: i for i, (h, _) in enumerate(sides)}
-        return tuple((h, k) for i, (h, comps) in enumerate(sides)
+        rank = _side_index(group, cap=cap)
+        return tuple((h, k) for i, (h, comps) in enumerate(splitting_sides(group, cap=cap))
                      for k in comps if rank[k.bits] >= i)
 
     return memo(group, "splittings", build)
@@ -267,22 +272,25 @@ def combine_coprime_factors(group: Group, a: Subgroup, b: Subgroup, *,
     if not factor_classes(a, cap=cap, cache=cache).isdisjoint(
             factor_classes(b, cap=cap, cache=cache)):
         raise PreconditionFailed("A and B are not coprime")
-    return _combine(group, a, b, cap=cap)
+    reason = _combine(group, a, b, cap=cap)
+    return (Subgroup(group, join_bits(group, a, b)) if reason is None
+            else CoprimeViolation(group, a, b, reason))
 
 
-def _combine(group: Group, a: Subgroup, b: Subgroup, *,
-             cap: int) -> Subgroup | CoprimeViolation:
-    """The checks of ``combine_coprime_factors``, for direct factors known coprime."""
+def _combine(group: Group, a: Subgroup, b: Subgroup, *, cap: int) -> str | None:
+    """The checks of ``combine_coprime_factors``, for direct factors known
+    coprime: why A·B is no direct factor, or None when it is."""
     if a.bits & b.bits != 1:
-        return CoprimeViolation(group, a, b, "A∩B is nontrivial")
+        return "A∩B is nontrivial"
     # with A∩B = 1 the product set has |A|·|B| elements and lies in the join,
     # so it is the join exactly when the orders agree
-    ab = Subgroup(group, join_bits(group, a, b))
-    if ab.order != a.order * b.order:
-        return CoprimeViolation(group, a, b, "A·B is not a subgroup")
-    if not direct_complements(group, ab, cap=cap):
-        return CoprimeViolation(group, a, b, "A·B has no normal complement")
-    return ab
+    ab = join_bits(group, a, b)
+    if ab.bit_count() != a.order * b.order:
+        return "A·B is not a subgroup"
+    # A·B is normal: it has a direct complement exactly when it is a side
+    if ab not in _side_index(group, cap=cap):
+        return "A·B has no normal complement"
+    return None
 
 
 def project_onto_factor(group: Group, splitting: tuple[Subgroup, Subgroup],

@@ -7,17 +7,17 @@ complement; a violation would be a falsification artifact and is serialized
 in full.
 
 Whether H0 has a complement depends only on H0, so the verifier does not
-build instances one by one.  ``premise_classes`` gives every normal
-subgroup N the key (class of N, class of G/N) from ``IsoCache.class_of``,
-computed in the parent's indices.  A normal N with a direct complement C
-has G/N ≅ C, so only the normals with no complement build a quotient; an
-oriented splitting (H, K), one entry of ``splitting_sides`` (each side
-H with its stored complements K), meets the normals under (class of H,
-class of K).  Counting orientations per key gives the instance count and
-the distinct H0s; each H0 is checked once.  Only ``extension_instances``
-pairs splittings with normals, building the two ``Iso`` witnesses per
-instance, which the verifier asks for only when some H0 has no complement.
-The property suite walks the same per-side relation.
+build instances one by one.  ``premise_classes`` gives every normal subgroup
+N the key (class of N, class of G/N) from ``IsoCache.class_of``, computed in
+the parent's indices.  A normal N with a direct complement C has G/N ≅ C, so
+only the normals of a side's class with no complement build a quotient; an
+oriented splitting (H, K), one entry of ``splitting_sides`` (each side H
+with its stored complements K), meets the normals under (class of H, class
+of K).  Counting orientations per key gives the instance count and the
+distinct H0s; each H0 is checked once.  Only ``extension_instances`` pairs
+splittings with normals, building the two ``Iso`` witnesses per instance,
+which the verifier asks for only when some H0 has no complement.  The
+property suite walks the same per-side relation.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ from .subgroups import (
     whole_subgroup,
 )
 from .decomposition import (
-    CoprimeViolation,
     _combine,
     _normals_of_order,
+    _side_index,
     direct_complements,
     factor_classes,
     is_directly_decomposable,
@@ -87,7 +87,8 @@ class Premises(Record):
     ``count`` is the number of instances and ``h0s`` the distinct H0s
     sorted by bits.  ``ids`` maps each splitting side's bits to its class,
     and ``buckets`` each key (class of N, class of G/N) to its normals N in
-    ``normal_subgroups`` order; the ids are those of the first call's cache.
+    ``normal_subgroups`` order, only for the N of some side's class (every
+    oriented key starts with one); the ids are those of the first call's cache.
     """
 
     count: int
@@ -100,17 +101,19 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                     cache: IsoCache | None = None) -> Premises:
     """Every premise of the extension check, counted without witnesses.
 
-    Only normals whose order is that of some normal with a direct
-    complement (a splitting side) are classified; the others can never be
-    an H0.  Each is classified as a subgroup, in the parent's indices.
-    When N has a direct complement C, G = N×C gives G/N ≅ C (the second
-    isomorphism theorem), so the class of G/N is that of its first
-    complement, already known; only a normal with no complement builds its
-    quotient table.  A normal that breaks the theorem has no complement,
-    so it is always classified by its quotient.  The count is Σ over the
-    keys some oriented splitting has of (orientations with that key) ×
-    (bucket size).  ``cache`` supplies the class ids; the count and the H0s
-    do not depend on it.  Memoized.
+    Only normals whose order is that of some normal with a direct complement
+    (a splitting side) are classified; the others can never be an H0.  Each
+    is classified as a subgroup, in the parent's indices.  When N has a
+    direct complement C, G = N×C gives G/N ≅ C (the second isomorphism
+    theorem), so the class of G/N is that of its first complement, already
+    known.  Only a normal with no complement builds its quotient table, and
+    only when N is of some side's class: any other N has a key no oriented
+    splitting has, whatever G/N is.  A normal that breaks the theorem is of
+    the class of the H it is isomorphic to and has no complement, so it is
+    always classified by its quotient.  The count is Σ over the keys some
+    oriented splitting has of (orientations with that key) × (bucket size).
+    ``cache`` supplies the class ids; the count and the H0s do not depend on
+    it.  Memoized.
     """
     check_lattice_cap(group, cap)
 
@@ -121,12 +124,17 @@ def premise_classes(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
         candidates = [n for n in normal_subgroups(group, cap=cap) if n.order in orders]
         # every splitting side is such a normal, so ids holds the class of each
         ids = {n.bits: classes.class_of(n) for n in candidates}
+        side_classes = {ids[h.bits] for h, _ in sides}
         buckets: dict[tuple[int, int], list[Subgroup]] = {}
         for n in candidates:
             # G/N ≅ C for a direct complement C; only the others build G/N
             comps = direct_complements(group, n, cap=cap)
-            quotient_id = (ids[comps[0].bits] if comps else
-                           classes.class_of(whole_subgroup(quotient(group, n).target)))
+            if comps:
+                quotient_id = ids[comps[0].bits]
+            elif ids[n.bits] in side_classes:
+                quotient_id = classes.class_of(whole_subgroup(quotient(group, n).target))
+            else:
+                continue
             buckets.setdefault((ids[n.bits], quotient_id), []).append(n)
         oriented = Counter((ids[h.bits], ids[k.bits]) for h, comps in sides for k in comps)
         used = [key for key in oriented if key in buckets]
@@ -206,7 +214,7 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     normals = normal_subgroups(group, cap=cap)
     sides = splitting_sides(group, cap=cap)
     # the direct factors (the sides) by their place in canonical order
-    index = {h.bits: i for i, (h, _) in enumerate(sides)}
+    index = _side_index(group, cap=cap)
     factors = [h for h, _ in sides]
     g_derived = derived_subgroup(group)
     g_center = center(group)
@@ -259,10 +267,9 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
         for b in coprime[classes[a.bits]]:
             if index[b.bits] < i:
                 continue
-            outcome = _combine(group, a, b, cap=cap)
-            if isinstance(outcome, CoprimeViolation):
-                failures.append({"a": a.members(), "b": b.members(),
-                                 "reason": outcome.reason})
+            reason = _combine(group, a, b, cap=cap)
+            if reason is not None:
+                failures.append({"a": a.members(), "b": b.members(), "reason": reason})
     record("prop_2_3", failures)
 
     # the projection of a factor coprime to B onto C is again a direct factor.

@@ -13,7 +13,8 @@ from math import lcm
 
 from .core import Group, Record, element_orders, memo
 from .errors import OrderBound
-from .subgroups import Subgroup, center_of, derived_of, subgroup_as_group, whole_subgroup
+from .subgroups import (Subgroup, center_of, derived_of, is_abelian_bits, subgroup_as_group,
+                        whole_subgroup)
 
 DEFAULT_AUTOMORPHISM_CAP = 64
 
@@ -51,9 +52,9 @@ def subgroup_fingerprint(sub: Subgroup) -> Fingerprint:
     An element's order is the same in the subgroup as in the parent, so the
     histogram counts the members in the parent's mask of each element
     order, one AND per order, and the exponent is the lcm of the orders it
-    counts.  The centre, the derived subgroup and the derived series are
-    the parent's memoized ``center_of`` and ``derived_of``, and the subgroup
-    is abelian exactly when its derived subgroup is trivial.  No table is
+    counts.  An abelian subgroup (``is_abelian_bits``) is its own centre
+    with a derived series of one step, none when trivial; for any other they
+    are the parent's memoized ``center_of`` and ``derived_of``.  No table is
     extracted.
     """
     group = sub.parent
@@ -61,15 +62,18 @@ def subgroup_fingerprint(sub: Subgroup) -> Fingerprint:
     def build() -> Fingerprint:
         histogram = tuple((k, c) for k, mask in _order_masks(group)
                           if (c := (mask & sub.bits).bit_count()))
+        exponent = lcm(*(k for k, _ in histogram))
+        # by position, in field order: the record's fast path
+        if is_abelian_bits(group, sub.bits):
+            return Fingerprint(sub.order, histogram, sub.order, 1, exponent, True,
+                               int(sub.order > 1))
         derived = derived_of(group, sub)
         series_len, current = 0, sub
         while (nxt := derived_of(group, current)).bits != current.bits:
             series_len += 1
             current = nxt
-        # by position, in field order: the record's fast path
-        return Fingerprint(sub.order, histogram,
-                           center_of(group, sub).order, derived.order,
-                           lcm(*(k for k, _ in histogram)), derived.order == 1, series_len)
+        return Fingerprint(sub.order, histogram, center_of(group, sub).order, derived.order,
+                           exponent, False, series_len)
 
     return memo(group, ("fingerprint", sub.bits), build)
 
@@ -206,13 +210,14 @@ class IsoCache:
     invariant.  Only a non-abelian subgroup is extracted
     (``subgroup_as_group``) and compared with the class representatives
     that share its fingerprint, one ``iso_map`` each, so every search it
-    runs is counted in ``_maps`` like any other lookup.  Ids are private to
-    one cache and carry no witness; callers that need the map itself ask
-    ``iso_map`` for it.
+    runs is counted in ``_maps`` like any other lookup.  Ids are kept per
+    subgroup, private to one cache, and carry no witness; callers that need
+    the map itself ask ``iso_map`` for it.
     """
 
     def __init__(self):
         self._maps: dict[tuple, tuple[int, ...] | None] = {}
+        self._ids: dict[tuple[Group, int], int] = {}
         self._class_ids: dict[tuple, int] = {}  # non-abelian tables only
         self._reps: dict[Fingerprint, list[tuple[int, Group | None]]] = {}
         self._classes = 0
@@ -233,21 +238,24 @@ class IsoCache:
 
     def class_of(self, sub: Subgroup) -> int:
         """The id of the subgroup's isomorphism class within this cache."""
+        found = self._ids.get((sub.parent, sub.bits))
+        if found is not None:
+            return found
         key = subgroup_fingerprint(sub)
         group = None
         if not key.abelian:
             group = subgroup_as_group(sub)[0]
             found = self._class_ids.get(group.table)
-            if found is not None:
-                return found
-        reps = self._reps.setdefault(key, [])
-        for class_id, rep in reps:
-            if key.abelian or self.iso_map(group, rep) is not None:
-                break
-        else:
-            class_id = self._classes
-            self._classes += 1
-            reps.append((class_id, group))
-        if group is not None:
-            self._class_ids[group.table] = class_id
-        return class_id
+        if found is None:
+            reps = self._reps.setdefault(key, [])
+            for found, rep in reps:
+                if key.abelian or self.iso_map(group, rep) is not None:
+                    break
+            else:
+                found = self._classes
+                self._classes += 1
+                reps.append((found, group))
+            if group is not None:
+                self._class_ids[group.table] = found
+        self._ids[sub.parent, sub.bits] = found
+        return found

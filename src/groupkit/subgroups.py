@@ -21,6 +21,7 @@ from .core import (
     closure_bits,
     coset_table,
     element_orders,
+    generators_commute,
     greedy_generators,
     members_of,
     memo,
@@ -121,6 +122,13 @@ def is_subgroup_bits(group: Group, bits: int) -> bool:
     except PreconditionFailed:
         return False
     return True
+
+
+def is_abelian_bits(group: Group, bits: int) -> bool:
+    """True iff the subgroup ``bits`` is abelian: its memoized generators
+    commute pairwise (memoized).  PreconditionFailed if it is no subgroup."""
+    return memo(group, ("commuting", bits),
+                lambda: generators_commute(group.table, subgroup_generators(group, bits)))
 
 
 def _conjugations(group: Group) -> list:
@@ -333,12 +341,15 @@ def center(group: Group) -> Subgroup:
 
 def center_of(group: Group, sub: Subgroup) -> Subgroup:
     """Center of a subgroup, computed inside it (a subgroup of the parent):
-    its members in the centralizer of each of its generators."""
+    its members in the centralizer of each of its generators, or the whole
+    subgroup when it is abelian."""
     check_parent(group, sub)
     gens = subgroup_generators(group, sub.bits)
 
     def build() -> Subgroup:
         bits = sub.bits
+        if is_abelian_bits(group, bits):
+            return sub
         for h in gens:
             bits &= _conjugators(group, h)[h]
         return Subgroup(group, bits)
@@ -374,9 +385,11 @@ def commutator(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def derived_of(group: Group, sub: Subgroup) -> Subgroup:
-    """Derived subgroup of a subgroup, computed inside it (a subgroup of the parent)."""
+    """Derived subgroup of a subgroup, computed inside it (a subgroup of the
+    parent); trivial when the subgroup is abelian."""
     check_parent(group, sub)
-    return memo(group, ("derived", sub.bits), lambda: commutator(group, sub, sub))
+    return memo(group, ("derived", sub.bits), lambda: trivial_subgroup(group)
+                if is_abelian_bits(group, sub.bits) else commutator(group, sub, sub))
 
 
 def derived_subgroup(group: Group) -> Subgroup:

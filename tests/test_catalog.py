@@ -3,8 +3,10 @@ from collections import Counter
 
 import pytest
 
+from groupkit import catalog
 from groupkit.catalog import (
     GROUP_COUNTS_UP_TO_16,
+    _EXTRAS,
     abelian_p_group_catalog,
     builtin_catalog,
     export_group,
@@ -21,6 +23,25 @@ def test_tiny_catalogs():
     assert len(builtin_catalog(8)) == 14
     counts = Counter(e.group.order for e in builtin_catalog(8))
     assert [counts.get(i, 0) for i in range(1, 9)] == [1, 1, 1, 2, 1, 2, 1, 5]
+
+
+def test_extras_are_above_order_16():
+    assert min(construct(recipe).order for _, recipe in _EXTRAS) > 16
+
+
+def test_catalog_16_constructs_nothing_above_order_16(monkeypatch):
+    orders = []
+    real = catalog.construct
+
+    def counting(recipe, **kwargs):
+        group = real(recipe, **kwargs)
+        orders.append(group.order)
+        return group
+
+    monkeypatch.setattr(catalog, "_catalogs", {})
+    monkeypatch.setattr(catalog, "construct", counting)
+    assert len(builtin_catalog(16)) == 42
+    assert max(orders) == 16
 
 
 def test_catalog_counts_match_published_sequence(catalog16):

@@ -587,6 +587,26 @@ def _fails_only(results: dict, name: str, expected: list) -> None:
     assert all(v["pass"] for other, v in results.items() if other != name)
 
 
+def test_prop_2_3_fails_on_a_wrong_join(monkeypatch):
+    # a join of the wrong order for one coprime pair fails prop_2_3 once,
+    # with its reason; cor_2_1 reads its joins through its own name
+    g = construct(parse_recipe(PREMISES32["C4xC2xC2xC2"]))
+    real = decomposition.join_bits
+    wrong = []
+
+    def once(group, a, b):
+        if not wrong and a.order > 1 and b.order > 1:
+            wrong.append((a, b))
+            return a.bits | b.bits
+        return real(group, a, b)
+
+    monkeypatch.setattr(decomposition, "join_bits", once)
+    results = property_suite(g)
+    [(a, b)] = wrong
+    _fails_only(results, "prop_2_3", [
+        {"a": a.members(), "b": b.members(), "reason": "A·B is not a subgroup"}])
+
+
 def test_prop_2_2_fails_on_a_wrong_centre_order(monkeypatch):
     # a side whose centre is reported with twice its order breaks
     # |Z(H)|·|Z(K)| = |Z(G)| once per unordered splitting {H, K} that has it.
@@ -751,6 +771,21 @@ def test_property_suite_set_facts(catalog24):
         assert all(derived_of(g, t).bits in normal_bits for t in normals), entry.name
 
 
+def _bare_of_a_side_class(g):
+    """The normals with no direct complement that are isomorphic to some
+    splitting side, the tables compared by ``isomorphic_by_generators``."""
+    sides = {subgroup_table_by_members(g, h.bits) for h, _ in splitting_sides(g)}
+    like_a_side = {}  # table -> isomorphic to some side
+    out = []
+    for n in normal_subgroups(g):
+        table = subgroup_table_by_members(g, n.bits)
+        if table not in like_a_side:
+            like_a_side[table] = any(isomorphic_by_generators(table, s) for s in sides)
+        if like_a_side[table] and not direct_complements(g, n):
+            out.append(n)
+    return out
+
+
 def test_premise_classes_classify_each_normal_once():
     class CountingCache(IsoCache):
         def __init__(self):
@@ -764,12 +799,13 @@ def test_premise_classes_classify_each_normal_once():
     g = construct(parse_recipe(PREMISES32["D4xC2xC2"]))
     sides = {s.order for pair in all_direct_splittings(g) for s in pair}
     classified = [n for n in normal_subgroups(g) if n.order in sides]
-    bare = [n for n in classified if not direct_complements(g, n)]
+    bare = _bare_of_a_side_class(g)
     cache = CountingCache()
     premise_classes(g, cache=cache)
     # one lookup per normal N, in g's own indices, none per splitting; G/N
-    # is looked up only when N has no direct complement to read it off
-    assert (len(classified), len(bare)) == (78, 38)
+    # is looked up only when N has no direct complement to read it off and
+    # N is of some side's class, as every H0 is
+    assert (len(classified), len(bare)) == (78, 12)
     assert cache.calls == classified + [whole_subgroup(quotient(g, n).target) for n in bare]
 
 
@@ -780,10 +816,10 @@ def _memo_bits(group, kind):
 def test_premise_classes_build_one_group_per_derived_table(monkeypatch):
     # a table is built only for what needs one: a subgroup table for each
     # proper non-abelian normal, which is searched, and a quotient table for
-    # each normal with no direct complement.  The four groups stay alive
-    # together, so each such table is built once for all of them; ``before``
-    # keeps the groups other live parents had already interned alive, and
-    # those are not rebuilt
+    # each normal of a side's class with no direct complement.  The four
+    # groups stay alive together, so each such table is built once for all
+    # of them; ``before`` keeps the groups other live parents had already
+    # interned alive, and those are not rebuilt
     built = []
     init = Group.__init__
 
@@ -804,14 +840,14 @@ def test_premise_classes_build_one_group_per_derived_table(monkeypatch):
         classified = [n for n in normal_subgroups(g) if n.order in sides]
         searched = [n for n in classified
                     if n.order < g.order and not subgroup_fingerprint(n).abelian]
-        bare = [n for n in classified if not direct_complements(g, n)]
+        bare = _bare_of_a_side_class(g)
         assert _memo_bits(g, "as_group") == {n.bits for n in searched}, name
         assert _memo_bits(g, "quotient") == {n.bits for n in bare}, name
         shape.append((len(classified), len(searched), len(bare)))
         for h in ([subgroup_as_group(n)[0] for n in searched]
                   + [quotient(g, n).target for n in bare]):
             assert derived.setdefault(h.table, h) is h, name
-    assert shape == [(118, 0, 16), (78, 28, 38), (78, 28, 38), (54, 0, 20)]
+    assert shape == [(118, 0, 15), (78, 28, 12), (78, 28, 4), (54, 0, 9)]
     assert sorted(built) == sorted(derived.keys() - before.keys())
     # a fresh parent of the same recipe builds no derived group at all
     fresh = construct(parse_recipe(PREMISES32["D4xC2xC2"]))
@@ -874,6 +910,43 @@ def test_violation_serializes_the_instances_of_its_h0(monkeypatch):
                             VerifyConfig(max_order=16))
     assert report.status == "FAIL"
     assert report.summary["violations"] == len(expected)
+
+
+def test_an_h0_without_a_complement_is_classified_by_its_quotient(monkeypatch):
+    # a normal that broke the theorem would be an H0 with no complement.
+    # Patched before premise_classes runs, one real H0 of D4xC2 looks so:
+    # it must still be bucketed, by its quotient, beside the same normals,
+    # the count must not change, and verify must report each of its
+    # instances as a violation
+    recipe = Product(Dihedral(4), Cyclic(2))
+    honest = construct(recipe, name="D4xC2")
+    premises = premise_classes(honest)
+    target = next(h0 for h0 in premises.h0s if 1 < h0.order < honest.order)
+    assert ("quotient", target.bits) not in honest._cache  # G/H0 read off a complement
+    expected = [
+        {"group": group_to_json_dict(honest), "instance": harness._instance_json_dict(inst)}
+        for inst in extension_instances(honest)
+        if inst.h0.bits == target.bits
+    ]
+    g = construct(recipe, name="D4xC2")
+    real = harness.direct_complements
+
+    def no_complement_for_target(group, normal, **kwargs):
+        if group is g and normal.bits == target.bits:
+            return ()
+        return real(group, normal, **kwargs)
+
+    monkeypatch.setattr(harness, "direct_complements", no_complement_for_target)
+    out = harness._verify_one(("D4xC2", g, 64))
+    patched = premise_classes(g)
+    assert ("quotient", target.bits) in g._cache
+    assert (sorted(tuple(n.bits for n in ns) for ns in patched.buckets.values())
+            == sorted(tuple(n.bits for n in ns) for ns in premises.buckets.values()))
+    assert out["instances"] == patched.count == premises.count
+    assert [h0.bits for h0 in patched.h0s] == [h0.bits for h0 in premises.h0s]
+    assert expected
+    assert json.dumps(out["violations"], sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert set(out["properties"].values()) == {"pass"}
 
 
 def test_central_complements_match_extracted_center(catalog24):

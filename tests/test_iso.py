@@ -24,6 +24,7 @@ from groupkit.subgroups import (
     whole_subgroup,
 )
 from groupkit.iso import (
+    Fingerprint,
     IsoCache,
     automorphisms,
     find_isomorphism,
@@ -34,6 +35,8 @@ from groupkit.iso import (
 from conftest import (
     PREMISES32,
     abelian_invariants,
+    center_bits_by_commuting,
+    commutator_bits_by_products,
     is_isomorphism,
     isomorphisms_by_bijections,
     order_by_powering,
@@ -195,7 +198,9 @@ def test_different_orders_short_circuit():
 
 def test_subgroup_fingerprint_is_that_of_the_extracted_table(catalog24):
     # a subgroup's fingerprint, read in its parent's indices, is the one of
-    # its extracted table, and its histogram is a count by powering
+    # its extracted table, and every field is also read off oracles that
+    # share no code with the kernel: the histogram counts by powering, the
+    # centre by commuting, the derived series by products of commutators
     groups = [e.group for e in catalog24]
     groups += [construct(parse_recipe(dsl)) for dsl in PREMISES32.values()]
     subgroups = 0
@@ -203,7 +208,15 @@ def test_subgroup_fingerprint_is_that_of_the_extracted_table(catalog24):
         for s in all_subgroups(g):
             fp = subgroup_fingerprint(s)
             assert fp == fingerprint(subgroup_as_group(s)[0]), (g, s)
-            assert fp.order_histogram == order_histogram_by_powering(g, s.bits), (g, s)
+            histogram = order_histogram_by_powering(g, s.bits)
+            center = center_bits_by_commuting(g, s.bits)
+            series = [s.bits]
+            while (d := commutator_bits_by_products(g, series[-1], series[-1])) != series[-1]:
+                series.append(d)
+            derived = series[1] if len(series) > 1 else s.bits
+            assert fp == Fingerprint(s.bits.bit_count(), histogram, center.bit_count(),
+                                     derived.bit_count(), math.lcm(*(k for k, _ in histogram)),
+                                     center == s.bits, len(series) - 1), (g, s)
             subgroups += 1
     assert subgroups == 1_145
 

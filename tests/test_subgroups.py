@@ -31,6 +31,7 @@ from groupkit.subgroups import (
     derived_of,
     derived_subgroup,
     generate_subgroup,
+    is_abelian_bits,
     is_normal_bits,
     normal_subgroups,
     quotient,
@@ -41,6 +42,7 @@ from groupkit.subgroups import (
 )
 
 from conftest import (
+    PREMISES32,
     center_bits_by_commuting,
     closure_by_products,
     closure_by_words,
@@ -463,6 +465,27 @@ def test_subgroup_as_group_round_trip():
         for i in range(extracted.order):
             for j in range(extracted.order):
                 assert members[extracted.table[i][j]] == g.table[members[i]][members[j]]
+
+
+def test_is_abelian_matches_every_pair(catalog24):
+    # is_abelian compares only the generators validation checked; the
+    # oracle compares every pair of elements
+    groups = [e.group for e in catalog24]
+    groups += [construct(parse_recipe(dsl)) for dsl in PREMISES32.values()]
+    for g in groups:
+        t = g.table
+        every_pair = all(t[x][y] == t[y][x] for x in range(g.order) for y in range(x))
+        assert is_abelian(g) is every_pair, g
+    assert {is_abelian(g) for g in groups} == {True, False}
+
+
+def test_subgroup_flags_leave_is_abelian_false():
+    # the per-subgroup flags have their own memo keys: asking all of them
+    # first, the whole group's among them, must not change is_abelian
+    g = construct(parse_recipe(PREMISES32["D4xC2xC2"]))
+    flags = [is_abelian_bits(g, s.bits) for s in all_subgroups(g)]
+    assert True in flags and flags[-1] is False
+    assert is_abelian(g) is False
 
 
 def test_center_and_derived_orders_match_sympy(catalog24):

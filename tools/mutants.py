@@ -117,6 +117,13 @@ MUTANTS = (
     # G/N is classed as N itself instead of as N's direct complement
     ("quotient_class_of_n", "harness.py",
      "ids[comps[0].bits]", "ids[n.bits]"),
+    # premise_classes drops every normal with no direct complement, so a
+    # normal that broke the theorem would never be an H0
+    ("bare_normals_skipped", "harness.py",
+     "elif ids[n.bits] in side_classes:", "elif False:"),
+    # the commuting test compares only the first generator with the others
+    ("abelian_flag_first_pair", "core.py",
+     "for i, a in enumerate(gens) for b", "for i, a in enumerate(gens[:1]) for b"),
     # a subgroup's order histogram counts every element of the parent
     ("histogram_of_whole_parent", "iso.py",
      "(mask & sub.bits).bit_count()", "mask.bit_count()"),
