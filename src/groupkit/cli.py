@@ -67,6 +67,19 @@ def _write_json(data: dict | list, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _write_report(data: dict, path: str | None):
+    """Write a report to ``path`` when one is given; the stream for the
+    summary lines: stderr when the report took stdout (``-``), else stdout,
+    after a line naming the file."""
+    if not path:
+        return sys.stdout
+    _write_json(data, path)
+    if path == "-":
+        return sys.stderr
+    print(f"report written to {path}")
+    return sys.stdout
+
+
 def _positive(kind: str, value: int) -> int:
     if value < 1:
         raise ValueError(f"{kind} must be >= 1, got {value}")
@@ -99,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full direct-extension verification")
     common(p_verify)
     p_verify.add_argument("--report", default=_env_default("REPORT", None, str),
-                          help="path for the JSON report (default: stdout summary only)")
+                          help="path for the JSON report, - for stdout "
+                               "(default: stdout summary only)")
     p_verify.add_argument("--timings", action="store_true",
                           default=_env_flag("TIMINGS"),
                           help="include per-group wall-clock ms in the report "
@@ -112,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_props = sub.add_parser("props", help="run only the property suites over the catalog")
     common(p_props)
-    p_props.add_argument("--report", default=_env_default("REPORT", None, str))
+    p_props.add_argument("--report", default=_env_default("REPORT", None, str),
+                         help="path for the JSON report, - for stdout")
 
     p_cx = sub.add_parser("counterexample",
                           help="build the split/non-split extension pair for a prime p")
@@ -157,16 +172,14 @@ def _cmd_verify(args) -> int:
     entries = _catalog(config.max_order)
     report = verify_catalog(entries, config)
     elapsed = time.perf_counter() - start
-    if args.report:
-        Path(args.report).write_bytes(report.json_bytes(include_timings=args.timings))
-        print(f"report written to {args.report}")
+    stream = _write_report(report.json_dict(include_timings=args.timings), args.report)
     s = report.summary
     print(
         f"verified {s['groups']} groups (order <= {config.max_order}): "
         f"{s['instances']} instances, {s['violations']} violations, "
-        f"{s['property_failures']} property failures, {s['skipped']} skipped"
+        f"{s['property_failures']} property failures, {s['skipped']} skipped", file=stream
     )
-    print(f"status: {report.status} ({elapsed:.1f}s)")
+    print(f"status: {report.status} ({elapsed:.1f}s)", file=stream)
     return 0 if report.status == "PASS" else 1
 
 
@@ -216,11 +229,9 @@ def _cmd_props(args) -> int:
     failures = report.summary["property_failures"]
     status = "PASS" if failures == 0 else "FAIL"
     out = {"status": status, "config": report.config, "groups": groups}
-    if args.report:
-        _write_json(out, args.report)
-        print(f"report written to {args.report}")
-    print(f"property suites over {len(groups)} groups: {failures} failures")
-    print(f"status: {status}")
+    stream = _write_report(out, args.report)
+    print(f"property suites over {len(groups)} groups: {failures} failures", file=stream)
+    print(f"status: {status}", file=stream)
     return 0 if failures == 0 else 1
 
 

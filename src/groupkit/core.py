@@ -345,51 +345,38 @@ def validate_table(table) -> Rows:
 
     The result is the form ``Group.table`` holds: a tuple of ``bytes`` rows
     up to order 256, a tuple of row tuples of Python ints above.  Raises on
-    the first failure, checked in the order: shape, integer entries, range,
-    identity at 0, Latin rows then columns, two-sided inverses,
-    associativity.  Every check runs at every order.  An array (anything with a ``dtype``) is read
-    through ``tolist`` and its dtype answers the integer check; bools and
-    floats of either kind are rejected.
+    the first failure, checked in the order: shape, integer entries, range
+    (the first entry in row-major order), identity at 0, Latin rows then
+    columns, two-sided inverses, associativity.  Every check runs at every
+    order.  An array (anything with a ``dtype``) is read through ``tolist``
+    and its dtype answers the integer check; bools and floats of either
+    kind are rejected.
 
-    A fast path proves a table is a group with fewer checks: exact-int entry
-    types, n entries per row, all in 0..n-1, identity at 0, a 0 in every
-    row, then associativity.  That suffices: the table is then a finite
-    monoid in which every element has a right inverse, and such a monoid is
-    a group (if ab = 1 and bc = 1 then a = a(bc) = (ab)c = c), so its rows
-    and columns are Latin and its inverses two-sided.  When a fast-path step
-    fails, the checks run again one at a time in the order above, so the
-    first failure in that order is raised.
+    One path proves every table.  Rows all exactly ``bytes`` (up to order
+    256) are kept, as the type proves each entry an int in 0..255; lists
+    and tuples of exact ``int``s (as from JSON, scanned as nothing at C
+    level tells True from 1) are packed whole.  Other input, or any that
+    fails shape or range, is read entry by entry to name its first failure.
+    The identity is then checked and Light's test run once.  A table that
+    passes and holds a 0 in every row is a finite monoid in which every
+    element has a right inverse, so a group (if ab = 1 and bc = 1 then
+    a = a(bc) = (ab)c = c), with Latin rows and columns and two-sided
+    inverses.  Only a table that fails this is checked for those, in order,
+    then raises NotAssociative with Light's first witness (x, g, y).
 
-    Associativity uses Light's test (Clifford & Preston, *The Algebraic
-    Theory of Semigroups* I, §1.2): the g with (x·g)·y = x·(g·y) for all x, y
-    include 0 and are closed under the product, so checking a set of
-    generators checks every element.  The generators are picked by
+    Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*
+    I, §1.2): in any table with an identity, the g with (x·g)·y = x·(g·y)
+    for all x, y include 0 and are closed under the product, so checking a
+    set of generators checks every element.  The generators are picked by
     ``greedy_generators``, whose ``closure_bits`` only ever adds products of
-    elements it has already reached and a generator.
-
-    Up to order 256, a byte's width, the fast path checks ``bytes`` rows:
-    ``bytes`` proves every entry is in 0..255, and ``translate`` deleting
-    0..n-1 from the joined rows leaves nothing only if all are below n.
-    Row x of x·(g·y) is then row g translated through row x (padded to 256
-    bytes); larger tables gather it through the columns.
-
-    Rows given as ``bytes``, as the Product and Semidirect builders make
-    them up to order 256, skip the type scan and are kept as given: when
-    every row is exactly ``bytes`` and n <= 256, the type proves each entry
-    an exact int in 0..255.  Other tables with ``bytes`` rows take the
-    checked path, which reads such a row as ints, so each raises what its
-    list form raises.  Lists (as from JSON) keep the type scan, as nothing
-    at C level tells True from 1, and are then packed straight into
-    ``bytes`` rows, with no copy into tuples first.
+    elements it has already reached and a generator.  Row x of x·(g·y) is
+    row g translated through row x (padded to 256 bytes) up to order 256;
+    larger tables gather it through the columns.
     """
     return _proved(table)[0]
 
 
-# a proved table: its rows, the inverse of every element, Light's generators
-_Proof = tuple[Rows, tuple[int, ...], tuple[int, ...]]
-
-
-def _proved(table) -> _Proof:
+def _proved(table) -> tuple[Rows, tuple[int, ...], tuple[int, ...]]:
     """``validate_table``'s rows, the inverse of every element, and the
     generators Light's test checked (``greedy_generators`` of the whole
     group)."""
@@ -397,13 +384,46 @@ def _proved(table) -> _Proof:
     typed = dtype is None or dtype.kind in "iu"
     if dtype is not None:
         table = table.tolist()
-    return (typed and _group_rows(table)) or _checked_rows(table, typed)
+    rows = (typed and _whole_rows(table)) or _entries(table, typed)
+    n = len(rows)
+    if n <= 256:
+        ident, joined = bytes(range(n)), b"".join(rows)
+        padded = [row.ljust(256, b"\0") for row in rows]  # row x as a translate map
+        # translate deletes every 0..n-1, so only an entry >= n survives
+        proper = not joined.translate(None, ident) and joined[::n] == ident
+    else:
+        ident, cols = tuple(range(n)), tuple(zip(*rows))
+        proper = set(ident).issuperset(chain.from_iterable(rows)) and cols[0] == ident
+    if not proper or rows[0] != ident:
+        _entries(table, typed)  # names an entry out of range: range comes first
+        raise NoIdentity("index 0 is not a two-sided identity")
+    gens, witness = greedy_generators(rows, (1 << n) - 1), None
+    for g in gens:
+        # row x of each side: (x·g)·y over y, and x·(g·y) over y
+        if n <= 256:
+            column, right = joined[g::n], map(rows[g].translate, padded)
+        else:
+            column, right = cols[g], zip(*operator.itemgetter(*rows[g])(cols))
+        left, right = operator.itemgetter(*column)(rows), tuple(right)
+        if left != right:
+            witness = next((x, g, y) for x in range(n) for y in range(n)
+                           if left[x][y] != right[x][y])
+            break
+    try:
+        inv = tuple(row.index(0) for row in rows)  # ValueError: a row without 0
+    except ValueError:
+        inv = None
+    if inv and witness is None:
+        return rows, inv, gens
+    _latin_and_inverses(rows)
+    raise NotAssociative(*witness)
 
 
-def _group_rows(table) -> _Proof | None:
-    """``table`` as rows, with every element's inverse and Light's
-    generators, when the fast path proves it a group, else None."""
-    if not isinstance(table, list | tuple) or not table:
+def _whole_rows(table) -> Rows | None:
+    """``table`` in stored form when it is read whole: n rows all exactly
+    ``bytes`` up to order 256, or lists and tuples of exact ``int``s, with
+    n entries each; else None.  ``_proved`` checks their range."""
+    if not isinstance(table, list | tuple):
         return None
     n = len(table)
     if n <= 256 and set(map(type, table)) == {bytes}:
@@ -416,34 +436,7 @@ def _group_rows(table) -> _Proof | None:
             return None
     else:
         return None
-    if set(map(len, rows)) != {n}:
-        return None
-    if n <= 256:
-        ident, joined = bytes(range(n)), b"".join(rows)
-        # translate deletes every 0..n-1, so only an entry >= n survives
-        if joined.translate(None, ident) or joined[::n] != ident:
-            return None
-        padded = [row.ljust(256, b"\0") for row in rows]  # row x as a translate map
-    else:
-        ident, cols = tuple(range(n)), tuple(zip(*rows))
-        if not set(ident).issuperset(chain.from_iterable(rows)) or cols[0] != ident:
-            return None
-    if rows[0] != ident:
-        return None
-    try:
-        inv = tuple(row.index(0) for row in rows)  # ValueError: a row without 0
-    except ValueError:
-        return None
-    gens = greedy_generators(rows, (1 << n) - 1)
-    for g in gens:
-        # row x of each side: (x·g)·y over y, and x·(g·y) over y
-        if n <= 256:
-            column, right = joined[g::n], map(rows[g].translate, padded)
-        else:
-            column, right = cols[g], zip(*operator.itemgetter(*rows[g])(cols))
-        if operator.itemgetter(*column)(rows) != tuple(right):
-            return None
-    return rows, inv, gens
+    return rows if set(map(len, rows)) == {n} else None
 
 
 def _shape(x, sequence=list | tuple) -> tuple[int, ...]:
@@ -458,9 +451,9 @@ def _shape(x, sequence=list | tuple) -> tuple[int, ...]:
     return (len(x), *(inner.pop() if inner else ()))
 
 
-def _checked_rows(table, typed: bool) -> _Proof:
-    """``validate_table``'s checks one at a time, in its documented order;
-    the rows, every element's inverse and Light's generators."""
+def _entries(table, typed: bool) -> Rows:
+    """``table`` in stored form, read entry by entry; MalformedTable for its
+    first shape, integer or range failure, in that order."""
     try:
         shape = _shape(table)
     except ValueError:
@@ -478,32 +471,22 @@ def _checked_rows(table, typed: bool) -> _Proof:
         for v in row:
             if not 0 <= v < n:
                 raise MalformedTable(f"row {i} entry {v} out of range [0, {n})")
-    t = tuple(tuple(map(operator.index, row)) for row in table)
+    return _stored([list(map(operator.index, row)) for row in table])
 
-    ident = list(range(n))
-    if list(t[0]) != ident or [row[0] for row in t] != ident:
-        raise NoIdentity("index 0 is not a two-sided identity")
 
-    for axis, lines in (("row", t), ("column", tuple(zip(*t)))):
+def _latin_and_inverses(rows) -> None:
+    """Raise the first failure of Latin rows, Latin columns and two-sided
+    inverses, in that order, for rows with the identity at 0."""
+    ident = list(range(len(rows)))
+    for axis, lines in (("row", rows), ("column", tuple(zip(*rows)))):
         for i, line in enumerate(lines):
             ordered = sorted(line)
             if ordered != ident:
                 raise NotLatin(axis, i, next(a for a, b in zip(ordered, ordered[1:]) if a == b))
-
     # each row now holds exactly one 0; invertibility needs it two-sided
-    inv = tuple(row.index(0) for row in t)
-    for x, y in enumerate(inv):
-        if t[y][x] != 0:
+    for x, row in enumerate(rows):
+        if rows[row.index(0)][x] != 0:
             raise NotInvertible(x)
-
-    gens = greedy_generators(t, (1 << n) - 1)
-    for g in gens:
-        for x, row in enumerate(t):
-            left = t[row[g]]
-            for y, gy in enumerate(t[g]):
-                if left[y] != row[gy]:  # (x·g)·y against x·(g·y)
-                    raise NotAssociative(x, g, y)
-    return _stored(t), inv, gens
 
 
 def _stored(rows) -> Rows:
@@ -598,11 +581,14 @@ def closure_bits(table, gens, bits: int = 1, members=(0,)) -> int:
 def greedy_generators(table, bits: int) -> tuple[int, ...] | None:
     """Generators of the subgroup ``bits``, each the least member not yet
     reached, closed with ``closure_bits``; None when ``bits`` is no
-    subgroup, that is when the closure of its members is not ``bits``.
+    subgroup: it holds a bit at or above |G|, or the closure of its members
+    is not ``bits``.
 
     Each generator at least doubles what is reached, so there are at most
     log2 |bits| of them.
     """
+    if bits >> len(table):
+        return None
     reached, gens = 1, []
     for x in members_of(bits):
         if not (reached >> x) & 1:
@@ -811,15 +797,15 @@ def _central_quotient_table(inner: Group, gens: tuple[int, ...]) -> Rows:
     return coset_table(table, members)[0]
 
 
-def _table(recipe: Recipe, order_cap: int) -> list:
+def _table(recipe: Recipe) -> list:
     """The table a recipe describes, its parts taken from ``_part``.
 
-    Orders are checked against the cap bottom-up, before any combined table
-    is filled in.
+    Orders are checked against ``DEFAULT_ORDER_CAP`` bottom-up, before any
+    combined table is filled in.
     """
     def check(order: int) -> int:
-        if order > order_cap:
-            raise OrderBound(order, order_cap)
+        if order > DEFAULT_ORDER_CAP:
+            raise OrderBound(order, DEFAULT_ORDER_CAP)
         return order
 
     if isinstance(recipe, Cyclic):
@@ -834,59 +820,51 @@ def _table(recipe: Recipe, order_cap: int) -> list:
         check(math.factorial(recipe.m))
         table = _symmetric_table(recipe.m)
     elif isinstance(recipe, Product):
-        left = _part(recipe.left, order_cap)
-        right = _part(recipe.right, order_cap)
+        left = _part(recipe.left)
+        right = _part(recipe.right)
         check(left.order * right.order)
         table = _product_table(left, right)
     elif isinstance(recipe, Semidirect):
-        normal = _part(recipe.normal, order_cap)
-        acting = _part(recipe.acting, order_cap)
+        normal = _part(recipe.normal)
+        acting = _part(recipe.acting)
         check(normal.order * acting.order)
         table = _semidirect_table(normal, acting, recipe.action)
     elif isinstance(recipe, CentralQuotient):
-        table = _central_quotient_table(_part(recipe.inner, order_cap), recipe.gens)
+        table = _central_quotient_table(_part(recipe.inner), recipe.gens)
     else:
         raise InvalidRecipe(f"unknown recipe object {recipe!r}")
     return table
 
 
-# validated group of every recipe part built so far, by (recipe, cap), for
-# the life of the process
-_parts: dict[tuple[Recipe, int], Group] = {}
+# validated group of every recipe part built so far, by recipe, for the
+# life of the process
+_parts: dict[Recipe, Group] = {}
 
 
-def _part(recipe: Recipe, order_cap: int) -> Group:
-    """The group of a part of a recipe, built and validated once per process
-    and cap.
-
-    A part is reused only under the cap it was built under, so it met that
-    cap when it was built; under a new cap it is built again, checked
-    bottom-up, and raises the same OrderBound.  Part groups never leave
-    ``construct``.
-    """
-    key = (recipe, order_cap)
+def _part(recipe: Recipe) -> Group:
+    """The group of a part of a recipe, built and validated once per
+    process.  Part groups never leave ``construct``."""
     try:
-        group = _parts.get(key)
+        group = _parts.get(recipe)
     except TypeError:  # a part that is no recipe, somewhere inside
         raise InvalidRecipe(f"unknown recipe object {recipe!r}") from None
     if group is None:
-        group = _parts[key] = Group(_table(recipe, order_cap), recipe=recipe)
+        group = _parts[recipe] = Group(_table(recipe), recipe=recipe)
     return group
 
 
-def construct(recipe: Recipe, *, name: str | None = None,
-              order_cap: int = DEFAULT_ORDER_CAP) -> Group:
+def construct(recipe: Recipe, *, name: str | None = None) -> Group:
     """Build and validate the group a recipe describes; a new Group per call.
 
     Element numbering is deterministic (see module docstring), so equal
-    recipes always produce identical tables.  Orders are checked against the
-    cap bottom-up, before any combined table is filled in.  The parts of a
-    Product, Semidirect or CentralQuotient are built once per process and
-    cap, and reused under that cap (``_part``).  A recipe nested deeper than
+    recipes always produce identical tables.  Orders are checked against
+    ``DEFAULT_ORDER_CAP`` bottom-up, before any combined table is filled
+    in.  The parts of a Product, Semidirect or CentralQuotient are built
+    once per process and reused (``_part``).  A recipe nested deeper than
     the recursion limit allows (two calls per level) raises InvalidRecipe.
     """
     try:
-        table = _table(recipe, order_cap)
+        table = _table(recipe)
     except RecursionError:
         raise InvalidRecipe("recipe nests deeper than the recursion limit") from None
     return Group(table, name=name, recipe=recipe)

@@ -149,6 +149,55 @@ def is_associative_by_triples(table) -> bool:
     )
 
 
+def first_table_failure(table) -> tuple | None:
+    """The first axiom a table (a list of lists) fails, by plain loops in
+    ``validate_table``'s documented order, or None for a group.
+
+    Returns ("MalformedTable", message) for the shape, the integer entries
+    and the first entry out of range in row-major order; ("NoIdentity",
+    message); ("NotLatin", (axis, index, least repeated value)) for rows,
+    then columns; ("NotInvertible", x) for the first x whose right inverse
+    is not a left one; ("NotAssociative", (x, y, z)) for the first triple.
+    """
+    n = len(table)
+    lengths = {len(row) for row in table}
+    if len(lengths) > 1:
+        return "MalformedTable", "table rows differ in length"
+    if n == 0 or 0 in lengths:
+        return "MalformedTable", "table is empty"
+    if lengths != {n}:
+        return "MalformedTable", f"table has shape ({n}, {lengths.pop()}), expected ({n}, {n})"
+    for row in table:
+        for v in row:
+            if type(v) is not int:
+                return "MalformedTable", f"table entries must be integers in [0, {n})"
+    for i, row in enumerate(table):
+        for v in row:
+            if v < 0 or v >= n:
+                return "MalformedTable", f"row {i} entry {v} out of range [0, {n})"
+    for i in range(n):
+        if table[0][i] != i or table[i][0] != i:
+            return "NoIdentity", "index 0 is not a two-sided identity"
+    for axis in ("row", "column"):
+        for i in range(n):
+            counts = [0] * n
+            for j in range(n):
+                counts[table[i][j] if axis == "row" else table[j][i]] += 1
+            for v in range(n):
+                if counts[v] > 1:
+                    return "NotLatin", (axis, i, v)
+    for x in range(n):
+        for y in range(n):
+            if table[x][y] == 0 and table[y][x] != 0:
+                return "NotInvertible", x
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return "NotAssociative", (x, y, z)
+    return None
+
+
 def reduced_latin_squares(n: int):
     """Every n×n Latin square whose first row and column are 0..n-1 in order."""
     square = [[c if r == 0 else (r if c == 0 else -1) for c in range(n)] for r in range(n)]

@@ -15,7 +15,7 @@ from groupkit.catalog import (
     import_group,
 )
 from groupkit.core import Cyclic, construct, is_abelian
-from groupkit.errors import MalformedTable, TableError
+from groupkit.errors import MalformedTable, NotLatin, TableError
 
 
 def test_tiny_catalogs():
@@ -121,6 +121,9 @@ def test_import_rejects_malformed_json_dict():
         group_from_json_dict({"order": 2})
     with pytest.raises(TableError):
         group_from_json_dict({"order": 3, "table": [[0, 1], [1, 0]]})
+    # an associative table with an identity, but a monoid: 1 has no inverse
+    with pytest.raises(NotLatin):
+        group_from_json_dict({"order": 2, "table": [[0, 1], [1, 1]]})
 
 
 def test_import_checks_the_order_and_name_types():

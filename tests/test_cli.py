@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import groupkit
 
 from groupkit.catalog import export_group
@@ -204,6 +206,20 @@ def test_props_command(tmp_path, capsys):
         assert all(v == "pass" for v in g["properties"].values())
     assert main(["props", "--max-order", "24", "--report", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == PROPS_SHA256[24]
+
+
+@pytest.mark.parametrize("command", ["verify", "props"])
+def test_report_dash_writes_the_file_bytes_to_stdout(command, tmp_path, monkeypatch, capsys):
+    # the summary lines move to stderr, so stdout is the report alone
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--max-order", "8", "--report", "report.json"]) == 0
+    assert "report written to report.json" in capsys.readouterr().out
+    assert main([command, "--max-order", "8", "--report", "-"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "PASS"
+    assert captured.out.encode() == (tmp_path / "report.json").read_bytes()
+    assert "status: PASS" in captured.err and "report written" not in captured.err
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_env_var_overrides(tmp_path, monkeypatch, capsys):

@@ -26,8 +26,6 @@ from groupkit.core import (
     Record,
     Semidirect,
     Symmetric,
-    _checked_rows,
-    _group_rows,
     _product_table,
     _resolve_action,
     _semidirect_table,
@@ -55,6 +53,7 @@ from groupkit.harness import VerifyConfig, verify_catalog
 from groupkit.iso import find_isomorphism, fingerprint
 from groupkit.subgroups import (
     Subgroup,
+    all_subgroups,
     center,
     generate_subgroup,
     normal_subgroups,
@@ -64,6 +63,7 @@ from groupkit.subgroups import (
 )
 
 from conftest import (
+    PREMISES32,
     inverses_by_scan,
     inverting_table_by_rules,
     is_associative_by_triples,
@@ -267,17 +267,15 @@ def test_symmetric_bound():
 def test_order_bound():
     with pytest.raises(OrderBound):
         construct(Cyclic(513))
-    with pytest.raises(OrderBound):
-        construct(Product(Cyclic(32), Cyclic(32)), order_cap=512)
-    # parts are built once per process, but a reused part still meets the
-    # cap: the order-16 quotient of an order-32 product is out of reach at 16
+    with pytest.raises(OrderBound) as err:
+        construct(Product(Cyclic(32), Cyclic(32)))
+    assert (err.value.order, err.value.cap) == (1024, 512)
+    # parts are built once per process and reused, keyed by the recipe
     inner = Product(Cyclic(4), Dihedral(4))
     quotient = CentralQuotient(inner, (18,))
     construct(inner)
     assert construct(quotient).order == 16  # inner is now a built part
-    with pytest.raises(OrderBound) as err:
-        construct(quotient, order_cap=16)
-    assert (err.value.order, err.value.cap) == (32, 16)
+    assert core._parts[inner].order == 32
 
 
 def test_invalid_semidirect_actions():
@@ -445,13 +443,16 @@ def test_every_order_is_checked_for_associativity(tmp_path):
         import_group(path)
 
 
-def test_fast_path_proves_every_workload_table(catalog16, monkeypatch):
-    """Every valid table the workloads build is proved on the fast path:
-    the byte rows up to order 256, the column gather above it."""
-    def fall_back(table, typed):
-        raise AssertionError("validate_table left its fast path")
+def test_fast_path_proves_every_workload_table(catalog16, catalog24, monkeypatch):
+    """Every valid table the workloads build or import is proved with no
+    per-entry read and no Latin or inverse check: the byte rows up to
+    order 256, the column gather above it."""
+    def refuse(*args):
+        raise AssertionError("validate_table read a valid table entry by entry "
+                             "or checked its Latin rows")
 
-    monkeypatch.setattr(core, "_checked_rows", fall_back)
+    monkeypatch.setattr(core, "_entries", refuse)
+    monkeypatch.setattr(core, "_latin_and_inverses", refuse)
     products = [construct(Product(a.recipe, b.recipe)) for a in catalog16 for b in catalog16
                 if a.group.order * b.group.order == 128 and a.name <= b.name]
     assert len(products) == 70
@@ -464,6 +465,16 @@ def test_fast_path_proves_every_workload_table(catalog16, monkeypatch):
     for recipe in (Cyclic(256), parse_recipe("P(S(5),C(3))"), c2_9):
         group = construct(recipe)
         assert validate_table([list(row) for row in group.table]) == group.table
+    for entry in catalog24:
+        assert construct(entry.recipe).table == entry.group.table, entry.name
+    # the premises32 groups, with their extracted subgroups and quotients
+    for text in PREMISES32.values():
+        group = construct(parse_recipe(text))
+        assert validate_table([list(row) for row in group.table]) == group.table
+        derived = [subgroup_as_group(sub)[0] for sub in all_subgroups(group)]
+        derived += [quotient(group, normal).target for normal in normal_subgroups(group)]
+        for part in derived:
+            assert validate_table(part.table) == part.table
 
 
 def _cyclic_with_entry(n: int, row: int, col: int, value: int) -> list[list[int]]:
@@ -474,8 +485,8 @@ def _cyclic_with_entry(n: int, row: int, col: int, value: int) -> list[list[int]
 
 
 def _boundary_failures(catalog16) -> list:
-    """Tables the fast path refuses near the byte boundary, each with the
-    (class, fields, message) pinned from the parent's ``validate_table``."""
+    """Tables that fail near the byte boundary, each with the (class,
+    fields, message) ``validate_table`` raises, pinned."""
     entries = {entry.name: entry for entry in catalog16}
     swapped = [list(row) for row in
                construct(Product(entries["D4"].recipe, entries["Dic4"].recipe)).table]
@@ -503,18 +514,22 @@ def _boundary_failures(catalog16) -> list:
     ]
 
 
+def _subclassed(table) -> list:
+    """``table`` with every entry an ``_Int``, so it is read entry by entry."""
+    return [[_Int(v) for v in row] for row in table]
+
+
 def test_byte_row_boundaries_agree_with_the_checked_path(catalog16):
-    # both paths give the rows, every element's inverse and Light's
-    # generators: C_n's least element 1 reaches all of it
+    # read whole or entry by entry, a table gives the rows, every element's
+    # inverse and Light's generators: C_n's least element 1 reaches all of it
     for n in (255, 256, 257):
         table = [list(row) for row in construct(Cyclic(n)).table]
         proved = tuple((bytes if n <= 256 else tuple)((i + j) % n for j in range(n))
                        for i in range(n))
         inverses = tuple(-i % n for i in range(n))
-        assert _group_rows(table) == _checked_rows(table, True) == (proved, inverses, (1,))
+        assert core._proved(table) == core._proved(_subclassed(table)) == (proved, inverses, (1,))
     for table, expected in _boundary_failures(catalog16):
-        assert _group_rows(table) is None
-        assert _failure(table) == _failure(table, lambda t: _checked_rows(t, True)) == expected
+        assert _failure(table) == _failure(_subclassed(table)) == expected
 
 
 def test_byte_row_tables_prove_as_their_list_form(catalog16):
@@ -524,12 +539,12 @@ def test_byte_row_tables_prove_as_their_list_form(catalog16):
         construct(Product(entries["D4"].recipe, entries["Dic4"].recipe))]
     for group in groups:
         rows = [bytes(row) for row in group.table]
-        assert _group_rows(rows) == (group.table, group.inv, greedy_generators(
+        assert core._proved(rows) == (group.table, group.inv, greedy_generators(
             group.table, (1 << group.order) - 1))
         assert validate_table(rows) == validate_table(tuple(rows)) == group.table
         built = Group(rows)
         assert (built.table, built.inv) == (group.table, group.inv)
-    # rows of both kinds are proved on the checked path
+    # rows of both kinds are read entry by entry
     mixed = [bytes(row) if x % 2 else list(row) for x, row in enumerate(groups[-1].table)]
     assert validate_table(mixed) == groups[-1].table
 
@@ -541,17 +556,16 @@ def test_byte_row_tables_prove_as_their_list_form(catalog16):
         "row 3 entry 230 out of range [0, 200)", "row 3 entry 230 out of range [0, 200)"]
     for table, expected in fitting:
         rows = [bytes(row) for row in table]
-        assert _group_rows(rows) is None
         assert _failure(rows) == _failure(rows, Group) == _failure(table) == expected
 
-    # ragged byte rows and byte rows of order > 256 go to the checked path.
+    # ragged byte rows and byte rows of order > 256 are read entry by entry.
     # The ragged rows join to C4's bytes: row 2 hands its last byte to row 3
     c4 = b"".join(bytes(row) for row in construct(Cyclic(4)).table)
     ragged = [c4[:4], c4[4:8], c4[8:11], c4[11:]]
     wide = [bytes(v % 256 for v in row) for row in construct(Cyclic(257)).table]
     for rows, expected in ((ragged, ("MalformedTable", {}, "table rows differ in length")),
                            (wide, ("NoIdentity", {}, "index 0 is not a two-sided identity"))):
-        assert _group_rows(rows) is None
+        assert core._whole_rows(rows) is None
         assert _failure(rows) == _failure([list(row) for row in rows]) == expected
 
 
@@ -596,20 +610,22 @@ def test_array_dtype_answers_the_type_check():
 
 
 class _Int(int):
-    """An exact integer that is not ``int`` itself, so its tables take the
-    checked path."""
+    """An exact integer that is not ``int`` itself, so its tables are read
+    entry by entry."""
 
 
-def test_one_row_form_per_order():
+def test_one_row_form_per_order(monkeypatch):
     """``Group.table`` holds ``bytes`` rows up to order 256 and int tuples
     above, on every input path; one table reached by two paths is equal and
     hashes equal, as the ``_derived_group`` and ``IsoCache`` keys need."""
+    entries, read = core._entries, []
+    monkeypatch.setattr(core, "_entries", lambda table, typed: read.append(table)
+                        or entries(table, typed))
     for n in (1, 6, 256, 257):
         rows = [[(i + j) % n for j in range(n)] for i in range(n)]
         form = bytes if n <= 256 else tuple
         expected = tuple(map(form, rows))
-        subclassed = [[_Int(v) for v in row] for row in rows]
-        assert _group_rows(subclassed) is None  # so it takes the checked path
+        subclassed = _subclassed(rows)
         inputs = [rows, tuple(map(tuple, rows)), subclassed,
                   np.array(rows, dtype=np.int16), np.array(rows, dtype=np.int64)]
         if n <= 256:
@@ -618,6 +634,9 @@ def test_one_row_form_per_order():
         for table in inputs:
             group = Group(table)
             tables += [group.table, validate_table(table), pickle.loads(pickle.dumps(group)).table]
+        # only the int-subclass entries are read one at a time, by Group and validate_table
+        assert [table is subclassed for table in read] == [True, True], n
+        read.clear()
         for table in tables:
             assert type(table) is tuple and {type(row) for row in table} == {form}, n
             assert {type(v) for row in table for v in row} == {int}, n

@@ -21,9 +21,18 @@ from groupkit.core import (
     construct,
     parse_recipe,
     recipe_dsl,
+    validate_table,
 )
 from groupkit.decomposition import project_onto_factor, remak_decomposition, splitting_sides
-from groupkit.errors import InvalidRecipe
+from groupkit.errors import (
+    InvalidRecipe,
+    MalformedTable,
+    NoIdentity,
+    NotAssociative,
+    NotInvertible,
+    NotLatin,
+    TableError,
+)
 from groupkit.harness import premise_classes, property_suite
 from groupkit.subgroups import (
     all_subgroups,
@@ -145,3 +154,52 @@ def test_relabelled_and_opposite_tables_keep_every_count(catalog24, data):
         assert _labelling_invariants(Group(relabelled)) == expected, entry.name
         assert _labelling_invariants(Group([list(col) for col in zip(*table)])) == expected, \
             entry.name
+
+
+# every reduced Latin square up to order 5: groups, loops with one-sided
+# inverses, and loops that are not associative
+latin_squares = [square for n in range(1, 6) for square in conftest.reduced_latin_squares(n)]
+
+
+@st.composite
+def tables(draw, catalog16):
+    """A catalog16 table of order at most 8 with 0 to 3 entries set to
+    values in -1..n, a reduced Latin square of order at most 5, or a raw
+    table of order at most 4 over 0..n-1."""
+    kind = draw(st.integers(0, 5))
+    if kind < 2:
+        return [list(row) for row in draw(st.sampled_from(latin_squares))]
+    if kind > 2:
+        group = draw(st.sampled_from([e.group for e in catalog16 if e.group.order <= 8]))
+        n = group.order
+        table = [list(row) for row in group.table]
+        for _ in range(draw(st.integers(0, 3))):
+            table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = \
+                draw(st.integers(-1, n))
+        return table
+    n = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(st.data())
+def test_validate_table_raises_the_first_failure_of_the_oracle(catalog16, data):
+    table = data.draw(tables(catalog16))
+    expected = conftest.first_table_failure(table)
+    try:
+        rows = validate_table(table)
+    except TableError as err:
+        assert expected is not None and type(err).__name__ == expected[0], (table, err)
+        if isinstance(err, (MalformedTable, NoIdentity)):
+            assert str(err) == expected[1]
+        elif isinstance(err, NotLatin):
+            assert (err.axis, err.index, err.value) == expected[1]
+        elif isinstance(err, NotInvertible):
+            assert err.index == expected[1]
+        else:
+            assert isinstance(err, NotAssociative)
+            x, g, y = err.witness
+            assert table[table[x][g]][y] != table[x][table[g][y]]
+    else:
+        assert expected is None and [list(row) for row in rows] == table

@@ -298,6 +298,25 @@ def test_bitset_that_is_no_subgroup_is_refused():
     assert not is_normal_bits(s3, bits & ~1)  # without the identity
 
 
+def test_bitset_with_a_bit_outside_the_group_is_refused():
+    # D4 has 8 elements: bit 8 and bit 100 name none of them, bits 0..7 all
+    d4 = construct(Dihedral(4))
+    for bits in (1 | 1 << 8, 1 | 1 << 100, 0xFF | 1 << 9):
+        fake = Subgroup(d4, bits)
+        assert not subgroups.is_subgroup_bits(d4, bits)
+        assert not is_normal_bits(d4, bits)
+        with pytest.raises(NotNormal):
+            quotient(d4, fake)
+        for call in (lambda: subgroup_generators(d4, bits),
+                     lambda: subgroup_as_group(fake),
+                     lambda: center_of(d4, fake),
+                     lambda: commutator(d4, fake, whole_subgroup(d4)),
+                     lambda: project_onto_factor(
+                         d4, (trivial_subgroup(d4), whole_subgroup(d4)), fake)):
+            with pytest.raises(PreconditionFailed):
+                call()
+
+
 def test_set_product_and_extraction_refuse_a_non_subgroup():
     # the identity and the transpositions of S3 again: they extract to no
     # table, as products leave the set
