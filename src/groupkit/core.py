@@ -27,10 +27,11 @@ code is plain Python; arrays are accepted as input (anything with a
 
 from __future__ import annotations
 
+import marshal
 import math
 import operator
 import re
-from itertools import chain, permutations
+from itertools import chain, permutations, repeat
 from numbers import Integral
 
 from .errors import (
@@ -354,8 +355,9 @@ def validate_table(table) -> Rows:
 
     One path proves every table.  Rows all exactly ``bytes`` (up to order
     256) are kept, as the type proves each entry an int in 0..255; lists
-    and tuples of exact ``int``s (as from JSON, scanned as nothing at C
-    level tells True from 1) are packed whole.  Other input, or any that
+    and tuples of exact ``int``s (as from JSON) are packed whole, proved
+    exact by one ``marshal`` pass that tells True from 1 in C, with no
+    per-entry type check (``_whole_rows``).  Other input, or any that
     fails shape or range, is read entry by entry to name its first failure.
     The identity is then checked and Light's test run once.  A table that
     passes and holds a 0 in every row is a finite monoid in which every
@@ -388,7 +390,8 @@ def _proved(table) -> tuple[Rows, tuple[int, ...], tuple[int, ...]]:
     n = len(rows)
     if n <= 256:
         ident, joined = bytes(range(n)), b"".join(rows)
-        padded = [row.ljust(256, b"\0") for row in rows]  # row x as a translate map
+        # row x as a translate map; the padding is never read once the range holds
+        padded = list(map(bytes.ljust, rows, repeat(256)))
         # translate deletes every 0..n-1, so only an entry >= n survives
         proper = not joined.translate(None, ident) and joined[::n] == ident
     else:
@@ -410,7 +413,7 @@ def _proved(table) -> tuple[Rows, tuple[int, ...], tuple[int, ...]]:
                            if left[x][y] != right[x][y])
             break
     try:
-        inv = tuple(row.index(0) for row in rows)  # ValueError: a row without 0
+        inv = tuple(map(type(rows[0]).index, rows, repeat(0)))  # ValueError: a row without 0
     except ValueError:
         inv = None
     if inv and witness is None:
@@ -419,20 +422,36 @@ def _proved(table) -> tuple[Rows, tuple[int, ...], tuple[int, ...]]:
     raise NotAssociative(*witness)
 
 
+# marshal's type byte of a tuple read as a list's, so rows of either type match
+_LIST_MARK = bytes.maketrans(b"(", b"[")
+
+
 def _whole_rows(table) -> Rows | None:
     """``table`` in stored form when it is read whole: n rows all exactly
-    ``bytes`` up to order 256, or lists and tuples of exact ``int``s, with
-    n entries each; else None.  ``_proved`` checks their range."""
+    ``bytes`` up to order 256, or all exactly lists and tuples of exact
+    ``int``s, with n entries each; else None.  ``_proved`` checks their range.
+
+    One ``marshal`` dump (format 2: no back-references) proves the ints
+    exact.  It writes the table and each row as a type byte and 4 bytes, an
+    exact 32-bit int as ``i`` and 4 bytes, and any other entry under another
+    type byte (``T`` for True, ``s`` and a payload for a numpy int) or not at
+    all (ValueError for an int subclass).  Each 5-byte slot after the
+    table's header that reads a row's type byte or ``i`` places the next, so
+    the slots read one row type and n ``i``s per row exactly when every row
+    holds n exact ints.
+    """
     if not isinstance(table, list | tuple):
         return None
-    n = len(table)
-    if n <= 256 and set(map(type, table)) == {bytes}:
+    n, kinds = len(table), set(map(type, table))
+    if n <= 256 and kinds == {bytes}:
         rows = tuple(table)  # every entry an exact int in 0..255 by the row's type
-    elif (all(isinstance(row, list | tuple) for row in table)
-          and set(map(type, chain.from_iterable(table))) == {int}):
+    elif kinds <= {list, tuple}:
         try:
-            rows = _stored(table)  # ValueError: an entry outside 0..255
-        except ValueError:
+            rows = _stored(table)  # up to order 256 bytes(row) raises off indices 0..255
+            slots = marshal.dumps(table, 2)[5::5].translate(_LIST_MARK)
+        except (TypeError, ValueError):
+            return None
+        if slots != (b"[" + b"i" * n) * n:
             return None
     else:
         return None
@@ -441,11 +460,12 @@ def _whole_rows(table) -> Rows | None:
 
 def _shape(x, sequence=list | tuple) -> tuple[int, ...]:
     """The shape of nested lists and tuples, arrays among them read as
-    sequences (as an array library reads them) and a ``bytes`` row as a row
-    of ints; ValueError when ragged."""
+    sequences (as an array library reads them) and a ``bytes``,
+    ``bytearray`` or ``range`` row as a row of ints (a ``str`` is no row);
+    ValueError when ragged."""
     if not isinstance(x, sequence) and not getattr(x, "ndim", 0):
         return ()
-    inner = {_shape(item, list | tuple | bytes) for item in x}
+    inner = {_shape(item, list | tuple | bytes | bytearray | range) for item in x}
     if len(inner) > 1:
         raise ValueError("ragged")
     return (len(x), *(inner.pop() if inner else ()))

@@ -654,6 +654,71 @@ def test_one_row_form_per_order(monkeypatch):
         assert whole.table == group.table and hash(whole.table) == hash(group.table)
         assert {type(row) for row in whole.table} == {bytes if n <= 256 else tuple}
 
+
+class _List(list):
+    """A row that is not ``list`` itself, so its table is read entry by entry."""
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 128, 256, 257])
+def test_whole_rows_prove_their_entries_exact_ints(n):
+    """Lists and tuples read whole give the outcome of the entry-by-entry
+    read for every foreign entry: bools, floats, strings and None are no
+    integers, int subclasses and numpy ints read as the int they equal.
+    marshal writes True in 1 byte, a numpy int32 in 9 and 1.0 in 9, so a
+    check of the dump's length alone would let True and one of them cancel."""
+    exact = [[(i + j) % n for j in range(n)] for i in range(n)]
+    rows = validate_table(exact)
+    not_int = ("MalformedTable", {}, f"table entries must be integers in [0, {n})")
+
+    def swapped(*swaps):
+        table = [list(row) for row in exact]
+        for (i, j), make in swaps:
+            table[i % n][j % n] = make(table[i % n][j % n])
+        return table
+
+    def outcome(table):
+        try:
+            return validate_table(table)
+        except TableError as err:
+            return type(err).__name__, vars(err), str(err)
+
+    last = (n - 1, n - 1)
+    for make, expected in ((lambda v: True, not_int), (lambda v: False, not_int),
+                           (lambda v: 1.0, not_int), (lambda v: "1", not_int),
+                           (lambda v: None, not_int), (_Int, rows), (np.int64, rows)):
+        for at in ((0, 1), (n - 1, 1), (1, 0), last):
+            assert outcome(swapped((at, make))) == expected, at
+        assert outcome(tuple(map(tuple, swapped((last, make))))) == expected
+    assert _failure(swapped(((0, 1), lambda v: n))) == (
+        "MalformedTable", {}, f"row 0 entry {n} out of range [0, {n})")
+    if n > 1:
+        cancelling = [swapped(((0, 1), lambda v: True), ((1, 0), np.int32)),
+                      swapped(((0, 1), lambda v: True), ((n - 1, n - 1), lambda v: 1.0))]
+        assert [_failure(table) for table in cancelling] == [not_int, not_int]
+        subclassed, ragged = swapped(), swapped()
+        subclassed[1] = _List(subclassed[1])
+        ragged[1].pop()
+        assert validate_table(subclassed) == rows
+        assert _failure(ragged) == ("MalformedTable", {}, "table rows differ in length")
+    if n == 3:
+        # a dict row's dump has a list row's length: '{', three key-value
+        # pairs of 5 + 1 bytes, and a closing byte
+        keyed = [[0, 1, 2], {1: None, 2: None, 0: None}, [2, 0, 1]]
+        assert _failure(keyed) == ("MalformedTable", {}, "table rows differ in length")
+
+
+def test_bytearray_and_range_rows_are_rows():
+    c2 = (b"\0\1", b"\1\0")
+    for table in ([bytearray(b"\0\1"), bytearray(b"\1\0")], [range(2), range(1, -1, -1)],
+                  [memoryview(b"\0\1"), memoryview(b"\1\0")]):
+        assert validate_table(table) == Group(table).table == c2
+    assert _failure([bytearray(b"\0\1"), bytearray(b"\1")]) == (
+        "MalformedTable", {}, "table rows differ in length")
+    # a string is no row of ints
+    assert _failure(["\0\1", "\1\0"]) == (
+        "MalformedTable", {}, "table has shape (2,), expected (2, 2)")
+
+
 def test_product_and_semidirect_tables_match_entrywise_builders(catalog16):
     def rows(table):
         return [tuple(row) for row in table]

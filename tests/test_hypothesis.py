@@ -6,7 +6,8 @@ the same examples each time.
 
 import math
 
-from hypothesis import example, given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
 
 from groupkit import core
 from groupkit.core import (
@@ -203,3 +204,38 @@ def test_validate_table_raises_the_first_failure_of_the_oracle(catalog16, data):
             assert table[table[x][g]][y] != table[x][table[g][y]]
     else:
         assert expected is None and [list(row) for row in rows] == table
+
+
+class _Int(int):
+    """An exact integer that is not ``int`` itself."""
+
+
+# types of an entry equal in value to the int it replaces, and whether the
+# entry-by-entry read takes it as that int; bools only replace a 0 or a 1
+FOREIGN = [(bool, False), (float, False), (str, False),
+           (_Int, True), (np.int64, True), (np.int32, True), (np.uint8, True)]
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(st.data())
+def test_foreign_entries_of_equal_value_get_the_entry_reads_outcome(catalog16, data):
+    # one or two swaps, so a short and a long marshal entry may meet
+    group = data.draw(st.sampled_from([entry.group for entry in catalog16]))
+    n = group.order
+    table = [list(row) for row in group.table]
+    swaps = {(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))):
+             data.draw(st.sampled_from(FOREIGN)) for _ in range(data.draw(st.integers(1, 2)))}
+    for (i, j), (kind, _) in swaps.items():
+        assume(kind is not bool or table[i][j] < 2)
+        table[i][j] = kind(table[i][j])
+    if data.draw(st.booleans()):
+        table = tuple(map(tuple, table))
+    if all(is_int for _, is_int in swaps.values()):
+        assert validate_table(table) == group.table
+    else:
+        try:
+            validate_table(table)
+        except MalformedTable as err:
+            assert str(err) == f"table entries must be integers in [0, {n})"
+        else:
+            raise AssertionError(f"{table!r} was proved")

@@ -14,7 +14,10 @@ and still pass.  A substitution whose text no longer occurs exactly once is
 reported as stale, so the list cannot quietly stop applying.  The
 unmutated copy is run first and must pass.  ``STALE_CHECK``, the tier-1
 test that makes the same exactly-once check, is left out of the mutated
-runs, since it fails on any mutated copy.
+runs, since it fails on any mutated copy.  A mutated run still going after
+a minute plus three times the unmutated run's time is stopped, with every
+process it started, and reported as ``killed by timeout``: a mutant that
+makes a test loop forever is caught.
 
 Prints one line per mutant and exits 1 unless every mutant was killed, 2
 if the unmutated copy fails.  The working tree is never modified.  A full
@@ -24,8 +27,10 @@ inside it.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -34,6 +39,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STALE_CHECK = "tests/test_mutants.py::test_every_mutant_applies_exactly_once"
+# a mutated run is stopped after TIMEOUT_BASE seconds plus TIMEOUT_FACTOR
+# times the unmutated run's
+TIMEOUT_BASE, TIMEOUT_FACTOR = 60, 3
 
 # (name, file under src/groupkit, text, replacement)
 MUTANTS = (
@@ -138,12 +146,25 @@ MUTANTS = (
     # the DSL parser skips its end-of-input check, so trailing text is ignored
     ("dsl_trailing_input", "core.py",
      "    if tokens:\n        raise InvalidRecipe", "    if False:\n        raise InvalidRecipe"),
+    # rows read whole are taken without reading marshal's slots, so a bool
+    # among exact ints passes as the int it equals
+    ("marshal_slots_unread", "core.py",
+     'if slots != (b"[" + b"i" * n) * n:', "if False:"),
+    # only the dump's length is checked: True (1 byte) and a numpy int32
+    # (9 bytes) have the length of two exact ints, and so do True and 1.0
+    ("marshal_length_only", "core.py",
+     "slots = marshal.dumps(table, 2)[5::5].translate(_LIST_MARK)",
+     'slots = (b"[" + b"i" * n) * n * (len(marshal.dumps(table, 2)) == 5 * (1 + n + n * n))'),
 )
 
 
-def run_tier1(substitution: tuple[str, str, str] | None) -> subprocess.CompletedProcess | None:
+def run_tier1(substitution: tuple[str, str, str] | None,
+              timeout: float | None = None) -> subprocess.CompletedProcess | None:
     """The tier-1 run on a copy with the substitution applied, or None when
-    its text does not occur exactly once (a stale mutant)."""
+    its text does not occur exactly once (a stale mutant).  A run still going
+    after ``timeout`` seconds is stopped and has ``returncode`` None.  The
+    run's whole process group is killed when it ends, so no ``groupkit``
+    process a test started outlives it."""
     with tempfile.TemporaryDirectory(prefix="groupkit-mutant-") as tmp:
         work = Path(tmp)
         for part in ("src", "tests", "bench", "tools"):
@@ -160,10 +181,22 @@ def run_tier1(substitution: tuple[str, str, str] | None) -> subprocess.Completed
             target.write_text(source.replace(text, replacement), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         deselect = ["--deselect", STALE_CHECK] if substitution is not None else []
-        return subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--continue-on-collection-errors", *deselect],
-            cwd=work, env=env, capture_output=True, text=True)
+            cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=timeout)
+            returncode = proc.returncode
+        except subprocess.TimeoutExpired:
+            returncode = None
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+        if returncode is None:
+            out, err = proc.communicate()
+        return subprocess.CompletedProcess(proc.args, returncode, out, err)
 
 
 def main(argv: list[str]) -> int:
@@ -172,17 +205,22 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
     # a copy that fails unmutated would make every mutant look killed
+    start = time.perf_counter()
     if run_tier1(None).returncode != 0:
         print("tier-1 fails on the unmutated copy", file=sys.stderr)
         return 2
+    # a mutant that makes a test loop forever is stopped, and counts as killed
+    timeout = TIMEOUT_BASE + TIMEOUT_FACTOR * (time.perf_counter() - start)
     bad = 0
     for name, path, text, replacement in MUTANTS:
         if argv and name not in argv:
             continue
         start = time.perf_counter()
-        proc = run_tier1((path, text, replacement))
+        proc = run_tier1((path, text, replacement), timeout)
         if proc is None:
             outcome = "STALE"
+        elif proc.returncode is None:
+            outcome = "killed by timeout"
         elif proc.returncode == 0:
             outcome = "SURVIVED"
         else:
