@@ -22,7 +22,7 @@ from .core import (
     Record,
     Semidirect,
     Symmetric,
-    _is_int,
+    _int_type,
     construct,
     parse_recipe,
     recipe_dsl,
@@ -201,7 +201,7 @@ def group_to_json_dict(group: Group) -> dict:
 def group_from_json_dict(data: dict) -> Group:
     if not isinstance(data, dict) or "table" not in data or "order" not in data:
         raise MalformedTable("group JSON must carry 'order' and 'table'")
-    if not _is_int(data["order"]):
+    if not _int_type(type(data["order"])):
         raise MalformedTable("'order' must be an integer")
     if not isinstance(data.get("name", ""), str):
         raise MalformedTable("'name' must be a string")

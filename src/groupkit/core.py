@@ -129,25 +129,26 @@ class Record(metaclass=_RecordType):
 # ---------------------------------------------------------------------------
 # recipes
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is an exact integer (any ``numbers.Integral``), bools excluded."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+def _int_type(t: type) -> bool:
+    """Whether ``t`` is an exact integer type (any ``numbers.Integral``), bools excluded."""
+    return issubclass(t, Integral) and not issubclass(t, bool)
 
 
 def exact_ints(values) -> bool:
-    """Whether every item of ``values`` is an exact integer by ``_is_int``.
+    """Whether every item of ``values`` is an exact integer, decided by
+    ``_int_type`` once per distinct item type.
 
     An array (anything with a ``dtype``) answers by its dtype's kind, so an
     array of Python objects does not pass.
     """
     dtype = getattr(values, "dtype", None)
-    return dtype.kind in "iu" if dtype is not None else all(map(_is_int, values))
+    return dtype.kind in "iu" if dtype is not None else all(map(_int_type, set(map(type, values))))
 
 
 def _exact_int(value, what: str):
-    """``value`` if it is an exact integer by ``_is_int``'s rule, else
+    """``value`` if its type is an exact integer type by ``_int_type``, else
     InvalidRecipe: no recipe parameter is cast."""
-    if not _is_int(value):
+    if not _int_type(type(value)):
         raise InvalidRecipe(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -463,7 +464,7 @@ def _shape(x, sequence=list | tuple) -> tuple[int, ...]:
     sequences (as an array library reads them) and a ``bytes``,
     ``bytearray`` or ``range`` row as a row of ints (a ``str`` is no row);
     ValueError when ragged."""
-    if not isinstance(x, sequence) and not getattr(x, "ndim", 0):
+    if type(x) is int or not isinstance(x, sequence) and not getattr(x, "ndim", 0):
         return ()
     inner = {_shape(item, list | tuple | bytes | bytearray | range) for item in x}
     if len(inner) > 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import prod
 
 from .core import Group, Record, closure_bits, element_orders, exponent, is_abelian, memo
 from .errors import NotASplitting, NotNormal, PreconditionFailed
@@ -29,15 +30,6 @@ class Splitting(Record):
     factors: tuple[Subgroup, ...]
 
 
-def _join_normals(group: Group, factors) -> Subgroup:
-    """Join of subgroups: the closure of the first with the generators of the rest."""
-    if not factors:
-        return trivial_subgroup(group)
-    first = factors[0]
-    gens = [x for f in factors[1:] for x in subgroup_generators(group, f.bits)]
-    return Subgroup(group, closure_bits(group.table, gens, first.bits, first.members()))
-
-
 def join_bits(group: Group, a: Subgroup, b: Subgroup) -> int:
     """Bits of the join ⟨A, B⟩, computed once per unordered pair and group.
 
@@ -46,24 +38,24 @@ def join_bits(group: Group, a: Subgroup, b: Subgroup) -> int:
     looked up among them: with m = |A|·|B|/|A∩B|, a listed normal N of
     order m that contains A ∪ B is the join.  The product set AB has m
     elements and AB ⊆ ⟨A, B⟩ ⊆ N, so all three are equal.  Otherwise
-    (no listed normal, or the join is not normal) the closure is seeded
-    from the larger factor, so only the other factor's generators are joined.
-    The count needs A and B to be subgroups: anything else raises
-    PreconditionFailed.
+    (no listed normal, or the join is not normal) ``closure_bits`` is
+    seeded from the larger factor, so only the other factor's generators
+    are joined.  The count needs A and B to be subgroups: anything else
+    raises PreconditionFailed.
     """
     joins = memo(group, "joins", dict)
     key = (a.bits, b.bits) if a.bits < b.bits else (b.bits, a.bits)
     found = joins.get(key)
     if found is None:
-        subgroup_generators(group, a.bits)
-        subgroup_generators(group, b.bits)
+        big, small = (a, b) if a.order >= b.order else (b, a)
+        subgroup_generators(group, big.bits)
+        gens = subgroup_generators(group, small.bits)
         union = a.bits | b.bits
         m = a.order * b.order // (a.bits & b.bits).bit_count()
         by_order = group._cache.get("normals_of_order") or {}
         found = next((n.bits for n in by_order.get(m, ()) if not union & ~n.bits), None)
         if found is None:
-            pair = [a, b] if a.order >= b.order else [b, a]
-            found = _join_normals(group, pair).bits
+            found = closure_bits(group.table, gens, big.bits, big.members())
         joins[key] = found
     return found
 
@@ -71,35 +63,30 @@ def join_bits(group: Group, a: Subgroup, b: Subgroup) -> int:
 def is_internal_direct(group: Group, factors) -> bool:
     """True iff the factors decompose the group as an internal direct product.
 
-    Requires every factor normal, factor orders multiplying to |G|, each
-    factor meeting the join of the others trivially, and (a consequence that
-    is re-checked) elementwise commuting between distinct factors.
+    The standard criterion: every factor is normal, the factor orders
+    multiply to |G|, and each factor meets the join of the factors before it
+    trivially (joins from ``join_bits``, none after the last factor).  A
+    join of normals is their product set, so each join then grows by the
+    whole next factor: the join of all of them is G, and each factor meets
+    the join of all the others trivially.  A direct product passes.  Distinct
+    factors commuting, a consequence, is re-checked on their memoized
+    generators: if the generators of two subgroups commute, so do they.
     """
     factors = list(factors)
     check_parent(group, *factors)
-    prod = 1
-    for f in factors:
-        if not is_normal_bits(group, f.bits):
-            return False
-        prod *= f.order
-    if prod != group.order:
+    if not all(is_normal_bits(group, f.bits) for f in factors):
         return False
-    for i, f in enumerate(factors):
-        others = _join_normals(group, factors[:i] + factors[i + 1:])
-        if f.bits & others.bits != 1:
-            return False
-    if _join_normals(group, factors).order != group.order:
+    if prod(f.order for f in factors) != group.order:
         return False
+    joined = trivial_subgroup(group)
+    for f, after in zip(factors, factors[1:]):
+        joined = Subgroup(group, join_bits(group, joined, f))
+        if joined.bits & after.bits != 1:
+            return False
     table = group.table
-    for i, f in enumerate(factors):
-        fm = f.members()
-        for g in factors[i + 1:]:
-            gm = g.members()
-            for x in fm:
-                row = table[x]
-                if any(row[y] != table[y][x] for y in gm):
-                    return False
-    return True
+    gens = [subgroup_generators(group, f.bits) for f in factors]
+    return all(table[x][y] == table[y][x]
+               for i, xs in enumerate(gens) for ys in gens[i + 1:] for x in xs for y in ys)
 
 
 def _normals_of_order(group: Group, *, cap: int) -> dict[int, list[Subgroup]]:
@@ -238,14 +225,13 @@ def factor_classes(factor: Subgroup, *, cap: int = DEFAULT_LATTICE_CAP,
                      for m in _minimal_factors(group, cap=cap) if not m.bits & ~factor.bits)
 
 
-def is_coprime(group1: Group, group2: Group, *, cap: int = DEFAULT_LATTICE_CAP,
-               cache: IsoCache | None = None) -> bool:
+def is_coprime(group1: Group, group2: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> bool:
     """True iff no nontrivial direct factor of one is isomorphic to one of the other.
 
     Implemented over indecomposable Remak factors; by uniqueness of the
     decomposition this is equivalent to quantifying over all direct factors.
     """
-    cache = cache or IsoCache()
+    cache = IsoCache()
     return factor_classes(whole_subgroup(group1), cap=cap, cache=cache).isdisjoint(
         factor_classes(whole_subgroup(group2), cap=cap, cache=cache))
 
@@ -260,15 +246,14 @@ class CoprimeViolation(Record):
 
 
 def combine_coprime_factors(group: Group, a: Subgroup, b: Subgroup, *,
-                            cap: int = DEFAULT_LATTICE_CAP,
-                            cache: IsoCache | None = None) -> Subgroup | CoprimeViolation:
+                            cap: int = DEFAULT_LATTICE_CAP) -> Subgroup | CoprimeViolation:
     """Verify that coprime direct factors intersect trivially and combine.
 
     Returns the direct factor A·B, or a violation record if a check fails
     (which would falsify the combination property for direct factors).
     """
     check_parent(group, a, b)
-    cache = cache or IsoCache()
+    cache = IsoCache()
     if not factor_classes(a, cap=cap, cache=cache).isdisjoint(
             factor_classes(b, cap=cap, cache=cache)):
         raise PreconditionFailed("A and B are not coprime")
@@ -300,13 +285,12 @@ def project_onto_factor(group: Group, splitting: tuple[Subgroup, Subgroup],
     For G = H×K the image is π_K(X) = X·H ∩ K, for every subgroup X: each
     x = h·k in X has k = h⁻¹x in X·H ∩ K, and each k = x·h in X·H ∩ K has
     x = h⁻¹k (H and K commute), so π_K(x) = k.  X·H is a subgroup because
-    H is normal, and it is read from ``join_bits``.  G = H×K holds exactly
-    when both sides are normal, H∩K = 1 and |H|·|K| = |G|.
+    H is normal, and it is read from ``join_bits``.  G = H×K is tested by
+    ``is_internal_direct``; a pair that fails raises NotASplitting.
     """
     h, k = splitting
-    check_parent(group, x, h, k)
-    if not (h.bits & k.bits == 1 and h.order * k.order == group.order
-            and is_normal_bits(group, h.bits) and is_normal_bits(group, k.bits)):
+    check_parent(group, x)
+    if not is_internal_direct(group, (h, k)):
         raise NotASplitting("projection requires an internal direct splitting")
     return Subgroup(group, join_bits(group, x, h) & k.bits)
 
@@ -346,7 +330,7 @@ def _complement_constructive(group: Group, f: Subgroup, d: Subgroup, *,
     if c.bits & d.bits == 1:
         return c
     image = Subgroup(group, join_bits(group, d, b) & c.bits)
-    return _join_normals(group, [b, _complement_constructive(group, c, image, cap=cap)])
+    return Subgroup(group, join_bits(group, b, _complement_constructive(group, c, image, cap=cap)))
 
 
 def cyclic_max_complement(group: Group, d: Subgroup, *,

@@ -409,6 +409,23 @@ def normal_in_by_conjugates(group: Group, h_bits: int, k_bits: int) -> bool:
                for k in members_of(k_bits) for h in members_of(h_bits))
 
 
+def is_direct_by_members(group: Group, factors_bits) -> bool:
+    """G = F1×…×Fk by the definition: every element of G is exactly one
+    product x1·…·xk with each xi in Fi, each factor is normal by conjugates,
+    and distinct factors commute member by member."""
+    table, n = group.table, group.order
+    factors = [members_of(bits) for bits in factors_bits]
+    if math.prod(map(len, factors)) != n:
+        return False
+    products = [0]
+    for members in factors:
+        products = [table[p][x] for p in products for x in members]
+    return (sorted(products) == list(range(n))
+            and all(normal_in_by_conjugates(group, bits, (1 << n) - 1) for bits in factors_bits)
+            and all(table[x][y] == table[y][x] for i, xs in enumerate(factors)
+                    for ys in factors[i + 1:] for x in xs for y in ys))
+
+
 def center_bits_by_commuting(group: Group, bits: int) -> int:
     """Z(H): the members of H that commute with every member of H."""
     table = group.table

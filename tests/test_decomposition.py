@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -59,6 +60,7 @@ from conftest import (
     complement_count_by_homs,
     complements_by_scan,
     derived_bits_by_commutators,
+    is_direct_by_members,
     product_set_by_members,
     projection_by_products,
 )
@@ -83,6 +85,31 @@ def test_internal_direct_rejects_nonnormal_factor():
     rot = generate_subgroup(g, [next(x for x in range(6) if element_order(g, x) == 3)])
     ref = generate_subgroup(g, [next(x for x in range(6) if element_order(g, x) == 2)])
     assert not is_internal_direct(g, [rot, ref])
+
+
+def test_internal_direct_pairs_match_the_complement_lattice(catalog24):
+    # two implementations of the pair test: only direct_complements reads
+    # the lattice of normals
+    recipes = [e.recipe for e in catalog24] + [parse_recipe(dsl) for dsl in PREMISES32.values()]
+    for recipe in recipes:
+        g = construct(recipe)
+        normals = normal_subgroups(g)
+        for n in normals:
+            comps = direct_complements(g, n)
+            for k in normals:
+                assert is_internal_direct(g, [n, k]) == (k in comps), (recipe, n, k)
+
+
+def test_internal_direct_matches_the_member_oracle(catalog16):
+    # every ordered pair and triple of subgroups, normal or not
+    for entry in catalog16:
+        g = entry.group
+        if g.order > 12:
+            continue
+        subs = all_subgroups(g)
+        for factors in [*itertools.product(subs, repeat=2), *itertools.product(subs, repeat=3)]:
+            want = is_direct_by_members(g, [f.bits for f in factors])
+            assert is_internal_direct(g, factors) == want, (entry.name, factors)
 
 
 def test_direct_complements_trivial():
@@ -284,7 +311,7 @@ def test_is_coprime_matches_direct_factor_brute_force(catalog16):
                 for fa in classes[a.name]
                 for fb in classes[b.name]
             )
-            assert is_coprime(a.group, b.group, cache=cache) == expected, (a.name, b.name)
+            assert is_coprime(a.group, b.group) == expected, (a.name, b.name)
 
 
 def test_combine_coprime_trivial():
