@@ -463,9 +463,13 @@ def _shape(x, sequence=list | tuple) -> tuple[int, ...]:
     """The shape of nested lists and tuples, arrays among them read as
     sequences (as an array library reads them) and a ``bytes``,
     ``bytearray`` or ``range`` row as a row of ints (a ``str`` is no row);
-    ValueError when ragged."""
+    ValueError when ragged.  A row whose entry types are all exact int
+    types (``_int_type``, as ``exact_ints`` decides) is a row of scalars,
+    read without a call per entry."""
     if type(x) is int or not isinstance(x, sequence) and not getattr(x, "ndim", 0):
         return ()
+    if all(map(_int_type, set(map(type, x)))):
+        return (len(x),)
     inner = {_shape(item, list | tuple | bytes | bytearray | range) for item in x}
     if len(inner) > 1:
         raise ValueError("ragged")
@@ -553,13 +557,16 @@ class Group:
         self.__init__(table, name=name, recipe=recipe)
 
 
-def memo(group: Group, key, fn):
-    """``fn()``, computed once per group and key.
+def memo(group: Group, key, fn=None):
+    """``fn()``, computed once per group and key; without ``fn``, what is
+    already stored under ``key``, or None, computing nothing.
 
     A call that raises stores nothing, so it raises again next time.
     """
     cache = group._cache
     if key not in cache:
+        if fn is None:
+            return None
         cache[key] = fn()
     return cache[key]
 
@@ -683,7 +690,7 @@ def generators_commute(table, gens) -> bool:
 def is_abelian(group: Group) -> bool:
     """True iff the generators Light's test checked commute pairwise (memoized)."""
     return memo(group, "abelian", lambda: generators_commute(
-        group.table, group._cache["generators"][(1 << group.order) - 1]))
+        group.table, memo(group, "generators", dict)[(1 << group.order) - 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from .subgroups import (
     DEFAULT_LATTICE_CAP,
     Subgroup,
     _is_prime,
-    _listed_normal,
+    _normals_of_order,
     check_lattice_cap,
     check_parent,
     is_normal_bits,
@@ -33,13 +33,13 @@ class Splitting(Record):
 def join_bits(group: Group, a: Subgroup, b: Subgroup) -> int:
     """Bits of the join ⟨A, B⟩, computed once per unordered pair and group.
 
-    When the parent's normals are already listed (``_normals_of_order``;
-    like ``_listed_normal``, this builds no lattice), the join is first
-    looked up among them: with m = |A|·|B|/|A∩B|, a listed normal N of
-    order m that contains A ∪ B is the join.  The product set AB has m
-    elements and AB ⊆ ⟨A, B⟩ ⊆ N, so all three are equal.  Otherwise
-    (no listed normal, or the join is not normal) ``closure_bits`` is
-    seeded from the larger factor, so only the other factor's generators
+    When the parent's normals are already grouped by order (the memo of
+    ``_normals_of_order``, read without building it, so no lattice is built),
+    the join is first looked up among them: with m = |A|·|B|/|A∩B|, a listed
+    normal N of order m that contains A ∪ B is the join.  The product set
+    AB has m elements and AB ⊆ ⟨A, B⟩ ⊆ N, so all three are equal.
+    Otherwise (no listed normal, or the join is not normal) ``closure_bits``
+    is seeded from the larger factor, so only the other factor's generators
     are joined.  The count needs A and B to be subgroups: anything else
     raises PreconditionFailed.
     """
@@ -52,7 +52,7 @@ def join_bits(group: Group, a: Subgroup, b: Subgroup) -> int:
         gens = subgroup_generators(group, small.bits)
         union = a.bits | b.bits
         m = a.order * b.order // (a.bits & b.bits).bit_count()
-        by_order = group._cache.get("normals_of_order") or {}
+        by_order = memo(group, "normals_of_order") or {}
         found = next((n.bits for n in by_order.get(m, ()) if not union & ~n.bits), None)
         if found is None:
             found = closure_bits(group.table, gens, big.bits, big.members())
@@ -89,17 +89,6 @@ def is_internal_direct(group: Group, factors) -> bool:
                for i, xs in enumerate(gens) for ys in gens[i + 1:] for x in xs for y in ys)
 
 
-def _normals_of_order(group: Group, *, cap: int) -> dict[int, list[Subgroup]]:
-    """The normals grouped by order, each group canonically ordered; memoized."""
-    def build() -> dict[int, list[Subgroup]]:
-        out: dict[int, list[Subgroup]] = {}
-        for n in normal_subgroups(group, cap=cap):
-            out.setdefault(n.order, []).append(n)
-        return out
-
-    return memo(group, "normals_of_order", build)
-
-
 def direct_complements(group: Group, normal: Subgroup, *,
                        cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subgroup, ...]:
     """All normal K with N∩K = 1 and |N|·|K| = |G|, canonically ordered.
@@ -107,13 +96,15 @@ def direct_complements(group: Group, normal: Subgroup, *,
     Empty iff N is not a direct factor.  This per-side map is the one store
     of the splitting relation: N's entry is filled when first asked, from
     the normals of order |G|/|N|, and the stored tuple itself is returned.
+    N is looked up among the listed normals of its order, and raises
+    NotNormal when it is not one.
     """
     check_parent(group, normal)
     check_lattice_cap(group, cap)
     by_order = _normals_of_order(group, cap=cap)
     comps = memo(group, "complements", dict)
     if normal.bits not in comps:
-        if not _listed_normal(group, normal.bits):
+        if normal not in by_order.get(normal.order, ()):
             raise NotNormal("complement search requires a normal subgroup")
         comps[normal.bits] = tuple(
             k for k in by_order.get(group.order // normal.order, ()) if k.bits & normal.bits == 1)
@@ -300,11 +291,15 @@ def is_directly_decomposable(group: Group, d: Subgroup, *,
     """True iff D = (H∩D)·(K∩D) for every direct splitting G = H·K.
 
     Both factors lie in D and meet trivially, so their product set fills D
-    exactly when |H∩D|·|K∩D| = |D|.
+    exactly when |H∩D|·|K∩D| = |D|.  The test is symmetric in H and K, so
+    each splitting is tested from its smaller side: the sides come in
+    order of size, and the walk stops at the first with |H|² > |G|.
     """
     check_parent(group, d)
     d_bits, d_order = d.bits, d.order
     for h, comps in splitting_sides(group, cap=cap):
+        if h.order ** 2 > group.order:
+            break
         h_meet = (h.bits & d_bits).bit_count()
         if any(h_meet * (k.bits & d_bits).bit_count() != d_order for k in comps):
             return False

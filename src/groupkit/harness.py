@@ -15,15 +15,16 @@ oriented splitting (H, K), one entry of ``splitting_sides`` (each side H
 with its stored complements K), meets the normals under (class of H, class
 of K).  Counting orientations per key gives the instance count and the
 distinct H0s; each H0 is checked once.  Only ``extension_instances`` pairs
-splittings with normals, building the two ``Iso`` witnesses per instance,
-which the verifier asks for only when some H0 has no complement.  The
-property suite walks the same per-side relation.
+splittings with normals, building two ``Iso`` witnesses per instance; the
+verifier builds them only for an H0 with no complement.  The property suite,
+ten checks in ``_PROPERTIES``, walks the same per-side relation.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
+from collections.abc import Iterator
 from math import prod
 
 from .catalog import CatalogEntry, canonical_json, group_to_json_dict
@@ -34,6 +35,7 @@ from .subgroups import (
     DEFAULT_LATTICE_CAP,
     Subgroup,
     _is_prime,
+    _normals_of_order,
     all_subgroups,
     center,
     center_of,
@@ -50,7 +52,6 @@ from .subgroups import (
 )
 from .decomposition import (
     _combine,
-    _normals_of_order,
     _side_index,
     direct_complements,
     factor_classes,
@@ -150,13 +151,25 @@ def extension_instances(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
                         cache: IsoCache | None = None) -> list[ExtensionInstance]:
     """Every way the premises hold: each side H with each of its complements
     K, crossed with the normals in the ``premise_classes`` bucket of (H, K)."""
-    cache = cache or IsoCache()
+    return _instances_of(group, None, cap=cap, cache=cache or IsoCache())
+
+
+def _instances_of(group: Group, h0_bits: set[int] | None, *, cap: int,
+                  cache: IsoCache) -> list[ExtensionInstance]:
+    """The instances of ``extension_instances`` whose H0 is in ``h0_bits``
+    (all for None), in its order.  The buckets are cut to those H0s first,
+    so no group, quotient, ``Iso`` or record is built for any other."""
     premises = premise_classes(group, cap=cap, cache=cache)
+    buckets = premises.buckets
+    if h0_bits is not None:
+        buckets = {key: [n for n in ns if n.bits in h0_bits] for key, ns in buckets.items()}
     out = []
     for h, comps in splitting_sides(group, cap=cap):
-        h_group, _ = subgroup_as_group(h)
         for k in comps:
-            hits = premises.buckets.get((premises.ids[h.bits], premises.ids[k.bits]), ())
+            hits = buckets.get((premises.ids[h.bits], premises.ids[k.bits]), ())
+            if not hits:
+                continue
+            h_group, _ = subgroup_as_group(h)
             k_group, _ = subgroup_as_group(k)
             for h0 in hits:
                 h0_group, _ = subgroup_as_group(h0)
@@ -183,67 +196,34 @@ def check_direct_extension(group: Group, instance: ExtensionInstance, *,
 
 
 # ---------------------------------------------------------------------------
-# property suites
+# property suites: one check per statement, each yielding its failures
 
-def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
-                   cache: IsoCache | None = None,
-                   instances: list[ExtensionInstance] | None = None) -> dict[str, dict]:
-    """Run every decomposition identity and the premise-only lemma identities.
-
-    Returns {check name: {"pass": bool, "failures": [witness dicts]}}; the
-    failure lists stay empty unless a statement is falsified.  The premise
-    lemmas run over the H0s of ``instances`` when given, else over those
-    of ``premise_classes``.
-
-    Every check walks ``splitting_sides``, each side H with its stored
-    complements K, so failure lists are reproducible and work that depends
-    on one side is done once per side: the supersets of H (prop_2_1), its
-    derived and centre orders (prop_2_2, one test per {H, K}) and the
-    factors coprime to it (cor_2_1).  prop_2_3 makes one join A·B per
-    unordered coprime pair (``join_bits``); cor_2_1 reads the projection of
-    A onto C along B from it, as π_C(A) = A·B ∩ C, which holds for G = B×C
-    and any A ⊴ G, so no element-wise projection is built.
-    """
-    cache = cache or IsoCache()
-    if instances is None:
-        h0s = premise_classes(group, cap=cap, cache=cache).h0s
-    else:
-        h0s = sorted({inst.h0.bits: inst.h0 for inst in instances}.values(),
-                     key=lambda h0: h0.bits)
-    subs = all_subgroups(group, cap=cap)
-    normals = normal_subgroups(group, cap=cap)
-    sides = splitting_sides(group, cap=cap)
-    # the direct factors (the sides) by their place in canonical order
-    index = _side_index(group, cap=cap)
-    factors = [h for h, _ in sides]
-    g_derived = derived_subgroup(group)
-    g_center = center(group)
-    results: dict[str, dict] = {}
-
-    def record(name: str, failures: list) -> None:
-        results[name] = {"pass": not failures, "failures": failures}
-
+def _prop_2_1(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
     # subgroups of an internal product split along it: L ⊇ H gives L = H·(L∩K);
     # H and L∩K lie in L and meet trivially, so |L∩K| = |L|/|H| says it.
     # The supersets of H, with their quotas |L|/|H|, are taken once per H
-    failures = []
-    for h, comps in sides:
+    subs = all_subgroups(group, cap=cap)
+    for h, comps in splitting_sides(group, cap=cap):
         h_bits = h.bits
         above = [(l.bits, l.order // h.order, l) for l in subs if not h_bits & ~l.bits]
         for k in comps:
             k_bits = k.bits
             for l_bits, quota, l in above:
                 if (l_bits & k_bits).bit_count() != quota:
-                    failures.append({"h": h.members(), "k": k.members(), "l": l.members()})
-    record("prop_2_1", failures)
+                    yield {"h": h.members(), "k": k.members(), "l": l.members()}
 
+
+def _prop_2_2(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
     # derived group and centre distribute over a splitting: D(H), D(K) lie in
     # G′ and Z(H), Z(K) in Z(G) (the other factor centralises each), and each
     # pair meets trivially, so the products are the whole exactly when the
     # orders multiply to it.  Both orders are taken once per side, and each
     # splitting {H, K} is tested once, from its side first in canonical order
-    failures = []
-    side_orders = [(derived_of(group, h).order, center_of(group, h).order) for h in factors]
+    sides = splitting_sides(group, cap=cap)
+    index = _side_index(group, cap=cap)
+    g_derived = derived_subgroup(group)
+    g_center = center(group)
+    side_orders = [(derived_of(group, h).order, center_of(group, h).order) for h, _ in sides]
     for i, (h, comps) in enumerate(sides):
         h_derived, h_center = side_orders[i]
         for k in comps:
@@ -253,43 +233,64 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
             k_derived, k_center = side_orders[j]
             if (h_derived * k_derived != g_derived.order
                     or h_center * k_center != g_center.order):
-                failures.append({"h": h.members(), "k": k.members()})
-    record("prop_2_2", failures)
+                yield {"h": h.members(), "k": k.members()}
 
-    classes = {a.bits: factor_classes(a, cap=cap, cache=cache) for a in factors}
-    # the factors coprime to each class set that occurs, in canonical order
-    coprime = {key: [a for a in factors if classes[a.bits].isdisjoint(key)]
-               for key in set(classes.values())}
 
-    # direct factors coprime by ``classes`` meet trivially and combine into one
-    failures = []
-    for i, a in enumerate(factors):
-        for b in coprime[classes[a.bits]]:
+def _coprime_sides(group: Group, cap: int, cache: IsoCache) -> dict[int, list[Subgroup]]:
+    """Each side's bits, mapped to the sides coprime to it by ``factor_classes``
+    in canonical order; memoized, whichever cache numbers the classes."""
+    def build() -> dict[int, list[Subgroup]]:
+        factors = [h for h, _ in splitting_sides(group, cap=cap)]
+        classes = {a.bits: factor_classes(a, cap=cap, cache=cache) for a in factors}
+        # the factors coprime to each class set that occurs, in canonical order
+        coprime = {key: [a for a in factors if classes[a.bits].isdisjoint(key)]
+                   for key in set(classes.values())}
+        return {a.bits: coprime[classes[a.bits]] for a in factors}
+
+    return memo(group, "coprime_sides", build)
+
+
+def _prop_2_3(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
+    # direct factors coprime by ``factor_classes`` meet trivially and combine into one
+    index = _side_index(group, cap=cap)
+    coprime = _coprime_sides(group, cap, cache)
+    for i, (a, _) in enumerate(splitting_sides(group, cap=cap)):
+        for b in coprime[a.bits]:
             if index[b.bits] < i:
                 continue
             reason = _combine(group, a, b, cap=cap)
             if reason is not None:
-                failures.append({"a": a.members(), "b": b.members(), "reason": reason})
-    record("prop_2_3", failures)
+                yield {"a": a.members(), "b": b.members(), "reason": reason}
 
+
+def _cor_2_1(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
     # the projection of a factor coprime to B onto C is again a direct factor.
     # For G = B×C and A ⊴ G the projection is π_C(A) = A·B ∩ C: each
     # a = b·c in A has c = b⁻¹a in A·B ∩ C, and each c = a·b in A·B ∩ C
-    # has a = b⁻¹c (B and C commute), so π_C(a) = c.  The join is the one
-    # prop_2_3 built for the coprime pair.  The trivial factor is left out:
+    # has a = b⁻¹c (B and C commute), so π_C(a) = c.  ``join_bits`` keeps
+    # the join prop_2_3 made for the pair.  The trivial factor is left out:
     # its image is 1, a direct factor of every group.  Each side B is walked
     # once, so its coprime factors and their joins with it are taken once
-    failures = []
-    for b, comps in sides:
-        joins = [(a, join_bits(group, a, b)) for a in coprime[classes[b.bits]] if a.order > 1]
+    index = _side_index(group, cap=cap)
+    coprime = _coprime_sides(group, cap, cache)
+    for b, comps in splitting_sides(group, cap=cap):
+        joins = [(a, join_bits(group, a, b)) for a in coprime[b.bits] if a.order > 1]
         for c in comps:
             for a, ab_bits in joins:
                 bits = ab_bits & c.bits
                 if bits not in index:
-                    failures.append({"a": a.members(), "b": b.members(),
-                                     "c": c.members(), "image": members_of(bits)})
-    record("cor_2_1", failures)
+                    yield {"a": a.members(), "b": b.members(),
+                           "c": c.members(), "image": members_of(bits)}
 
+
+def _decomposable(group: Group, cap: int) -> frozenset[int]:
+    """The bits of the directly decomposable normals; memoized."""
+    return memo(group, "decomposable", lambda: frozenset(
+        d.bits for d in normal_subgroups(group, cap=cap)
+        if is_directly_decomposable(group, d, cap=cap)))
+
+
+def _prop_2_4(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
     # directly decomposable normal subgroups distribute over the
     # indecomposable factors, and the quotient splits along their images.
     # The Hᵢ∩D lie in independent factors, so their join has order ∏|Hᵢ∩D|
@@ -297,55 +298,105 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     # normal and generate G/D, and their orders |Hᵢ|/|Hᵢ∩D| multiply to
     # |G|/|D|, so they form a direct product: the quotient cannot fail to
     # split once the order test passes.
-    failures = []
     remak = remak_decomposition(group, cap=cap)
-    decomposable: set[int] = set()
-    for d in normals:
-        if not is_directly_decomposable(group, d, cap=cap):
+    decomposable = _decomposable(group, cap)
+    for d in normal_subgroups(group, cap=cap):
+        if d.bits not in decomposable:
             continue
-        decomposable.add(d.bits)
         if prod((hi.bits & d.bits).bit_count() for hi in remak.factors) != d.order:
-            failures.append({"d": d.members(), "kind": "factor product"})
-    record("prop_2_4", failures)
+            yield {"d": d.members(), "kind": "factor product"}
 
+
+def _prop_2_5(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
     # T normal with T' = T∩G' forces T' directly decomposable.  T' is
-    # characteristic in T ⊴ G, so it is normal and was classified above
-    failures = []
-    for t in normals:
+    # characteristic in T ⊴ G, so it is normal and classified by ``_decomposable``
+    g_derived = derived_subgroup(group)
+    decomposable = _decomposable(group, cap)
+    for t in normal_subgroups(group, cap=cap):
         t_derived = derived_of(group, t)
         if t_derived.bits != t.bits & g_derived.bits:
             continue
         if t_derived.bits not in decomposable:
-            failures.append({"t": t.members(), "t_derived": t_derived.members()})
-    record("prop_2_5", failures)
+            yield {"t": t.members(), "t_derived": t_derived.members()}
 
-    # premise-only identities, one evaluation per H0 that occurs in an instance
-    fail_a, fail_b, fail_c, fail_d = [], [], [], []
-    # the normals by order.  Every subgroup of Z(G) is normal in G, so any
-    # complement of Z(H0) in Z(G) is among the normals inside Z(G)
+
+# the premise-only identities, one evaluation per H0 that occurs in an instance
+
+def _lemma_4_1a(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
+    g_derived = derived_subgroup(group)
+    for h0 in h0s:
+        if derived_of(group, h0).bits != h0.bits & g_derived.bits:
+            yield {"h0": h0.members()}
+
+
+def _lemma_4_1b(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
+    # |M·H0| = |M||H0|/|M∩H0| covers G exactly when it equals |G|, so an
+    # M with M∩H0 = H0′ must have order |G:H0|·|H0′|
     normals_of_order = _normals_of_order(group, cap=cap)
     for h0 in h0s:
         h0_derived = derived_of(group, h0)
-        if h0_derived.bits != h0.bits & g_derived.bits:
-            fail_a.append({"h0": h0.members()})
-        # |M·H0| = |M||H0|/|M∩H0| covers G exactly when it equals |G|, so an
-        # M with M∩H0 = H0′ must have order |G:H0|·|H0′|
         if not any(m.bits & h0.bits == h0_derived.bits for m in normals_of_order.get(
                 group.order // h0.order * h0_derived.order, ())):
-            fail_b.append({"h0": h0.members()})
+            yield {"h0": h0.members()}
+
+
+def _lemma_4_2a(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
+    g_center = center(group)
+    for h0 in h0s:
+        if center_of(group, h0).bits != h0.bits & g_center.bits:
+            yield {"h0": h0.members()}
+
+
+def _lemma_4_2b(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
+    # Every subgroup of Z(G) is normal in G, so any complement of Z(H0) in
+    # Z(G) is among the normals inside Z(G)
+    normals_of_order = _normals_of_order(group, cap=cap)
+    g_center = center(group)
+    for h0 in h0s:
         h0_center = center_of(group, h0)
-        if h0_center.bits != h0.bits & g_center.bits:
-            fail_c.append({"h0": h0.members()})
         if h0_center.bits & ~g_center.bits:
-            fail_d.append({"h0": h0.members(), "reason": "Z(H0) not inside Z(G)"})
+            yield {"h0": h0.members(), "reason": "Z(H0) not inside Z(G)"}
         elif not any(m.bits & h0_center.bits == 1 and not m.bits & ~g_center.bits
                      for m in normals_of_order.get(g_center.order // h0_center.order, ())):
-            fail_d.append({"h0": h0.members()})
-    record("lemma_4_1a", fail_a)
-    record("lemma_4_1b", fail_b)
-    record("lemma_4_2a", fail_c)
-    record("lemma_4_2b", fail_d)
-    return results
+            yield {"h0": h0.members()}
+
+
+# the report's keys, in the report's order, each with its check
+_PROPERTIES = (
+    ("prop_2_1", _prop_2_1), ("prop_2_2", _prop_2_2), ("prop_2_3", _prop_2_3),
+    ("cor_2_1", _cor_2_1), ("prop_2_4", _prop_2_4), ("prop_2_5", _prop_2_5),
+    ("lemma_4_1a", _lemma_4_1a), ("lemma_4_1b", _lemma_4_1b),
+    ("lemma_4_2a", _lemma_4_2a), ("lemma_4_2b", _lemma_4_2b),
+)
+
+
+def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
+                   cache: IsoCache | None = None,
+                   instances: list[ExtensionInstance] | None = None) -> dict[str, dict]:
+    """Run every decomposition identity and the premise-only lemma identities.
+
+    Returns {check name: {"pass": bool, "failures": [witness dicts]}}, one
+    entry per ``_PROPERTIES`` check in its order; the failure lists stay
+    empty unless a statement is falsified.  The premise lemmas run over the
+    H0s of ``instances`` when given, else over those of ``premise_classes``.
+
+    A check reads only the H0s and memoized per-group kernels, never
+    another check's results, and walks ``splitting_sides`` (each side H with
+    its stored complements K), so failure lists are reproducible.  The
+    pieces two checks share are memoized: the sides coprime to each side
+    (prop_2_3, cor_2_1) and the directly decomposable normals (prop_2_4,
+    prop_2_5).  prop_2_3 makes one join A·B per unordered coprime pair
+    (``join_bits``); cor_2_1 reads the projection π_C(A) = A·B ∩ C from it.
+    """
+    check_lattice_cap(group, cap)
+    cache = cache or IsoCache()
+    if instances is None:
+        h0s = premise_classes(group, cap=cap, cache=cache).h0s
+    else:
+        h0s = sorted({inst.h0.bits: inst.h0 for inst in instances}.values(),
+                     key=lambda h0: h0.bits)
+    failures = {name: list(check(group, h0s, cap, cache)) for name, check in _PROPERTIES}
+    return {name: {"pass": not found, "failures": found} for name, found in failures.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +552,10 @@ def _verify_one(payload: tuple[str, Group, int]) -> dict:
                    if not direct_complements(group, h0, cap=cap)}
         violations = []
         if missing:
-            # witnesses are built only here, for the instances that failed
+            # witnesses are built only here, for the instances of the H0s that failed
             violations = [
                 {"group": group_to_json_dict(group), "instance": _instance_json_dict(inst)}
-                for inst in extension_instances(group, cap=cap, cache=cache)
-                if inst.h0.bits in missing
+                for inst in _instances_of(group, missing, cap=cap, cache=cache)
             ]
         props = property_suite(group, cap=cap, cache=cache)
         out["instances"] = premises.count

@@ -325,14 +325,24 @@ def normal_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[S
     ))
 
 
-def _listed_normal(group: Group, bits: int) -> bool:
-    """True iff ``normal_subgroups`` has already found ``bits`` normal.
+def _normals_of_order(group: Group, *, cap: int) -> dict[int, dict[Subgroup, None]]:
+    """The normals grouped by order, each order's an ordered set (a dict to
+    None) in canonical order; memoized."""
+    def build() -> dict[int, dict[Subgroup, None]]:
+        out: dict[int, dict[Subgroup, None]] = {}
+        for n in normal_subgroups(group, cap=cap):
+            out.setdefault(n.order, {})[n] = None
+        return out
 
-    Builds no lattice: without the memoized normals the answer is False.
-    """
-    normals = group._cache.get("normal_subgroups")
-    return normals is not None and bits in memo(
-        group, "normal_bits", lambda: {n.bits for n in normals})
+    return memo(group, "normals_of_order", build)
+
+
+def _listed_normals(group: Group) -> dict[int, dict[Subgroup, None]] | None:
+    """``_normals_of_order`` once ``normal_subgroups`` has listed the
+    normals, else None: no lattice is built here."""
+    if memo(group, "normal_subgroups") is not None:
+        return _normals_of_order(group, cap=group.order)
+    return None
 
 
 def center(group: Group) -> Subgroup:
@@ -344,12 +354,12 @@ def center_of(group: Group, sub: Subgroup) -> Subgroup:
     its members in the centralizer of each of its generators, or the whole
     subgroup when it is abelian."""
     check_parent(group, sub)
-    gens = subgroup_generators(group, sub.bits)
 
     def build() -> Subgroup:
         bits = sub.bits
         if is_abelian_bits(group, bits):
             return sub
+        gens = subgroup_generators(group, bits)
         for h in gens:
             bits &= _conjugators(group, h)[h]
         return Subgroup(group, bits)
@@ -425,7 +435,8 @@ def quotient(group: Group, normal: Subgroup) -> QuotientMap:
     check_parent(group, normal)
 
     def build() -> QuotientMap:
-        if not _listed_normal(group, normal.bits) and not is_normal_bits(group, normal.bits):
+        listed = _listed_normals(group) or {}
+        if normal not in listed.get(normal.order, ()) and not is_normal_bits(group, normal.bits):
             raise NotNormal("cannot form a quotient by a non-normal subgroup")
         qtable, coset_of = coset_table(group.table, normal.members())
         return QuotientMap(group, _derived_group(qtable), tuple(coset_of))

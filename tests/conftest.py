@@ -543,6 +543,21 @@ def isomorphic_by_generators(source, target) -> bool:
     return False
 
 
+def orbits_by_maps(maps, subsets) -> list[list[int]]:
+    """The orbits of the bitsets ``subsets`` under the element maps ``maps``
+    (all the maps of a group of permutations, such as Aut(G)), each sorted,
+    in the order of their first member in ``subsets``.  Each orbit is the
+    image of its first member under every map, built member by member."""
+    left, orbits = set(subsets), []
+    for bits in subsets:
+        if bits in left:
+            members = members_of(bits)
+            orbit = {sum(1 << mapping[x] for x in members) for mapping in maps}
+            left -= orbit
+            orbits.append(sorted(orbit))
+    return orbits
+
+
 def premises_by_normals(group: Group) -> tuple[int, list[int]]:
     """(premise count, sorted H0 bitsets) of a group, from the tables alone.
 

@@ -237,8 +237,8 @@ def test_verify_builds_no_witnesses_without_violations(catalog16, monkeypatch):
     # premises are counted by class; instances with witnesses are built only
     # for a violation, so a passing catalog must never materialize them
     def forbidden(*args, **kwargs):
-        raise AssertionError("extension_instances called on a passing catalog")
+        raise AssertionError("ExtensionInstance built on a passing catalog")
 
-    monkeypatch.setattr(harness, "extension_instances", forbidden)
+    monkeypatch.setattr(harness, "ExtensionInstance", forbidden)
     report = verify_catalog(catalog16, VerifyConfig(max_order=16))
     assert hashlib.sha256(report.json_bytes()).hexdigest() == REPORT_SHA256[16]

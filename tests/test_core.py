@@ -719,6 +719,24 @@ def test_bytearray_and_range_rows_are_rows():
         "MalformedTable", {}, "table has shape (2,), expected (2, 2)")
 
 
+def test_int_rows_are_shaped_without_a_call_per_entry(monkeypatch):
+    """``_shape`` reads a row whose entries are all exact ints by type as a
+    row of scalars; a row of array rows still recurses, so a 3-D table keeps
+    its shape message."""
+    shape, calls = core._shape, []
+    monkeypatch.setattr(core, "_shape", lambda x, *args: calls.append(x) or shape(x, *args))
+    n = 16
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for table in (_subclassed(rows), [list(map(np.int64, row)) for row in rows]):
+        calls.clear()
+        assert validate_table(table) == tuple(map(bytes, rows))
+        assert len(calls) == 1 + n
+    calls.clear()
+    assert _failure([np.zeros((2, 2), dtype=np.int64)] * 2) == (
+        "MalformedTable", {}, "table has shape (2, 2, 2), expected (2, 2)")
+    assert len(calls) == 1 + 2 + 2 * 2
+
+
 def test_product_and_semidirect_tables_match_entrywise_builders(catalog16):
     def rows(table):
         return [tuple(row) for row in table]

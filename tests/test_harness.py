@@ -38,7 +38,7 @@ from groupkit.harness import (
     property_suite,
     verify_catalog,
 )
-from groupkit.iso import IsoCache, find_isomorphism, subgroup_fingerprint
+from groupkit.iso import IsoCache, automorphisms, find_isomorphism, subgroup_fingerprint
 from groupkit.subgroups import (
     DEFAULT_LATTICE_CAP,
     Subgroup,
@@ -67,6 +67,7 @@ from conftest import (
     elementary_abelian_splittings,
     is_isomorphism,
     isomorphic_by_generators,
+    orbits_by_maps,
     premises_by_normals,
     projection_by_products,
     quotient_table_by_cosets,
@@ -235,6 +236,33 @@ def test_split_and_non_split_realisations_of_one_type(catalog16, iso_cache):
     assert [Counter(kinds.values()) for kinds in mixed] == [{"split": 12, "non-split": 1}]
     assert mixed[0][bundle.n_split.bits] == "split"
     assert mixed[0][bundle.n_nonsplit.bits] == "non-split"
+
+
+def test_each_type_with_complements_is_one_automorphism_orbit(catalog16, iso_cache):
+    # "essentially unique": the normals of one type (class of N, class of
+    # G/N) that have direct complements are one Aut(G)-orbit, so any two
+    # ways G arises as a direct extension of H by K differ by an
+    # automorphism of G.  Over catalog16 every type is Aut(G)-invariant,
+    # and only three, none with complements, split into two orbits
+    split_types, automorphism_count = [], 0
+    for entry in catalog16:
+        g = entry.group
+        maps = [a.map for a in automorphisms(g)]
+        automorphism_count += len(maps)
+        types: dict[tuple[int, int], list[Subgroup]] = {}
+        for n in normal_subgroups(g):
+            key = (iso_cache.class_of(n), iso_cache.class_of(whole_subgroup(quotient(g, n).target)))
+            types.setdefault(key, []).append(n)
+        for ns in types.values():
+            orbits = orbits_by_maps(maps, [n.bits for n in ns])
+            assert sorted(b for orbit in orbits for b in orbit) == sorted(n.bits for n in ns)
+            direct = any(direct_complements(g, n) for n in ns)
+            assert len(orbits) == 1 or not direct, (entry.name, ns[0].order)
+            if len(orbits) > 1:
+                split_types.append((entry.name, ns[0].order, len(orbits), direct))
+    assert automorphism_count == 21_398
+    assert sorted(split_types) == [("C4:C4", 8, 2, False), ("C4oD4", 4, 2, False),
+                                   ("D4xC2", 4, 2, False)]
 
 
 def test_counterexample_rejects_bad_p():
@@ -910,6 +938,38 @@ def test_violation_serializes_the_instances_of_its_h0(monkeypatch):
                             VerifyConfig(max_order=16))
     assert report.status == "FAIL"
     assert report.summary["violations"] == len(expected)
+
+
+def test_a_violation_builds_only_the_instances_of_its_h0(monkeypatch):
+    # C2^5 has 3,105,954 instances.  An order-16 H0 denied a complement is
+    # one violation per oriented splitting (H, K) of its type (C2^4, C2):
+    # 31 sides H, each with 16 complements K.  Only those 496 are built
+    g = construct(parse_recipe("P(P(P(P(C(2),C(2)),C(2)),C(2)),C(2))"), name="C2^5")
+    target = next(h0 for h0 in premise_classes(g).h0s if h0.order == 16)
+    real_complements, real_instance = harness.direct_complements, harness.ExtensionInstance
+    built = []
+
+    def no_complement_for_target(group, normal, **kwargs):
+        if group is g and normal.bits == target.bits:
+            return []
+        return real_complements(group, normal, **kwargs)
+
+    def counting(*fields):
+        built.append(fields[1].bits)
+        assert len(built) <= 496, "an instance of another H0 was built"
+        return real_instance(*fields)
+
+    monkeypatch.setattr(harness, "direct_complements", no_complement_for_target)
+    monkeypatch.setattr(harness, "ExtensionInstance", counting)
+    out = harness._verify_one(("C2^5", g, 64))
+    assert out["instances"] == 3_105_954
+    assert len(out["violations"]) == len(built) == 496
+    assert set(built) == {target.bits}
+    instances = [v["instance"] for v in out["violations"]]
+    assert all(inst["h0"] == target.members() for inst in instances)
+    assert len({(tuple(inst["h"]), tuple(inst["k"])) for inst in instances}) == 496
+    assert {(len(inst["h"]), len(inst["k"])) for inst in instances} == {(16, 2)}
+    assert set(out["properties"].values()) == {"pass"}
 
 
 def test_an_h0_without_a_complement_is_classified_by_its_quotient(monkeypatch):
