@@ -31,7 +31,7 @@ import marshal
 import math
 import operator
 import re
-from itertools import chain, permutations, repeat
+from itertools import chain, compress, permutations, repeat
 from numbers import Integral
 
 from .errors import (
@@ -578,9 +578,14 @@ def bits_of(members) -> int:
     return out
 
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def members_of(bits: int) -> list[int]:
-    """The set bits of ``bits`` in ascending order, read off its binary digits."""
-    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
+    """The set bits of ``bits`` in ascending order, read off its binary
+    digits: the digits as 0/1 bytes select from the bit positions."""
+    digits = bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)
+    return list(compress(range(bits.bit_length()), digits))
 
 
 def closure_bits(table, gens, bits: int = 1, members=(0,)) -> int:

@@ -5,7 +5,9 @@ element i belongs; arbitrary-precision ints give word-parallel intersection,
 union, and equality for free.  Bit 0 (the identity) is always set.
 Each subgroup has one memoized generating set (``subgroup_generators``),
 and the normality, centre, commutator and join kernels read it instead
-of every member.
+of every member.  Normalizers and centralizers read one memoized
+conjugation column per generator (``_conjugation_columns``), and the
+lattice build records which subgroups are normal as it finds them.
 """
 
 from __future__ import annotations
@@ -131,47 +133,43 @@ def is_abelian_bits(group: Group, bits: int) -> bool:
                 lambda: generators_commute(group.table, subgroup_generators(group, bits)))
 
 
-def _conjugations(group: Group) -> list:
-    """Row g maps each h to g·h·g⁻¹ (memoized): row g of the table read
-    through column g⁻¹, by one ``translate`` up to order 256."""
+def _conjugation_columns(group: Group) -> list:
+    """Column h of the conjugation table (g ↦ g·h·g⁻¹) for each h, memoized,
+    with g running from |G|−1 down to 0: ``bytes`` up to order 256, a
+    ``str`` of ``chr`` entries above.  Translated through the 0/1 digits of
+    a bitset X, column h is the binary numeral of {g : g·h·g⁻¹ ∈ X}.
+    """
     def build() -> list:
         table, n = group.table, group.order
+        by_g = list(zip(table, group.inv))[::-1]  # g from |G|-1 down to 0
+        # conjugation row g is row g read through column g⁻¹
         if n <= 256:
             joined = b"".join(table)
-            return [row.translate(joined[ig::n].ljust(256, b"\0"))
-                    for row, ig in zip(table, group.inv)]
-        cols = tuple(zip(*table))
-        return [tuple(map(cols[ig].__getitem__, row)) for row, ig in zip(table, group.inv)]
+            rows = b"".join([row.translate(joined[ig::n].ljust(256, b"\0")) for row, ig in by_g])
+        else:
+            cols = tuple(zip(*table))
+            rows = "".join(["".join(map(chr, map(cols[ig].__getitem__, row))) for row, ig in by_g])
+        return [rows[h::n] for h in range(n)]
 
-    return memo(group, "conjugations", build)
-
-
-def _conjugators(group: Group, h: int) -> dict[int, int]:
-    """Each conjugate x of h, mapped to the bitset of the g with
-    g·h·g⁻¹ = x (memoized per element): column h of ``_conjugations``.
-
-    The bitsets partition G, and the one of h itself is h's centralizer.
-    """
-    known = memo(group, "conjugators", dict)
-    if h not in known:
-        found = known[h] = {}
-        for g, row in enumerate(_conjugations(group)):
-            x = row[h]
-            found[x] = found.get(x, 0) | 1 << g
-    return known[h]
+    return memo(group, "conjugation_columns", build)
 
 
 def _normalizer(group: Group, gens, bits: int) -> int:
-    """N_G(H) as a bitset, for H = ``bits`` generated by ``gens``: the g
-    that conjugate every generator of H into H.
+    """The g that conjugate every element of ``gens`` into the set ``bits``,
+    as a bitset, from one ``translate`` and one base-2 parse per generator:
+    N_G(H) when ``bits`` is a subgroup H generated by ``gens``, and the
+    centralizer of h for ``gens`` (h,) and ``bits`` {h}.
 
     Conjugation by g is an automorphism, so g·H·g⁻¹ ⊆ H then, and equal as
     both are finite of one size.
     """
-    out = (1 << group.order) - 1
+    columns = _conjugation_columns(group)
+    digits = bin(bits)[:1:-1]  # digit x says whether x is in ``bits``
+    n = group.order
+    mask = digits.encode().ljust(256, b"0") if n <= 256 else digits.ljust(n, "0")
+    out = (1 << n) - 1
     for h in gens:
-        # the conjugator bitsets are disjoint, so their sum is their union
-        out &= sum(g for x, g in _conjugators(group, h).items() if (bits >> x) & 1)
+        out &= int(columns[h].translate(mask), 2)
     return out
 
 
@@ -232,8 +230,9 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
     subgroup contains H exactly when it contains H's generators, so the
     AND of their columns marks the listed subgroups that contain H.
 
-    4. When |G| has at most two prime factors, H is joined only with a
-       seed whose generator lies in the normalizer of H (``_normalizer``).
+    4. The normalizer of H (``_normalizer``) is computed once, when H is
+       taken.  When |G| has at most two prime factors, H is joined only
+       with a seed whose generator lies in it.
 
     Such a G is solvable (Burnside's p^a q^b theorem), and so is each of its
     subgroups K > 1, whose derived subgroup is therefore proper: K has a
@@ -249,7 +248,8 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
     lattice.
 
     Each subgroup found is recorded with the generators that built it, the
-    generators of H and g, for ``subgroup_generators``.
+    generators of H and g, for ``subgroup_generators``.  The subgroups whose
+    normalizer is G, in every order, are recorded for ``normal_subgroups``.
     """
     check_lattice_cap(group, cap)
 
@@ -268,6 +268,8 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
         # generator -> (bits, |c|/p): H is joined with c only when |c∩H| = |c|/p
         seed_of = {g: (c, orders[g] // prime_of[orders[g]]) for c, g in seeds.items()}
         seed_mask = sum(1 << g for g in seed_of)
+        whole = (1 << n) - 1
+        normal = set()  # the subgroups whose normalizer is G
         built = {1: ()}  # bits -> the generators that built it
         keys = {1: (1, [0])}  # bits -> Subgroup.sort_key, from the members walked once here
         # order -> (the subgroups found of that order, the column of each element)
@@ -277,9 +279,11 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
             bits = queue.popleft()
             size, members = keys[bits]
             gens = built[bits]
-            todo = seed_mask & ~bits  # the seed generators not yet covered
-            if normalizing:
-                todo &= _normalizer(group, gens, bits)
+            normalizer = _normalizer(group, gens, bits)
+            if normalizer == whole:
+                normal.add(bits)
+            # the seed generators not yet covered
+            todo = seed_mask & ~bits & (normalizer if normalizing else whole)
             for p in primes:
                 if size * p not in found:
                     continue
@@ -312,17 +316,18 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
         known = memo(group, "generators", dict)
         for bits, gens in built.items():
             known.setdefault(bits, gens)
-        return tuple(Subgroup(group, bits) for bits in sorted(built, key=keys.__getitem__))
+        subs = tuple(Subgroup(group, bits) for bits in sorted(built, key=keys.__getitem__))
+        memo(group, "normal_subgroups", lambda: tuple(s for s in subs if s.bits in normal))
+        return subs
 
     return memo(group, "all_subgroups", build)
 
 
 def normal_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subgroup, ...]:
-    """The normal subgroups, in ``all_subgroups`` order; the memoized tuple itself."""
-    check_lattice_cap(group, cap)
-    return memo(group, "normal_subgroups", lambda: tuple(
-        s for s in all_subgroups(group, cap=cap) if is_normal_bits(group, s.bits)
-    ))
+    """The normal subgroups, in ``all_subgroups`` order; the memoized tuple
+    itself, which the lattice build records."""
+    all_subgroups(group, cap=cap)
+    return memo(group, "normal_subgroups")
 
 
 def _normals_of_order(group: Group, *, cap: int) -> dict[int, dict[Subgroup, None]]:
@@ -338,8 +343,8 @@ def _normals_of_order(group: Group, *, cap: int) -> dict[int, dict[Subgroup, Non
 
 
 def _listed_normals(group: Group) -> dict[int, dict[Subgroup, None]] | None:
-    """``_normals_of_order`` once ``normal_subgroups`` has listed the
-    normals, else None: no lattice is built here."""
+    """``_normals_of_order`` once the lattice build has recorded the
+    normals (``normal_subgroups``), else None: no lattice is built here."""
     if memo(group, "normal_subgroups") is not None:
         return _normals_of_order(group, cap=group.order)
     return None
@@ -352,8 +357,13 @@ def center(group: Group) -> Subgroup:
 def center_of(group: Group, sub: Subgroup) -> Subgroup:
     """Center of a subgroup, computed inside it (a subgroup of the parent):
     its members in the centralizer of each of its generators, or the whole
-    subgroup when it is abelian."""
+    subgroup when it is abelian.  The centralizer of h is the g that
+    conjugate h into {h}.  A memo hit builds nothing."""
     check_parent(group, sub)
+    key = ("center", sub.bits)
+    found = memo(group, key)
+    if found is not None:
+        return found
 
     def build() -> Subgroup:
         bits = sub.bits
@@ -361,10 +371,10 @@ def center_of(group: Group, sub: Subgroup) -> Subgroup:
             return sub
         gens = subgroup_generators(group, bits)
         for h in gens:
-            bits &= _conjugators(group, h)[h]
+            bits &= _normalizer(group, (h,), 1 << h)
         return Subgroup(group, bits)
 
-    return memo(group, ("center", sub.bits), build)
+    return memo(group, key, build)
 
 
 def commutator(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -396,10 +406,12 @@ def commutator(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
 
 def derived_of(group: Group, sub: Subgroup) -> Subgroup:
     """Derived subgroup of a subgroup, computed inside it (a subgroup of the
-    parent); trivial when the subgroup is abelian."""
+    parent); trivial when the subgroup is abelian.  A memo hit builds nothing."""
     check_parent(group, sub)
-    return memo(group, ("derived", sub.bits), lambda: trivial_subgroup(group)
-                if is_abelian_bits(group, sub.bits) else commutator(group, sub, sub))
+    key = ("derived", sub.bits)
+    return memo(group, key) or memo(group, key, lambda: (
+        trivial_subgroup(group) if is_abelian_bits(group, sub.bits)
+        else commutator(group, sub, sub)))
 
 
 def derived_subgroup(group: Group) -> Subgroup:
@@ -430,7 +442,7 @@ def quotient(group: Group, normal: Subgroup) -> QuotientMap:
 
     The target is shared with every quotient and extracted subgroup of any
     live group that has the same table (see ``_derived_group``).
-    Normality is tested unless ``normal_subgroups`` already listed it.
+    Normality is tested unless the lattice build already recorded it.
     """
     check_parent(group, normal)
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_section6_style_semidirect_order_16():
     g = construct(Product(inner, Cyclic(2)))
     assert g.order == 16
     assert find_isomorphism(construct(inner), construct(Dihedral(4))) is not None
+
+
+def test_members_of_matches_a_digit_walk():
+    rng = random.Random(20)
+    samples = [0, 1, (1 << 511) | 1] + [rng.getrandbits(rng.randrange(1, 513)) for _ in range(300)]
+    for bits in samples:
+        walked, rest, i = [], bits, 0
+        while rest:
+            if rest & 1:
+                walked.append(i)
+            rest >>= 1
+            i += 1
+        assert core.members_of(bits) == walked, bits
 
 
 def test_validate_trivial_table():

@@ -267,16 +267,35 @@ def test_generator_kernels_match_member_walks(catalog24):
                 assert derived_of(h, Subgroup(h, s.bits)).bits == derived, (entry.name, s)
         assert [s.bits for s in normal_subgroups(g)] == [
             s.bits for s in subs if normal_in_by_conjugates(g, s.bits, whole)], entry.name
-    # above order 256 the conjugations gather columns instead of translating rows
-    d150 = construct(Dihedral(150))
-    whole = whole_subgroup(d150).bits
-    for gens in ([1], [2], [75], [150], [1, 150], [2, 150]):
-        sub = generate_subgroup(d150, gens)
-        normalizer = _normalizer_by_conjugates(d150, sub.bits)
-        found = subgroups._normalizer(d150, subgroup_generators(d150, sub.bits), sub.bits)
-        assert found == normalizer, gens
-        assert is_normal_bits(d150, sub.bits) == (normalizer == whole), gens
-        assert center_of(d150, sub).bits == center_bits_by_commuting(d150, sub.bits), gens
+    # order 256 is the largest whose columns are read by ``translate``, with a
+    # mask of full length and bit 255 set in each subgroup holding element
+    # 255; above it the columns are strs, translated through a str mask
+    for group, gens_lists in (
+            (construct(Dihedral(128)), ([255], [2, 255], [64], [4], [128], [64, 255], [1, 255])),
+            (construct(Dihedral(150)), ([1], [2], [75], [150], [1, 150], [2, 150]))):
+        whole = whole_subgroup(group).bits
+        for gens in gens_lists:
+            sub = generate_subgroup(group, gens)
+            normalizer = _normalizer_by_conjugates(group, sub.bits)
+            found = subgroups._normalizer(group, subgroup_generators(group, sub.bits), sub.bits)
+            assert found == normalizer, (group.order, gens)
+            assert is_normal_bits(group, sub.bits) == (normalizer == whole), (group.order, gens)
+            assert center_of(group, sub).bits == center_bits_by_commuting(group, sub.bits), (
+                group.order, gens)
+
+
+@pytest.mark.parametrize("build, cap", [
+    (lambda: construct(parse_recipe("P(S(3),C(5))")), 64),
+    (lambda: construct(Symmetric(5)), 120),
+], ids=["S3xC5", "S5"])
+def test_lattice_records_normality_in_three_prime_orders(build, cap):
+    # there the lattice joins every seed, not only the normalizing ones, and
+    # still records which subgroups its normalizers show to be normal
+    group = build()
+    whole = whole_subgroup(group).bits
+    assert [s.bits for s in normal_subgroups(group, cap=cap)] == [
+        s.bits for s in all_subgroups(group, cap=cap)
+        if normal_in_by_conjugates(group, s.bits, whole)]
 
 
 def test_bitset_that_is_no_subgroup_is_refused():

@@ -88,8 +88,11 @@ MUTANTS = (
      "                if True:\n                    todo &= ~joined"),
     # the normalizer bitset reads only the first generator of H
     ("normalizer_first_generator", "subgroups.py",
-     "    for h in gens:\n        # the conjugator bitsets",
-     "    for h in gens[:1]:\n        # the conjugator bitsets"),
+     "    for h in gens:\n        out &= int(columns[h]",
+     "    for h in gens[:1]:\n        out &= int(columns[h]"),
+    # the conjugation columns run g upward, so each numeral is read reversed
+    ("conjugation_columns_forward", "subgroups.py",
+     "by_g = list(zip(table, group.inv))[::-1]", "by_g = list(zip(table, group.inv))"),
     # the lattice's cover lookup reads only the column of H's first generator
     ("cover_lookup_first_column", "subgroups.py",
      "for h in gens:\n                    within &= columns[h]",
@@ -99,8 +102,8 @@ MUTANTS = (
      "for g in by]", "for g in by[:0]]"),
     # the centre tests commutation with one generator only
     ("center_one_generator", "subgroups.py",
-     "for h in gens:\n            bits &= _conjugators(group, h)[h]",
-     "for h in gens[:1]:\n            bits &= _conjugators(group, h)[h]"),
+     "for h in gens:\n            bits &= _normalizer(group, (h,), 1 << h)",
+     "for h in gens[:1]:\n            bits &= _normalizer(group, (h,), 1 << h)"),
     # the lattice's normalizing seeds also taken for orders with three primes
     ("lattice_bound_three_primes", "subgroups.py",
      "normalizing = len(primes) <= 2", "normalizing = len(primes) <= 3"),
