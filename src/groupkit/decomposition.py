@@ -18,6 +18,7 @@ from .subgroups import (
     is_normal_bits,
     normal_subgroups,
     subgroup_generators,
+    supersets,
     trivial_subgroup,
     whole_subgroup,
 )
@@ -33,15 +34,15 @@ class Splitting(Record):
 def join_bits(group: Group, a: Subgroup, b: Subgroup) -> int:
     """Bits of the join ⟨A, B⟩, computed once per unordered pair and group.
 
-    When the parent's normals are already grouped by order (the memo of
-    ``_normals_of_order``, read without building it, so no lattice is built),
-    the join is first looked up among them: with m = |A|·|B|/|A∩B|, a listed
-    normal N of order m that contains A ∪ B is the join.  The product set
-    AB has m elements and AB ⊆ ⟨A, B⟩ ⊆ N, so all three are equal.
-    Otherwise (no listed normal, or the join is not normal) ``closure_bits``
-    is seeded from the larger factor, so only the other factor's generators
-    are joined.  The count needs A and B to be subgroups: anything else
-    raises PreconditionFailed.
+    Once the lattice is built (its ``containment`` record, read without
+    building it, so no lattice is built here), the join is looked up: with
+    m = |A|·|B|/|A∩B|, the product set AB has m elements and lies in
+    ⟨A, B⟩, so a subgroup of order m that contains A ∪ B is ⟨A, B⟩ = AB,
+    and it is the one bit of ``supersets(A, B)`` among the subgroups of
+    order m.  AB is a subgroup whenever A or B is normal.  Otherwise (no
+    lattice, or no such subgroup) ``closure_bits`` is seeded from the larger
+    factor, so only the other factor's generators are joined.  The count
+    needs A and B to be subgroups: anything else raises PreconditionFailed.
     """
     joins = memo(group, "joins", dict)
     key = (a.bits, b.bits) if a.bits < b.bits else (b.bits, a.bits)
@@ -50,10 +51,10 @@ def join_bits(group: Group, a: Subgroup, b: Subgroup) -> int:
         big, small = (a, b) if a.order >= b.order else (b, a)
         subgroup_generators(group, big.bits)
         gens = subgroup_generators(group, small.bits)
-        union = a.bits | b.bits
-        m = a.order * b.order // (a.bits & b.bits).bit_count()
-        by_order = memo(group, "normals_of_order") or {}
-        found = next((n.bits for n in by_order.get(m, ()) if not union & ~n.bits), None)
+        record = memo(group, "containment")
+        if record is not None:
+            m = a.order * b.order // (a.bits & b.bits).bit_count()
+            found = record.join(supersets(group, a.bits, b.bits, cap=group.order), m) or None
         if found is None:
             found = closure_bits(group.table, gens, big.bits, big.members())
         joins[key] = found
@@ -248,23 +249,24 @@ def combine_coprime_factors(group: Group, a: Subgroup, b: Subgroup, *,
     if not factor_classes(a, cap=cap, cache=cache).isdisjoint(
             factor_classes(b, cap=cap, cache=cache)):
         raise PreconditionFailed("A and B are not coprime")
-    reason = _combine(group, a, b, cap=cap)
-    return (Subgroup(group, join_bits(group, a, b)) if reason is None
-            else CoprimeViolation(group, a, b, reason))
+    ab = join_bits(group, a, b)
+    reason = _combine(a, b, ab, _side_index(group, cap=cap))
+    return Subgroup(group, ab) if reason is None else CoprimeViolation(group, a, b, reason)
 
 
-def _combine(group: Group, a: Subgroup, b: Subgroup, *, cap: int) -> str | None:
+def _combine(a: Subgroup, b: Subgroup, ab: int, sides) -> str | None:
     """The checks of ``combine_coprime_factors``, for direct factors known
-    coprime: why A·B is no direct factor, or None when it is."""
+    coprime, given their join ``ab`` (0 when none is known to have order
+    |A|·|B|) and the splitting sides' bits: why A·B is no direct factor,
+    or None when it is."""
     if a.bits & b.bits != 1:
         return "A∩B is nontrivial"
     # with A∩B = 1 the product set has |A|·|B| elements and lies in the join,
     # so it is the join exactly when the orders agree
-    ab = join_bits(group, a, b)
     if ab.bit_count() != a.order * b.order:
         return "A·B is not a subgroup"
     # A·B is normal: it has a direct complement exactly when it is a side
-    if ab not in _side_index(group, cap=cap):
+    if ab not in sides:
         return "A·B has no normal complement"
     return None
 

@@ -40,6 +40,7 @@ from .subgroups import (
     center,
     center_of,
     check_lattice_cap,
+    containment,
     derived_of,
     derived_subgroup,
     generate_subgroup,
@@ -48,6 +49,7 @@ from .subgroups import (
     normal_subgroups,
     quotient,
     subgroup_as_group,
+    supersets,
     whole_subgroup,
 )
 from .decomposition import (
@@ -250,15 +252,27 @@ def _coprime_sides(group: Group, cap: int, cache: IsoCache) -> dict[int, list[Su
     return memo(group, "coprime_sides", build)
 
 
+def _side_supersets(group: Group, cap: int) -> dict[int, int]:
+    """Each side's bits, mapped to the ``supersets`` mask of the side; memoized."""
+    return memo(group, "side_supersets", lambda: {
+        h.bits: supersets(group, h.bits, cap=cap) for h, _ in splitting_sides(group, cap=cap)})
+
+
 def _prop_2_3(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
-    # direct factors coprime by ``factor_classes`` meet trivially and combine into one
+    # direct factors coprime by ``factor_classes`` meet trivially and combine
+    # into one.  With A∩B = 1, A·B is a subgroup exactly when one of order
+    # |A|·|B| contains A ∪ B (see ``join_bits``); ``Containment.join`` reads
+    # it off both sides' supersets masks, or 0 when there is none
     index = _side_index(group, cap=cap)
     coprime = _coprime_sides(group, cap, cache)
+    above = _side_supersets(group, cap)
+    record = containment(group, cap=cap)
     for i, (a, _) in enumerate(splitting_sides(group, cap=cap)):
+        a_above, a_order = above[a.bits], a.order
         for b in coprime[a.bits]:
             if index[b.bits] < i:
                 continue
-            reason = _combine(group, a, b, cap=cap)
+            reason = _combine(a, b, record.join(a_above & above[b.bits], a_order * b.order), index)
             if reason is not None:
                 yield {"a": a.members(), "b": b.members(), "reason": reason}
 
@@ -267,14 +281,23 @@ def _cor_2_1(group: Group, h0s, cap: int, cache: IsoCache) -> Iterator[dict]:
     # the projection of a factor coprime to B onto C is again a direct factor.
     # For G = B×C and A ⊴ G the projection is π_C(A) = A·B ∩ C: each
     # a = b·c in A has c = b⁻¹a in A·B ∩ C, and each c = a·b in A·B ∩ C
-    # has a = b⁻¹c (B and C commute), so π_C(a) = c.  ``join_bits`` keeps
-    # the join prop_2_3 made for the pair.  The trivial factor is left out:
-    # its image is 1, a direct factor of every group.  Each side B is walked
-    # once, so its coprime factors and their joins with it are taken once
+    # has a = b⁻¹c (B and C commute), so π_C(a) = c.  A·B is read as in
+    # prop_2_3, from the subgroups of order |A|·|B|/|A∩B|; only when none
+    # contains A ∪ B does ``join_bits`` close it.  The trivial factor is
+    # left out: its image is 1, a direct factor of every group.  Each side B
+    # is walked once, so its coprime factors and their joins with it are
+    # taken once
     index = _side_index(group, cap=cap)
     coprime = _coprime_sides(group, cap, cache)
+    above = _side_supersets(group, cap)
+    record = containment(group, cap=cap)
     for b, comps in splitting_sides(group, cap=cap):
-        joins = [(a, join_bits(group, a, b)) for a in coprime[b.bits] if a.order > 1]
+        b_above, b_order = above[b.bits], b.order
+        joins = []
+        for a in coprime[b.bits]:
+            if a.bits != 1:
+                m = a.order * b_order // (a.bits & b.bits).bit_count()
+                joins.append((a, record.join(above[a.bits] & b_above, m) or join_bits(group, a, b)))
         for c in comps:
             for a, ab_bits in joins:
                 bits = ab_bits & c.bits
@@ -384,9 +407,12 @@ def property_suite(group: Group, *, cap: int = DEFAULT_LATTICE_CAP,
     another check's results, and walks ``splitting_sides`` (each side H with
     its stored complements K), so failure lists are reproducible.  The
     pieces two checks share are memoized: the sides coprime to each side
-    (prop_2_3, cor_2_1) and the directly decomposable normals (prop_2_4,
-    prop_2_5).  prop_2_3 makes one join A·B per unordered coprime pair
-    (``join_bits``); cor_2_1 reads the projection π_C(A) = A·B ∩ C from it.
+    (prop_2_3, cor_2_1), the subgroups that contain each side (the same)
+    and the directly decomposable normals (prop_2_4, prop_2_5).  prop_2_3
+    reads the join A·B of each unordered coprime pair from the lattice's
+    membership record (the AND of two sides' ``supersets`` masks and one
+    order's mask), and cor_2_1 reads the projection π_C(A) = A·B ∩ C from
+    the join read the same way.
     """
     check_lattice_cap(group, cap)
     cache = cache or IsoCache()

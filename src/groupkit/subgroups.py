@@ -6,13 +6,15 @@ union, and equality for free.  Bit 0 (the identity) is always set.
 Each subgroup has one memoized generating set (``subgroup_generators``),
 and the normality, centre, commutator and join kernels read it instead
 of every member.  Normalizers and centralizers read one memoized
-conjugation column per generator (``_conjugation_columns``), and the
-lattice build records which subgroups are normal as it finds them.
+conjugation column per generator (``_conjugation_columns``).  The
+lattice build records which subgroups are normal as it finds them, and
+keeps which subgroup holds which element (``containment``): ``supersets``
+reads from it the subgroups that contain a given one, and joins use it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from weakref import WeakValueDictionary
 
 from .core import (
@@ -80,6 +82,27 @@ class QuotientMap(Record):
     source: Group
     target: Group
     projection: tuple[int, ...]
+
+
+class Containment(Record):
+    """Which subgroup contains which element, kept by ``all_subgroups``.
+
+    ``subgroups`` lists every subgroup's bits in the order the lattice
+    search found them; bit i of ``columns[x]`` is set when the i-th holds
+    element x, and bit i of ``of_order[m]`` when it has order m.
+    """
+
+    subgroups: tuple[int, ...]
+    columns: tuple[int, ...]
+    of_order: dict[int, int]
+
+    def join(self, above: int, order: int) -> int:
+        """The bits of the subgroup of ``order`` marked in ``above``, or 0
+        when none is.  For ``above`` the subgroups that contain both A and
+        B, and ``order`` |A|·|B|/|A∩B|, that subgroup is the join ⟨A, B⟩,
+        and there is at most one (see ``join_bits``)."""
+        mask = above & self.of_order.get(order, 0)
+        return self.subgroups[mask.bit_length() - 1] if mask else 0
 
 
 def trivial_subgroup(group: Group) -> Subgroup:
@@ -224,11 +247,12 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
     ⟨H, c⟩ = K by maximality.  Every subgroup ends a chain of covers from
     the trivial subgroup, so every subgroup is found.
 
-    The covers found before H are looked up in membership columns.  For
-    each order m the subgroups found of order m are listed, and for each
-    element x one int has bit i set when x lies in the i-th of them.  A
-    subgroup contains H exactly when it contains H's generators, so the
-    AND of their columns marks the listed subgroups that contain H.
+    The covers found before H are looked up in the membership record
+    (``containment``): every subgroup in the order found, one int per
+    element x with bit i set when x lies in the i-th of them, and one mask
+    per order.  A subgroup contains H exactly when it contains H's
+    generators, so the AND of their columns with the mask of order |H|·p
+    marks the subgroups found of that order that contain H.
 
     4. The normalizer of H (``_normalizer``) is computed once, when H is
        taken.  When |G| has at most two prime factors, H is joined only
@@ -249,7 +273,8 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
 
     Each subgroup found is recorded with the generators that built it, the
     generators of H and g, for ``subgroup_generators``.  The subgroups whose
-    normalizer is G, in every order, are recorded for ``normal_subgroups``.
+    normalizer is G, in every order, are recorded for ``normal_subgroups``,
+    and the membership record is kept for ``supersets``.
     """
     check_lattice_cap(group, cap)
 
@@ -272,8 +297,9 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
         normal = set()  # the subgroups whose normalizer is G
         built = {1: ()}  # bits -> the generators that built it
         keys = {1: (1, [0])}  # bits -> Subgroup.sort_key, from the members walked once here
-        # order -> (the subgroups found of that order, the column of each element)
-        found = defaultdict(lambda: ([], [0] * n))
+        found = [1]  # every subgroup, in the order found
+        columns = [1] + [0] * (n - 1)  # element -> bit i set when found[i] holds it
+        of_order = {1: 1}  # order -> bit i set when found[i] has it
         queue = deque([1])
         while queue:
             bits = queue.popleft()
@@ -285,15 +311,12 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
             # the seed generators not yet covered
             todo = seed_mask & ~bits & (normalizer if normalizing else whole)
             for p in primes:
-                if size * p not in found:
-                    continue
-                listed, columns = found[size * p]
-                within = (1 << len(listed)) - 1
+                within = of_order.get(size * p, 0)
                 for h in gens:
                     within &= columns[h]
-                while within:  # one step per cover found, however long the list
+                while within:  # one step per cover found, however many subgroups
                     i = within.bit_length() - 1
-                    todo &= ~listed[i]
+                    todo &= ~found[i]
                     within ^= 1 << i
             while todo:  # least generator first
                 g = (todo & -todo).bit_length() - 1
@@ -309,18 +332,40 @@ def all_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subg
                     queue.append(joined)
                     new = members_of(joined)
                     keys[joined] = (len(new), new)
-                    listed, columns = found[len(new)]
+                    bit = 1 << len(found)
                     for x in new:
-                        columns[x] |= 1 << len(listed)
-                    listed.append(joined)
+                        columns[x] |= bit
+                    of_order[len(new)] = of_order.get(len(new), 0) | bit
+                    found.append(joined)
         known = memo(group, "generators", dict)
         for bits, gens in built.items():
             known.setdefault(bits, gens)
         subs = tuple(Subgroup(group, bits) for bits in sorted(built, key=keys.__getitem__))
         memo(group, "normal_subgroups", lambda: tuple(s for s in subs if s.bits in normal))
+        memo(group, "containment", lambda: Containment(tuple(found), tuple(columns), of_order))
         return subs
 
     return memo(group, "all_subgroups", build)
+
+
+def containment(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> Containment:
+    """The membership record that ``all_subgroups`` builds and keeps."""
+    all_subgroups(group, cap=cap)
+    return memo(group, "containment")
+
+
+def supersets(group: Group, *bitsets: int, cap: int = DEFAULT_LATTICE_CAP) -> int:
+    """The subgroups that contain every given subgroup (a bitset), as a mask
+    over ``containment(group).subgroups``: the AND of the given subgroups'
+    generator columns, since a subgroup contains another exactly when it
+    contains its generators.  Raises PreconditionFailed when a bitset is no
+    subgroup."""
+    record = containment(group, cap=cap)
+    out = (1 << len(record.subgroups)) - 1
+    for bits in bitsets:
+        for h in subgroup_generators(group, bits):
+            out &= record.columns[h]
+    return out
 
 
 def normal_subgroups(group: Group, *, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Subgroup, ...]:

@@ -391,54 +391,61 @@ def _counting_closures(monkeypatch) -> list:
 
 
 def test_join_bits_of_normals_match_the_closure_oracle(catalog24, monkeypatch):
-    # every unordered pair of normals, joined on fresh groups twice: before
-    # the normals are listed by order every join is closed, after it every
-    # join is read off the listed normals; both must be ⟨A ∪ B⟩
+    # every unordered pair of normals, joined on two builds of each group:
+    # one whose lattice is not built closes every join, and one whose
+    # lattice is built reads every join off its membership record; both
+    # must be ⟨A ∪ B⟩
     closures = _counting_closures(monkeypatch)
     recipes = [e.recipe for e in catalog24] + [parse_recipe(dsl) for dsl in PREMISES32.values()]
     pairs = 0
     for recipe in recipes:
         g = construct(recipe)
         normals = normal_subgroups(g)
-        expected = {(a, b): closure_by_words(g, members_of(a.bits | b.bits))
+        expected = {(a.bits, b.bits): closure_by_words(g, members_of(a.bits | b.bits))
                     for i, a in enumerate(normals) for b in normals[i:]}
-        for listed in (False, True):
-            if listed:
-                decomposition._normals_of_order(g, cap=64)
-            g._cache.pop("joins", None)
+        bare = construct(recipe)  # the same element numbering, no lattice
+        for h in (bare, g):
             closures.clear()
             for (a, b), want in expected.items():
-                assert join_bits(g, a, b) == join_bits(g, b, a) == want, (recipe, a, b)
-            assert len(closures) == (0 if listed else len(expected)), recipe
+                a, b = Subgroup(h, a), Subgroup(h, b)
+                assert join_bits(h, a, b) == join_bits(h, b, a) == want, (recipe, a, b)
+            assert len(closures) == (len(expected) if h is bare else 0), recipe
+        assert "all_subgroups" not in bare._cache, recipe
         pairs += len(expected)
     assert pairs == 19_205
 
 
 def test_join_bits_with_a_non_normal_factor(catalog24, monkeypatch):
-    # project_onto_factor joins X·H for a side H and any subgroup X.  With
-    # X not normal the lookup finds X·H when it is a listed normal, and
-    # otherwise misses, so the closure answers; both must be ⟨X ∪ H⟩
+    # project_onto_factor joins X·H for a side H and any subgroup X.  H is
+    # normal, so X·H is a subgroup and the lattice's record answers.  Two
+    # non-normal X, Y have a join of order |X||Y|/|X∩Y| only when XY is a
+    # subgroup: the record answers those pairs, and the closure every other.
+    # Every join must be ⟨X ∪ Y⟩
     closures = _counting_closures(monkeypatch)
     recipes = [e.recipe for e in catalog24 if not is_abelian(e.group)]
     recipes += [parse_recipe(PREMISES32[name]) for name in ("D4xC2xC2", "Q8xC2xC2")]
     looked_up = closed = 0
     for recipe in recipes:
         g = construct(recipe)
-        sides = splitting_sides(g)  # lists the normals by order
+        sides = splitting_sides(g)
         normal_bits = {n.bits for n in normal_subgroups(g)}
-        for x in all_subgroups(g):
-            if x.bits in normal_bits:
-                continue
+        others = [x for x in all_subgroups(g) if x.bits not in normal_bits]
+        for i, x in enumerate(others):
             for h, _ in sides:
-                before = len(closures)
                 want = closure_by_words(g, members_of(x.bits | h.bits))
                 assert join_bits(g, x, h) == want, (recipe, x, h)
-                if len(closures) == before:
-                    looked_up += 1
-                    assert want in normal_bits
-                else:
+            assert closures == [], recipe
+            for y in others[i + 1:]:
+                want = closure_by_words(g, members_of(x.bits | y.bits))
+                assert join_bits(g, x, y) == want, (recipe, x, y)
+                product = x.order * y.order // (x.bits & y.bits).bit_count()
+                if closures:
                     closed += 1
-                    assert want not in normal_bits
+                    assert want.bit_count() > product, (recipe, x, y)
+                else:
+                    looked_up += 1
+                    assert want.bit_count() == product, (recipe, x, y)
+                closures.clear()
     assert looked_up > 0 and closed > 0
 
 

@@ -50,6 +50,7 @@ from groupkit.subgroups import (
     derived_of,
     derived_subgroup,
     generate_subgroup,
+    members_of,
     normal_subgroups,
     quotient,
     subgroup_as_group,
@@ -540,39 +541,48 @@ def test_join_meet_is_the_factor_projection(catalog24):
 
 
 def test_property_suite_joins_each_coprime_pair_once(monkeypatch):
-    g = construct(parse_recipe(PREMISES32["C4xC2xC2xC2"]))
-    cache = IsoCache()
-    premise_classes(g, cache=cache)
-    fallbacks = []
-    closure_bits = decomposition.closure_bits
-
-    def counting(table, gens, bits=1, members=(0,)):
-        fallbacks.append(bits)
-        return closure_bits(table, gens, bits, members)
-
-    monkeypatch.setattr(decomposition, "closure_bits", counting)
-    assert all(v["pass"] for v in property_suite(g, cache=cache).values())
-    # no projection table is built; cor_2_1 reads the joins of prop_2_3
-    assert not any(isinstance(key, tuple) and key[0] == "proj" for key in g._cache)
-    factors = sorted({s.bits: s for pair in all_direct_splittings(g) for s in pair}.values(),
-                     key=Subgroup.sort_key)
-    classes = [factor_classes(a, cache=cache) for a in factors]
-    coprime_pairs = sum(1 for i, x in enumerate(classes) for y in classes[i:]
-                        if x.isdisjoint(y))
-    assert len(g._cache["joins"]) == coprime_pairs > len(factors)
-    # every join of two direct factors is a normal the lattice listed, so
-    # the lookup answers each one and no join falls back to the closure
-    assert fallbacks == []
+    # prop_2_3 reads the join of each unordered coprime pair of sides off
+    # the lattice's membership record, so the suite calls no ``join_bits``
+    # and closes nothing.  With every side's supersets mask zeroed no
+    # subgroup contains any pair, so prop_2_3 fails each pair once, in order
+    for name, pairs in (("C4xC2xC2xC2", 502), ("D4xC2xC2", 200)):
+        g = construct(parse_recipe(PREMISES32[name]))
+        cache = IsoCache()
+        premise_classes(g, cache=cache)
+        calls = []
+        for module, attr in ((decomposition, "closure_bits"), (harness, "join_bits")):
+            real = getattr(module, attr)
+            monkeypatch.setattr(module, attr,
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        assert all(v["pass"] for v in property_suite(g, cache=cache).values()), name
+        assert calls == [] and "joins" not in g._cache, name
+        # no projection table is built either
+        assert not any(isinstance(key, tuple) and key[0] == "proj" for key in g._cache)
+        factors = sorted({s.bits: s for pair in all_direct_splittings(g) for s in pair}.values(),
+                         key=Subgroup.sort_key)
+        classes = [factor_classes(a, cache=cache) for a in factors]
+        expected = [{"a": a.members(), "b": b.members(), "reason": "A·B is not a subgroup"}
+                    for i, a in enumerate(factors) for j, b in enumerate(factors[i:], i)
+                    if classes[i].isdisjoint(classes[j])]
+        above = g._cache["side_supersets"]
+        above.update(dict.fromkeys(above, 0))
+        # cor_2_1 closes the joins it cannot read, so it still passes
+        _fails_only(property_suite(g, cache=cache), "prop_2_3", expected)
+        assert len(expected) == pairs > len(factors), name
+        monkeypatch.undo()
 
 
 def test_cor_2_1_join_counts_and_a_wrong_join(monkeypatch):
     # cor_2_1 reads one join per side B and nontrivial factor A coprime to
-    # B, all among the joins prop_2_3 made per coprime pair, and checks it
-    # against every complement C of B: one check per (A, B, C)
+    # B, and checks it against every complement C of B: one check per
+    # (A, B, C).  With every side's supersets mask zeroed each read misses
+    # and ``join_bits`` closes the join instead, which counts the reads
     real = harness.join_bits
-    for name, calls, triples, pairs in (("C4xC2xC2xC2", 901, 8_293, 502),
-                                        ("D4xC2xC2", 359, 2_471, 200)):
+    for name, calls, triples in (("C4xC2xC2xC2", 901, 8_293), ("D4xC2xC2", 359, 2_471)):
         g = construct(parse_recipe(PREMISES32[name]))
+        assert all(v["pass"] for v in property_suite(g).values()), name
+        above = g._cache["side_supersets"]
+        above.update(dict.fromkeys(above, 0))
         seen = []
 
         def counting(group, a, b):
@@ -580,19 +590,26 @@ def test_cor_2_1_join_counts_and_a_wrong_join(monkeypatch):
             return real(group, a, b)
 
         monkeypatch.setattr(harness, "join_bits", counting)
-        assert all(v["pass"] for v in property_suite(g).values()), name
-        assert (len(seen), len(g._cache["joins"])) == (calls, pairs), name
-        assert len(set(seen)) == calls, name
+        assert property_suite(g)["cor_2_1"]["pass"], name
+        assert len(seen) == len(set(seen)) == calls, name
         assert sum(len(direct_complements(g, b)) for _, b in seen) == triples, name
-    # a wrong join for one pair fails cor_2_1 once per complement C of B
-    a, b = seen[0]
-    monkeypatch.setattr(harness, "join_bits",
-                        lambda group, x, y: 0 if (x, y) == (a, b) else real(group, x, y))
+    monkeypatch.undo()
+    # a side A of order 2 whose mask names another subgroup W of order 2,
+    # no side, in place of A: A joined with the trivial side reads W, so
+    # cor_2_1 fails once (its only complement is G) and prop_2_3 once
+    g = construct(parse_recipe(PREMISES32["C4xC2xC2xC2"]))
+    assert all(v["pass"] for v in property_suite(g).values())
+    found = subgroups.containment(g).subgroups
+    sides = {h.bits for h, _ in splitting_sides(g)}
+    a = next(Subgroup(g, bits) for bits in sides if bits.bit_count() == 2)
+    w = next(bits for bits in found if bits.bit_count() == 2 and bits not in sides)
+    g._cache["side_supersets"][a.bits] ^= 1 << found.index(a.bits) | 1 << found.index(w)
     results = property_suite(g)
-    failures = results["cor_2_1"]["failures"]
-    assert failures == [{"a": a.members(), "b": b.members(), "c": c.members(), "image": []}
-                        for c in direct_complements(g, b)]
-    assert all(v["pass"] for name, v in results.items() if name != "cor_2_1")
+    assert results["cor_2_1"]["failures"] == [
+        {"a": a.members(), "b": [0], "c": whole_subgroup(g).members(), "image": members_of(w)}]
+    assert results["prop_2_3"]["failures"] == [
+        {"a": [0], "b": a.members(), "reason": "A·B has no normal complement"}]
+    assert all(v["pass"] for name, v in results.items() if name not in ("prop_2_3", "cor_2_1"))
 
 
 def test_prop_2_1_fails_on_an_injected_superset(monkeypatch):
@@ -615,24 +632,20 @@ def _fails_only(results: dict, name: str, expected: list) -> None:
     assert all(v["pass"] for other, v in results.items() if other != name)
 
 
-def test_prop_2_3_fails_on_a_wrong_join(monkeypatch):
-    # a join of the wrong order for one coprime pair fails prop_2_3 once,
-    # with its reason; cor_2_1 reads its joins through its own name
+def test_prop_2_3_fails_on_a_wrong_join():
+    # the trivial side's supersets mask missing one nontrivial side X: no
+    # subgroup of order |X| then holds 1 ∪ X, so prop_2_3 fails the pair
+    # {1, X} once, with its reason; every other pair reads another order or
+    # side.  cor_2_1 reads the same miss for (X, 1) and closes the join.
+    # Any pair of nontrivial sides would not do: in these groups A has
+    # several complements in A·B, each a side whose pair with A reads A·B
     g = construct(parse_recipe(PREMISES32["C4xC2xC2xC2"]))
-    real = decomposition.join_bits
-    wrong = []
-
-    def once(group, a, b):
-        if not wrong and a.order > 1 and b.order > 1:
-            wrong.append((a, b))
-            return a.bits | b.bits
-        return real(group, a, b)
-
-    monkeypatch.setattr(decomposition, "join_bits", once)
-    results = property_suite(g)
-    [(a, b)] = wrong
-    _fails_only(results, "prop_2_3", [
-        {"a": a.members(), "b": b.members(), "reason": "A·B is not a subgroup"}])
+    assert all(v["pass"] for v in property_suite(g).values())
+    x = next(h for h, _ in splitting_sides(g) if h.order > 1)
+    found = subgroups.containment(g).subgroups
+    g._cache["side_supersets"][1] &= ~(1 << found.index(x.bits))
+    _fails_only(property_suite(g), "prop_2_3", [
+        {"a": [0], "b": x.members(), "reason": "A·B is not a subgroup"}])
 
 
 def test_prop_2_2_fails_on_a_wrong_centre_order(monkeypatch):

@@ -16,7 +16,8 @@ from groupkit.core import (
     parse_recipe,
     recipe_dsl,
 )
-from groupkit import subgroups
+import conftest
+from groupkit import decomposition, subgroups
 from groupkit.decomposition import direct_complements, join_bits, project_onto_factor
 from groupkit.errors import IndexOutOfRange, NotNormal, OrderBound, PreconditionFailed
 from groupkit.harness import build_split_counterexample
@@ -230,6 +231,69 @@ def test_lattice_bound_only_for_two_prime_orders(monkeypatch, name, build, cap, 
     lattice, joins = _lattice_joins(monkeypatch, group, cap)
     assert len(lattice) == count
     assert any(not normal_in_by_conjugates(group, h, k) for h, k in joins if h is not None), name
+
+
+def _generators_by_words(group, bits: int) -> list[int]:
+    """A generating set of the subgroup ``bits``: each member that the
+    words in those before it do not reach."""
+    gens, reached = [], 1
+    for x in conftest.members_of(bits):
+        if not (reached >> x) & 1:
+            gens.append(x)
+            reached = closure_by_words(group, gens)
+    return gens
+
+
+def test_containment_record_matches_set_containment(catalog24, monkeypatch):
+    # the lattice's membership record against plain set containment over
+    # ``all_subgroups``: each subgroup is listed once, the order masks
+    # partition the list, supersets(H) names exactly the L ⊇ H, and every
+    # join with a normal side is the closure of both generating sets, read
+    # off the record without a closure.  Three primes divide |S5| and
+    # |S4×C5|, so their lattices also join seeds that do not normalize H
+    closures = []
+    monkeypatch.setattr(decomposition, "closure_bits", lambda *args: closures.append(args))
+    groups = [(e.name, e.group, 64) for e in catalog24]
+    groups += [(name, construct(parse_recipe(dsl)), 64) for name, dsl in PREMISES32.items()]
+    groups += [(name, LATTICE_PINS[name][0](), LATTICE_PINS[name][1]) for name in LATTICE_JOINS]
+    groups += [("S5", construct(Symmetric(5)), 120),
+               ("S4xC5", construct(parse_recipe("P(S(4),C(5))")), 120)]
+    joins = 0
+    for name, g, cap in groups:
+        subs = [s.bits for s in all_subgroups(g, cap=cap)]
+        record = subgroups.containment(g, cap=cap)
+        found = record.subgroups
+        assert sorted(found) == sorted(subs), name
+        assert sum(mask.bit_count() for mask in record.of_order.values()) == len(found), name
+        assert sum(record.of_order.values()) == (1 << len(found)) - 1, name
+        for order, mask in record.of_order.items():
+            assert all(found[i].bit_count() == order for i in conftest.members_of(mask)), name
+        for h in subs:
+            above = {found[i] for i in conftest.members_of(subgroups.supersets(g, h, cap=cap))}
+            assert above == {l for l in subs if not h & ~l}, (name, h)
+        gens = {bits: _generators_by_words(g, bits) for bits in subs}
+        for n in normal_subgroups(g, cap=cap):
+            for l in subs:
+                want = closure_by_words(g, gens[n.bits] + gens[l])
+                assert join_bits(g, n, Subgroup(g, l)) == want, (name, n, l)
+                joins += 1
+    assert joins == 54_595 and closures == []
+
+
+def test_join_bits_refuses_a_bitset_that_is_no_subgroup():
+    # with or without a lattice: a bitset that is not closed, one without
+    # the identity, and one with a bit outside the group
+    for lattice in (False, True):
+        g = construct(Symmetric(4))
+        if lattice:
+            all_subgroups(g)
+        subs = [s for s in all_subgroups(construct(Symmetric(4))) if s.order == 2]
+        a, b = Subgroup(g, subs[0].bits), Subgroup(g, subs[1].bits)
+        for bad in (a.bits | b.bits, a.bits & ~1, 1 << 24 | 1, 0):
+            for pair in ((Subgroup(g, bad), b), (b, Subgroup(g, bad))):
+                with pytest.raises(PreconditionFailed):
+                    join_bits(g, *pair)
+        assert ("all_subgroups" in g._cache) == lattice
 
 
 def test_recorded_generators_close_to_their_subgroup(catalog24):

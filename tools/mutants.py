@@ -97,6 +97,10 @@ MUTANTS = (
     ("cover_lookup_first_column", "subgroups.py",
      "for h in gens:\n                    within &= columns[h]",
      "for h in gens[:1]:\n                    within &= columns[h]"),
+    # the membership columns never record a subgroup's last member
+    ("column_update_skips_last", "subgroups.py",
+     "for x in new:\n                        columns[x] |= bit",
+     "for x in new[:-1]:\n                        columns[x] |= bit"),
     # the derived subgroup's normal closure never conjugates
     ("derived_closure_unconjugated", "subgroups.py",
      "for g in by]", "for g in by[:0]]"),
@@ -128,9 +132,15 @@ MUTANTS = (
     # row, so an associative monoid with an identity passes as a group
     ("monoid_accepted", "core.py",
      "if inv and witness is None:", "if witness is None:"),
-    # the join lookup takes the first listed normal of the right order
+    # the join lookup reads the subgroups of order |A·B| that contain A,
+    # whether or not they contain B
     ("join_lookup_uncontained", "decomposition.py",
-     "if not union & ~n.bits)", "if True)"),
+     "supersets(group, a.bits, b.bits, cap=group.order)",
+     "supersets(group, a.bits, cap=group.order)"),
+    # the join read that prop_2_3, cor_2_1 and join_bits share takes the
+    # last subgroup found that contains both sides, of any order
+    ("join_read_no_order_mask", "subgroups.py",
+     "mask = above & self.of_order.get(order, 0)", "mask = above"),
     # the join lookup reads |A·B| as |A|·|B|, ignoring A∩B
     ("join_lookup_undivided", "decomposition.py",
      "m = a.order * b.order // (a.bits & b.bits).bit_count()", "m = a.order * b.order"),
